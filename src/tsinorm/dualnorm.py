@@ -11,8 +11,13 @@ is a linear program, and the value gets pinned from both sides:
 
 Strong LP duality makes the two optima equal; the implementation solves
 both independently and treats disagreement as an internal failure, never
-as an answer.  The iterative rho upper bounds, the implicit-equation
-checker, and the l1-variant falsifier all reduce to these exact values.
+as an answer.  The implicit-equation checker reduces to these exact values.
+
+The rho upper iterates need no LP.  rho_partition_upper, sigma_ell1_variant
+and the sub-vectors of rho_with_splits_upper share one recursion and memo,
+whose cover branch is covers.best_cover.  verify_implicit_equation walks
+covers.cover_branches, the enumerator, because it reports the partition
+count and every violating branch.
 
 Generators are built over supp(x) rather than the whole window [1, max
 supp(x)]: admissibility only reads supports, so the closure over the
@@ -41,17 +46,16 @@ from .core import (
     PrecisionExhaustedError,
     TsinormError,
     ell1_norm,
-    enumerate_partitions,
     format_scalar,
     format_vector,
     pairing,
     parse_vector,
     restrict,
 )
+from .covers import best_cover, cover_branches
 from .families import (
     Level,
     MixedSpaceSpec,
-    is_admissible,
     resolve_theta,
     spec_from_config,
     spec_to_config,
@@ -81,7 +85,6 @@ _GENERATOR_CACHE: dict = {}
 _VALUE_MEMO: dict = {}
 _CERT_MEMO: dict = {}
 _RHO_MEMO: dict = {}
-_SIGMA_LEVEL_MEMO: dict = {}
 
 
 def clear_caches() -> None:
@@ -90,7 +93,6 @@ def clear_caches() -> None:
     _VALUE_MEMO.clear()
     _CERT_MEMO.clear()
     _RHO_MEMO.clear()
-    _SIGMA_LEVEL_MEMO.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -332,25 +334,6 @@ def dual_norm_bounds(spec: MixedSpaceSpec, x: FinVec,
 # ---------------------------------------------------------------------------
 # rho iteration (upper bounds only)
 
-def _admissible_cover_values(levels, entries, n, recurse):
-    """Yield (level_index, blocks, value) for every admissible partition of
-    the support into k >= 2 covering blocks, value = (1/theta) * max of
-    the recursive values on the blocks."""
-    support = tuple(i for i, _ in entries)
-    xd = dict(entries)
-    for k in range(2, len(support) + 1):
-        for P in enumerate_partitions(support, k):
-            part_values = None
-            for level_index, family, theta in levels:
-                if not is_admissible(family, P):
-                    continue
-                if part_values is None:
-                    part_values = [
-                        recurse(tuple((i, xd[i]) for i in blk), n)
-                        for blk in P.blocks]
-                yield level_index, P.blocks, max(part_values) / theta
-
-
 def rho_partition_upper(spec: MixedSpaceSpec, x: FinVec, n: int) -> Fraction:
     """Partition-only upper iterate: level 0 is the l1 norm, each next
     level takes the best admissible covering partition, never worse than
@@ -360,25 +343,25 @@ def rho_partition_upper(spec: MixedSpaceSpec, x: FinVec, n: int) -> Fraction:
     levels = _require_rational(spec, "rho_partition_upper")
     if x.is_zero:
         return Q(0)
-    spec_key = spec.cache_key()
-    entries = x.abs().entries
+    return _rho(spec.cache_key(), levels, x.abs().entries, n)
 
-    def rec(entries, n):
-        key = (spec_key, entries, n)
-        got = _RHO_MEMO.get(key)
-        if got is not None:
-            return got
+
+def _rho(spec_key, levels, entries: tuple, n: int) -> Fraction:
+    """rho_partition_upper at |x| = entries (nonempty), memoised per space."""
+    key = (spec_key, entries, n)
+    value = _RHO_MEMO.get(key)
+    if value is None:
         if n == 0:
             value = sum((c for _, c in entries), Q(0))
         else:
-            value = rec(entries, n - 1)
-            for _, _, cand in _admissible_cover_values(levels, entries, n - 1, rec):
-                if cand < value:
-                    value = cand
+            value = _rho(spec_key, levels, entries, n - 1)
+            best = best_cover(entries, levels,
+                              lambda a, b: _rho(spec_key, levels, entries[a:b], n - 1),
+                              value, False)
+            if best is not None:
+                value = best[0]
         _RHO_MEMO[key] = value
-        return value
-
-    return rec(entries, n)
+    return value
 
 
 def rho_chain(spec: MixedSpaceSpec, x: FinVec, n_max: int) -> Tuple[RhoIterate, ...]:
@@ -424,35 +407,24 @@ def rho_with_splits_upper(spec: MixedSpaceSpec, x: FinVec, n: int,
         cands.append((w1, w2))
     if x.is_zero:
         return Q(0)
+    spec_key = spec.cache_key()
 
-    memo: dict = {}
+    def part(w: FinVec, m: int, own: Fraction) -> Fraction:
+        # own: iterate m of x's chain, the only one that sees the splits
+        if w.entries == x.entries:
+            return own
+        return _rho(spec_key, levels, w.abs().entries, m) if w.entries else Q(0)
 
-    def rec(y: FinVec, n: int) -> Fraction:
-        if y.is_zero:
-            return Q(0)
-        key = (y.entries, n)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if n == 0:
-            value = ell1_norm(y)
-        else:
-            value = rec(y, n - 1)
-            yd = dict(y.entries)
-            for _, _, cand in _admissible_cover_values(
-                    levels, y.entries, n - 1,
-                    lambda ent, m: rec(FinVec.from_items(dict(ent)), m)):
-                if cand < value:
-                    value = cand
-            if y.entries == x.entries:
-                for w1, w2 in cands:
-                    cand = rec(w1, n - 1) + rec(w2, n - 1)
-                    if cand < value:
-                        value = cand
-        memo[key] = value
-        return value
-
-    return rec(x, n)
+    value = ell1_norm(x)
+    for m in range(1, n + 1):
+        # x's chain never exceeds rho, so this adds exactly x's cover branch
+        prev = value
+        value = min(value, _rho(spec_key, levels, x.abs().entries, m))
+        for w1, w2 in cands:
+            cand = part(w1, m - 1, prev) + part(w2, m - 1, prev)
+            if cand < value:
+                value = cand
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +465,12 @@ def verify_implicit_equation(spec: MixedSpaceSpec, x: FinVec,
     norm = dual_norm_value(spec, x, budget)
     branches = []
     partition_count = 0
-    if not x.is_zero:
-        def dv(entries, _n):
-            return dual_norm_value(spec, FinVec.from_items(dict(entries)), budget)
-
-        for level_index, blocks, value in _admissible_cover_values(
-                levels, x.entries, None, dv):
-            partition_count += 1
-            branches.append(BranchEvaluation(
-                "partition", (level_index, blocks), value, value - norm))
+    for level_index, blocks, value in cover_branches(
+            x.entries, levels,
+            lambda a, b: dual_norm_value(spec, FinVec(x.entries[a:b]), budget)):
+        partition_count += 1
+        branches.append(BranchEvaluation(
+            "partition", (level_index, blocks), value, value - norm))
 
     split_count = 0
     for y, z in support_bipartitions(x):
@@ -547,7 +516,8 @@ class FalsifierResult:
 def sigma_ell1_variant(spec: MixedSpaceSpec, x: FinVec,
                        iteration_cap: int = 32):
     """The l1-variant iterate: the rho recursion with the infimum branch
-    replaced by the l1 norm, run to its per-vector fixpoint.
+    replaced by the l1 norm, run to its per-vector fixpoint.  That is
+    rho_partition_upper's recursion, whose memo it shares.
 
     Returns (value, converged).  Levels are iterated until two agree,
     but never before the support size: a level can stall for one step
@@ -561,27 +531,11 @@ def sigma_ell1_variant(spec: MixedSpaceSpec, x: FinVec,
     if x.is_zero:
         return Q(0), True
     spec_key = spec.cache_key()
-
-    def rec(entries, n):
-        key = (spec_key, entries, n)
-        got = _SIGMA_LEVEL_MEMO.get(key)
-        if got is not None:
-            return got
-        if n == 0:
-            value = sum((c for _, c in entries), Q(0))
-        else:
-            value = rec(entries, n - 1)
-            for _, _, cand in _admissible_cover_values(levels, entries, n - 1, rec):
-                if cand < value:
-                    value = cand
-        _SIGMA_LEVEL_MEMO[key] = value
-        return value
-
     entries = x.abs().entries
     need = len(entries)
-    prev = rec(entries, 0)
+    prev = _rho(spec_key, levels, entries, 0)
     for n in range(1, iteration_cap + 1):
-        cur = rec(entries, n)
+        cur = _rho(spec_key, levels, entries, n)
         if cur == prev and n > need:
             return cur, True
         prev = cur
@@ -678,6 +632,14 @@ def _witness_sexpr(witness) -> str:
             f"({blocks}) {children})")
 
 
+def _number(kind, token, what: str):
+    """token read as kind (int or Fraction); TsinormError if it is none."""
+    try:
+        return kind(token)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise TsinormError(f"bad {what} {token!r}") from None
+
+
 def _witness_from_sexpr(node, y: FinVec, spec: MixedSpaceSpec) -> PrimalCertificate:
     """Rebuild a primal certificate bottom-up; values are recomputed from
     the ball vector, so a tampered document cannot smuggle them in."""
@@ -688,17 +650,17 @@ def _witness_from_sexpr(node, y: FinVec, spec: MixedSpaceSpec) -> PrimalCertific
             raise TsinormError("leaf witness needs exactly one index")
         if node[1] == "-":
             return PrimalCertificate(Q(0), Leaf(None))
-        index = int(node[1])
+        index = _number(int, node[1], "leaf index")
         return PrimalCertificate(abs(y.coeff(index)), Leaf(index))
     if node[0] != "split" or len(node) < 5:
         raise TsinormError(f"bad witness node {node!r}")
-    level_index = int(node[1])
-    theta = Q(node[2])
+    level_index = _number(int, node[1], "split level")
+    theta = _number(Q, node[2], "split weight")
     raw_blocks = node[3]
     if not isinstance(raw_blocks, list) or \
             not all(isinstance(b, list) for b in raw_blocks):
         raise TsinormError("split witness needs a block list")
-    blocks = tuple(tuple(int(i) for i in b) for b in raw_blocks)
+    blocks = tuple(tuple(_number(int, i, "block index") for i in b) for b in raw_blocks)
     children = tuple(_witness_from_sexpr(c, y, spec) for c in node[4:])
     if len(children) != len(blocks):
         raise TsinormError("split witness has mismatched blocks and children")
@@ -781,17 +743,20 @@ def import_dual_certificate(text: str):
         raise TsinormError("certificate document is missing required lines")
     try:
         spec = spec_from_config(json.loads(space_doc))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise TsinormError(f"bad space config in certificate: {exc}") from None
     x = parse_vector(vector_line)
-    value = Q(value_line)
+    value = _number(Q, value_line, "certificate value")
     terms = []
     for body in hull_lines:
         weight_text, sep, tree_text = body.partition(": ")
         if not sep:
             raise TsinormError(f"bad hull line {body!r}")
-        weight = Q(weight_text)
-        tree, pos = _parse_functional_tree(_tokenize_sexpr(tree_text), 0, spec)
+        weight = _number(Q, weight_text, "hull weight")
+        tokens = _tokenize_sexpr(tree_text)
+        tree, pos = _parse_functional_tree(tokens, 0, spec)
+        if pos != len(tokens):
+            raise TsinormError(f"trailing tokens after hull functional in {body!r}")
         coeffs = FinVec.from_items(_functional_vector(tree))
         terms.append(HullTerm(weight, NormingFunctional(coeffs, tree)))
     y = parse_vector(ball_vec_line)

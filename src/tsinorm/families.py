@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .core import (
     DEFAULT_THETA_PRECISION,
@@ -76,6 +76,20 @@ class ExplicitFinite:
 AdmissibilityFamily = Union[Schreier1, CardinalityAtMost, ExplicitFinite]
 
 
+def max_blocks(family: AdmissibilityFamily, first_index: int) -> Optional[int]:
+    """The most blocks an admissible tuple whose first block starts at
+    first_index can have, when that bound alone decides admissibility:
+    first_index for Schreier1, n for CardinalityAtMost(n).  None for
+    ExplicitFinite, whose listed sets also constrain the later blocks."""
+    if isinstance(family, Schreier1):
+        return first_index
+    if isinstance(family, CardinalityAtMost):
+        return family.n
+    if isinstance(family, ExplicitFinite):
+        return None
+    raise TypeError(f"unknown family {family!r}")
+
+
 def is_admissible(family: AdmissibilityFamily, P: BlockPartition) -> bool:
     """Is there M = {m_1 < ... < m_k} in the family with
     m_1 <= E_1 < m_2 <= E_2 < ... < m_k <= E_k?
@@ -85,22 +99,19 @@ def is_admissible(family: AdmissibilityFamily, P: BlockPartition) -> bool:
     ExplicitFinite runs the interleaving test against each listed set.
     """
     k = P.k
-    if isinstance(family, Schreier1):
-        return k <= P.blocks[0][0]
-    if isinstance(family, CardinalityAtMost):
-        return k <= family.n
-    if isinstance(family, ExplicitFinite):
-        minima = P.block_minima()
-        maxima = tuple(b[-1] for b in P.blocks)
-        for M in family.sets:
-            if len(M) != k:
-                continue
-            if M[0] > minima[0]:
-                continue
-            if all(maxima[i - 1] < M[i] <= minima[i] for i in range(1, k)):
-                return True
-        return False
-    raise TypeError(f"unknown family {family!r}")
+    cap = max_blocks(family, P.blocks[0][0])
+    if cap is not None:
+        return k <= cap
+    minima = P.block_minima()
+    maxima = tuple(b[-1] for b in P.blocks)
+    for M in family.sets:
+        if len(M) != k:
+            continue
+        if M[0] > minima[0]:
+            continue
+        if all(maxima[i - 1] < M[i] <= minima[i] for i in range(1, k)):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

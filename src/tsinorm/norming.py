@@ -40,12 +40,10 @@ from .core import (
     pairing,
 )
 from .families import (
-    CardinalityAtMost,
-    ExplicitFinite,
     MixedSpaceSpec,
-    Schreier1,
     format_theta,
     is_admissible,
+    max_blocks,
     theta_is_rational,
 )
 
@@ -228,14 +226,9 @@ def _k_cap(levels: tuple, first_min: int) -> int:
     re-checked exactly on emission."""
     cap = 1
     for _, family, _ in levels:
-        if isinstance(family, Schreier1):
-            c = first_min
-        elif isinstance(family, CardinalityAtMost):
-            c = family.n
-        elif isinstance(family, ExplicitFinite):
+        c = max_blocks(family, first_min)
+        if c is None:
             c = max((len(M) for M in family.sets if M[0] <= first_min), default=0)
-        else:
-            raise TypeError(f"unknown family {family!r}")
         cap = max(cap, c)
     return cap
 

@@ -4,11 +4,17 @@ The norm solves
     N(x) = max( max_i |x_i|,  max_l  theta_l * max sum_i N(E_i x) )
 where the inner max runs over tuples E_1 < ... < E_k (k >= 2) of successive
 sets admissible for level l's family.  Only covers of support *suffixes* are
-enumerated: a skipped interior or trailing support point can always be
+considered: a skipped interior or trailing support point can always be
 absorbed into a neighbouring block without losing admissibility or value,
 but a skipped prefix matters, because the first block's minimum gates
 admissibility.  Single-block tuples contribute theta * N(E_1 x) < N(x) and
 are never optimal, so they are skipped.
+
+The inner max is covers.best_cover: its dynamic program for Schreier and
+cardinality levels with rational weights, its enumerator for explicit
+families and for symbolic weights, whose precision-doubling schedule
+follows the enumerator's order of certified comparisons.  Both routes give
+the same certificates.  fj_norm is mixed_norm on tsirelson_spec().
 
 Norms here are 1-unconditional: every value depends only on |x|, so all
 memo tables key on the absolute entry tuple.  Cached certificates therefore
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .core import (
     DEFAULT_THETA_PRECISION,
@@ -35,12 +41,11 @@ from .core import (
     IntervalScalar,
     PrecisionExhaustedError,
     TsinormError,
-    enumerate_partitions,
     restrict,
     sup_norm,
 )
+from .covers import _improves, best_cover  # noqa: F401 (_improves re-exported)
 from .families import (
-    AdmissibilityFamily,
     Level,
     MixedSpaceSpec,
     is_admissible,
@@ -51,8 +56,6 @@ from .families import (
 )
 
 Scalar = Union[Fraction, IntervalScalar]
-
-_HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -84,108 +87,11 @@ def _abs_entries(x: FinVec) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# specialized route: Schreier family, weight 1/2
+# evaluation
 
-_FJ_MEMO: dict = {}
 _FJ_LEVEL_MEMO: dict = {}
-
-
-def _schreier_split_max(entries: tuple, slice_value: Callable[[int, int], Fraction]):
-    """Best value of (1/2) * sum over admissible splits of suffix covers.
-
-    entries is the positive sparse vector as ((index, coeff), ...);
-    slice_value(a, b) must return the norm of entries[a:b].  Returns
-    (value, suffix_start, k, cut_positions) or None when no k >= 2 split
-    is admissible.  The cut-point maximization is a dynamic program over
-    (block count, start position); admissibility only constrains the
-    block count k <= min(len(tail), first index of tail), so the program
-    is exact.
-    """
-    m = len(entries)
-    if m < 2:
-        return None
-    kcap = max(min(m - s, entries[s][0]) for s in range(m))
-    if kcap < 2:
-        return None
-
-    cache: dict = {}
-
-    def val(a: int, b: int) -> Fraction:
-        v = cache.get((a, b))
-        if v is None:
-            v = slice_value(a, b)
-            cache[(a, b)] = v
-        return v
-
-    # g[j][a]: best sum of slice norms splitting entries[a:] into exactly
-    # j blocks; argc[j][a] the first cut of one maximizer (smallest wins).
-    g = [None] * (kcap + 1)
-    argc = [None] * (kcap + 1)
-    g[1] = [None] + [val(a, m) for a in range(1, m)]
-    for j in range(2, kcap + 1):
-        row = [None] * m
-        cuts = [None] * m
-        for a in range(m - j + 1):
-            best = None
-            best_cut = None
-            for c in range(a + 1, m - j + 2):
-                v = val(a, c) + g[j - 1][c]
-                if best is None or v > best:
-                    best, best_cut = v, c
-            row[a] = best
-            cuts[a] = best_cut
-        g[j] = row
-        argc[j] = cuts
-
-    found = None
-    for s in range(m):
-        lim = min(m - s, entries[s][0])
-        for k in range(2, lim + 1):
-            v = g[k][s]
-            if found is None or v > found[0]:
-                found = (v, s, k)
-    if found is None:
-        return None
-    total, s, k = found
-    cut_positions = []
-    a = s
-    for j in range(k, 1, -1):
-        c = argc[j][a]
-        cut_positions.append(c)
-        a = c
-    return (_HALF * total, s, k, tuple(cut_positions))
-
-
-def _fj_eval(entries: tuple, memo: dict) -> PrimalCertificate:
-    cert = memo.get(entries)
-    if cert is not None:
-        return cert
-    if not entries:
-        cert = PrimalCertificate(Fraction(0), Leaf(None))
-        memo[entries] = cert
-        return cert
-    sup = max(c for _, c in entries)
-    value: Fraction = sup
-    witness: Union[Leaf, Split] = Leaf(next(i for i, c in entries if c == sup))
-    split = _schreier_split_max(
-        entries, lambda a, b: _fj_eval(entries[a:b], memo).value)
-    if split is not None and split[0] > value:
-        v, s, k, cuts = split
-        bounds = (s,) + cuts + (len(entries),)
-        blocks = []
-        children = []
-        for t in range(k):
-            seg = entries[bounds[t]:bounds[t + 1]]
-            blocks.append(tuple(i for i, _ in seg))
-            children.append(_fj_eval(seg, memo))
-        rebuilt = _HALF * sum(ch.value for ch in children)
-        if rebuilt != v:
-            raise AssertionError(f"split reconstruction mismatch: {rebuilt} != {v}")
-        value = v
-        witness = Split(0, _HALF, BlockPartition.of(*blocks), tuple(children))
-    cert = PrimalCertificate(value, witness)
-    memo[entries] = cert
-    return cert
+_MIXED_MEMOS: dict = {}
+_FJ_LEVELS = tuple((i, lv.family, lv.theta) for i, lv in enumerate(tsirelson_spec().levels))
 
 
 def fj_norm(x: FinVec, *, use_cache: bool = True):
@@ -194,9 +100,7 @@ def fj_norm(x: FinVec, *, use_cache: bool = True):
     Returns (value, certificate).  The certificate's split nodes refer to
     level 0 of the single-level space returned by tsirelson_spec().
     """
-    memo = _FJ_MEMO if use_cache else {}
-    cert = _fj_eval(_abs_entries(x), memo)
-    return cert.value, cert
+    return mixed_norm(tsirelson_spec(), x, use_cache=use_cache)
 
 
 def fj_norm_level(x: FinVec, n: int, *, use_cache: bool = True) -> Fraction:
@@ -218,44 +122,18 @@ def _fj_level(entries: tuple, n: int, memo: dict) -> Fraction:
         value = max(c for _, c in entries)
     else:
         value = _fj_level(entries, n - 1, memo)
-        split = _schreier_split_max(
-            entries, lambda a, b: _fj_level(entries[a:b], n - 1, memo))
-        if split is not None and split[0] > value:
-            value = split[0]
+        best = best_cover(entries, _FJ_LEVELS,
+                          lambda a, b: _fj_level(entries[a:b], n - 1, memo), value, True)
+        if best is not None:
+            value = best[0]
     memo[key] = value
     return value
 
 
-# ---------------------------------------------------------------------------
-# generic route: arbitrary level lists, enumeration per level
-
-@dataclass(frozen=True)
-class _ResolvedLevel:
-    index: int                      # position in the space's level list
-    family: AdmissibilityFamily
-    theta: Scalar
-
-
-_MIXED_MEMOS: dict = {}
-
-
-def _improves(cand: Scalar, incumbent: Scalar) -> bool:
-    """Certified strict cand > incumbent; identical enclosures tie (False)."""
-    if isinstance(cand, Fraction) and isinstance(incumbent, Fraction):
-        return cand > incumbent
-    c = IntervalScalar.coerce(cand)
-    b = IntervalScalar.coerce(incumbent)
-    r = b.certified_lt(c)
-    if r is not None:
-        return r
-    if c.lo == b.lo and c.hi == b.hi:
-        return False
-    raise IndeterminateComparisonError(
-        f"cannot order branch values {b} and {c}")
-
-
-def _mixed_eval(entries: tuple, rlevels: tuple, memo: dict,
+def _mixed_eval(entries: tuple, levels: tuple, memo: dict,
                 interval_mode: bool) -> PrimalCertificate:
+    """Certificate of the norm of the positive entries; levels are
+    (index, family, theta) triples with resolved weights."""
     cert = memo.get(entries)
     if cert is not None:
         return cert
@@ -267,40 +145,27 @@ def _mixed_eval(entries: tuple, rlevels: tuple, memo: dict,
     sup = max(c for _, c in entries)
     value: Scalar = IntervalScalar.point(sup) if interval_mode else sup
     witness: Union[Leaf, Split] = Leaf(next(i for i, c in entries if c == sup))
-    support = tuple(i for i, _ in entries)
-    m = len(entries)
-    for lev in rlevels:
-        for s in range(m):
-            tail = support[s:]
-            for k in range(2, len(tail) + 1):
-                for P in enumerate_partitions(tail, k):
-                    if not is_admissible(lev.family, P):
-                        continue
-                    children = []
-                    pos = s
-                    for blk in P.blocks:
-                        seg = entries[pos:pos + len(blk)]
-                        pos += len(blk)
-                        children.append(_mixed_eval(seg, rlevels, memo, interval_mode))
-                    total = children[0].value
-                    for ch in children[1:]:
-                        total = total + ch.value
-                    cand = lev.theta * total
-                    if _improves(cand, value):
-                        value = cand
-                        witness = Split(lev.index, lev.theta, P, tuple(children))
+    best = best_cover(
+        entries, levels,
+        lambda a, b: _mixed_eval(entries[a:b], levels, memo, interval_mode).value,
+        value, True)
+    if best is not None:
+        value, (index, _, theta), bounds = best
+        segments = [entries[a:b] for a, b in zip(bounds, bounds[1:])]
+        witness = Split(
+            index, theta,
+            BlockPartition(tuple(tuple(i for i, _ in seg) for seg in segments)),
+            tuple(_mixed_eval(seg, levels, memo, interval_mode) for seg in segments))
     cert = PrimalCertificate(value, witness)
     memo[entries] = cert
     return cert
 
 
-def _kept_levels_with_indices(spec: MixedSpaceSpec, support) -> tuple:
+def _kept_levels(spec: MixedSpaceSpec, support) -> tuple:
+    """(index, family, theta) of each level levels_needed keeps."""
     kept, _dropped = levels_needed(spec, support)
-    out = []
-    for idx, lv in enumerate(spec.levels):
-        if any(lv is k for k in kept):
-            out.append((idx, lv))
-    return tuple(out)
+    return tuple((i, lv.family, lv.theta) for i, lv in enumerate(spec.levels)
+                 if any(lv is k for k in kept))
 
 
 def mixed_norm(spec: MixedSpaceSpec, x: FinVec, *,
@@ -314,13 +179,11 @@ def mixed_norm(spec: MixedSpaceSpec, x: FinVec, *,
     the working precision doubled until every branch comparison is
     decided (or the cap is hit, raising PrecisionExhaustedError).
     """
-    kept = _kept_levels_with_indices(spec, x.support)
+    kept = _kept_levels(spec, x.support)
     entries = _abs_entries(x)
-    symbolic = any(not theta_is_rational(lv.theta) for _, lv in kept)
-    if not symbolic:
-        rlevels = tuple(_ResolvedLevel(i, lv.family, lv.theta) for i, lv in kept)
+    if all(theta_is_rational(theta) for _, _, theta in kept):
         memo = _get_mixed_memo((spec.cache_key(), None), use_cache)
-        cert = _mixed_eval(entries, rlevels, memo, interval_mode=False)
+        cert = _mixed_eval(entries, kept, memo, interval_mode=False)
         return cert.value, cert
 
     p = precision if precision is not None else DEFAULT_THETA_PRECISION
@@ -328,11 +191,7 @@ def mixed_norm(spec: MixedSpaceSpec, x: FinVec, *,
     if p > cap:
         cap = p
     while True:
-        rlevels = tuple(
-            _ResolvedLevel(i, lv.family,
-                           resolve_theta(lv.theta, p) if not theta_is_rational(lv.theta)
-                           else IntervalScalar.point(lv.theta))
-            for i, lv in kept)
+        rlevels = tuple((i, family, resolve_theta(theta, p)) for i, family, theta in kept)
         memo = _get_mixed_memo((spec.cache_key(), p), use_cache)
         try:
             cert = _mixed_eval(entries, rlevels, memo, interval_mode=True)
@@ -355,7 +214,6 @@ def _get_mixed_memo(key, use_cache: bool) -> dict:
 
 
 def clear_caches() -> None:
-    _FJ_MEMO.clear()
     _FJ_LEVEL_MEMO.clear()
     _MIXED_MEMOS.clear()
 

@@ -377,6 +377,27 @@ class TestCertify:
         code, out, _ = run(capsys, ["certify", "--check", str(path)])
         assert code == 1
 
+    @pytest.mark.parametrize("old, new", [
+        ("value: 2", "value: two"),
+        ("hull 2:", "hull x/0:"),
+        ("hull 2:", "hull 1/0:"),
+        ("(leaf 3)", "(leaf abc)"),
+        ("(leaf 3)", "(split x 1/2 ((3) (4)) (leaf 3) (leaf 4))"),
+        ("(leaf 3)", "(split 0 (1/2) ((3) (4)) (leaf 3) (leaf 4))"),
+        ("(leaf 3)", "(split 0 1/2 ((3) (x)) (leaf 3) (leaf 4))"),
+        ('"family": "schreier1"', '"family": {"card_at_most": [2]}'),
+        ("(1/2 e3 e4 e5)", "(1/2 e3 e4 e5) e9"),
+    ])
+    def test_mutated_document_rejected(self, capsys, tmp_path, old, new):
+        path = tmp_path / "cert.txt"
+        run(capsys, ["certify", "3:1 4:1 5:1", "--out", str(path)])
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        code, out, _ = run(capsys, ["certify", "--check", str(path)])
+        assert code == 1
+        assert out.startswith("certificate rejected:")
+
     def test_check_json(self, capsys, tmp_path):
         path = tmp_path / "cert.txt"
         run(capsys, ["certify", "3:1 4:1 5:1", "--out", str(path)])
@@ -435,6 +456,16 @@ def test_console_script():
     assert result.returncode == 2
     assert any(line.startswith("error:")
                for line in result.stderr.splitlines())
+
+
+def test_module_entry_point():
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "tsinorm.cli", *argv],
+                              capture_output=True, text=True, env=CHECKOUT_ENV)
+
+    result = run_module("norm", "fj", "3:1 4:1 5:1")
+    assert (result.returncode, result.stdout) == (0, "3/2\n")
+    assert run_module("norm", "fj", "3:x").returncode == 2
 
 
 @pytest.mark.skipif(shutil.which("tsinorm") is None,

@@ -1,0 +1,79 @@
+"""The successive-cover engine: its dynamic program against the retained
+enumerator, and the interval route that must stay on the enumerator."""
+import random
+import types
+from fractions import Fraction as Q
+
+import pytest
+
+import tsinorm
+from tsinorm import covers, families
+from tsinorm.core import FinVec, IntervalScalar, parse_vector
+from tsinorm.dualnorm import rho_partition_upper, sigma_ell1_variant
+from tsinorm.families import (
+    CardinalityAtMost,
+    Level,
+    MixedSpaceSpec,
+    Schreier1,
+    schlumprecht_spec,
+    tsirelson_spec,
+)
+from tsinorm.primal import fj_norm, mixed_norm
+
+from frozen_values import MIXED_CARD_LEVELS
+
+CARD_DEMO = MixedSpaceSpec("card-demo", (Level(Schreier1(), Q(1, 2)),
+                                         Level(CardinalityAtMost(2), Q(1, 3))))
+CARD_MIX = MixedSpaceSpec("card-mix", tuple(Level(CardinalityAtMost(l), th)
+                                            for _, l, th in MIXED_CARD_LEVELS))
+SPACES = (tsirelson_spec(), CARD_DEMO, CARD_MIX)
+GRID = (Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(2), Q(-2), Q(3, 4))
+
+
+def random_vector(rng, max_index, max_size):
+    idx = rng.sample(range(1, max_index + 1), rng.randint(0, max_size))
+    return FinVec.from_items({i: rng.choice(GRID) for i in idx})
+
+
+@pytest.fixture
+def enumerator_only(monkeypatch):
+    """Make every family look unbounded to the engine, so each level runs
+    on the enumerator; admissibility itself is unchanged."""
+    def install():
+        monkeypatch.setattr(covers, "families", types.SimpleNamespace(
+            max_blocks=lambda family, first_index: None,
+            is_admissible=families.is_admissible))
+    return install
+
+
+def test_max_blocks():
+    assert families.max_blocks(Schreier1(), 4) == 4
+    assert families.max_blocks(CardinalityAtMost(3), 9) == 3
+    assert families.max_blocks(families.ExplicitFinite(((2, 3),)), 2) is None
+
+
+def test_dp_matches_enumerator(enumerator_only):
+    rng = random.Random(41)
+    cases = [(spec, random_vector(rng, 9, 7)) for spec in SPACES for _ in range(25)]
+    tsinorm.clear_caches()
+    dp = [(mixed_norm(spec, x, use_cache=False),
+           [rho_partition_upper(spec, x, n) for n in range(4)],
+           sigma_ell1_variant(spec, x)) for spec, x in cases]
+    fj = [fj_norm(x) for spec, x in cases if spec.name == "tsirelson"]
+    enumerator_only()
+    tsinorm.clear_caches()
+    enumerated = [(mixed_norm(spec, x, use_cache=False),
+                   [rho_partition_upper(spec, x, n) for n in range(4)],
+                   sigma_ell1_variant(spec, x)) for spec, x in cases]
+    tsinorm.clear_caches()
+    assert dp == enumerated
+    assert fj == [e[0] for (spec, _), e in zip(cases, enumerated)
+                  if spec.name == "tsirelson"]
+
+
+def test_interval_route_stays_on_the_enumerator():
+    # the dynamic program, comparing these intervals with _improves, gives
+    # the wider (still valid) [47360/20851, 331264/145395] here
+    x = parse_vector("2:-1/2 3:1/2 4:1 5:-1 6:1 9:-1/2 10:-2")
+    value, _ = mixed_norm(schlumprecht_spec(), x, precision=4, use_cache=False)
+    assert value == IntervalScalar(Q(43442372608, 19110866159), Q(339392512, 149301393))

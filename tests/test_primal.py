@@ -336,3 +336,26 @@ def test_clear_caches_roundtrip():
     clear_caches()
     after, _ = fj_norm(x)
     assert before == after
+
+
+def test_package_clear_caches_empties_every_memo():
+    import importlib
+    import pkgutil
+    import re
+
+    import tsinorm
+    x = vec(ones(2, 3, 4))
+    mixed_norm(schlumprecht_spec(), vec(ones(2, 3, 5)))
+    fj_norm_level(x, 2)
+    tsinorm.dual_norm(tsirelson_spec(), x)
+    tsinorm.sigma_ell1_variant(tsirelson_spec(), x)
+    memo_name = re.compile(r"^_[A-Z0-9_]*(MEMO|CACHE)S?$")
+    tables = {}
+    for info in pkgutil.iter_modules(tsinorm.__path__):
+        module = importlib.import_module(f"tsinorm.{info.name}")
+        for name, value in vars(module).items():
+            if memo_name.match(name) and isinstance(value, dict):
+                tables[f"{info.name}.{name}"] = value
+    assert tables["families._LOG2_CACHE"]
+    tsinorm.clear_caches()
+    assert {name: len(t) for name, t in tables.items() if t} == {}
