@@ -1,5 +1,5 @@
-"""Exact scalars, certified intervals, sparse rational vectors, and
-successive block partitions.
+"""Exact scalars, certified intervals, sparse rational vectors,
+successive block partitions, and the readers of the text formats.
 
 Everything in this module is an immutable value; all arithmetic is exact
 (stdlib Fraction).  IntervalScalar exists only because some coefficient
@@ -345,6 +345,50 @@ def parse_vector(text: str) -> FinVec:
 
 def format_vector(x: FinVec) -> str:
     return " ".join(f"{i}:{format_scalar(c)}" for i, c in x.entries)
+
+
+# Tree grammar of certificates and norming-set exports: an atom, or a
+# parenthesised group of trees.  Nesting deeper than this is rejected so
+# that the recursive walkers of a parsed tree, which may nest one walk
+# inside another, stay inside the interpreter's recursion limit.
+SEXPR_MAX_DEPTH = 256
+
+
+def parse_number(kind, token, what: str):
+    """token read as kind (int or Fraction); TsinormError if it is none."""
+    try:
+        return kind(token)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise TsinormError(f"bad {what} {token!r}") from None
+
+
+def parse_sexpr(text: str):
+    """One tree as an atom string or nested lists of atoms and lists.
+
+    Reads with an explicit stack, never recursing; empty, unbalanced or
+    trailing input and nesting deeper than SEXPR_MAX_DEPTH raise
+    TsinormError.
+    """
+    stack = [[]]
+    for token in text.replace("(", " ( ").replace(")", " ) ").split():
+        if token == ")":
+            if len(stack) == 1:
+                raise TsinormError("unbalanced parentheses in expression")
+            group = stack.pop()
+            stack[-1].append(group)
+        elif len(stack) == 1 and stack[0]:
+            raise TsinormError("trailing tokens after expression")
+        elif token == "(":
+            if len(stack) > SEXPR_MAX_DEPTH:
+                raise TsinormError(f"expression nested deeper than {SEXPR_MAX_DEPTH}")
+            stack.append([])
+        else:
+            stack[-1].append(token)
+    if len(stack) != 1:
+        raise TsinormError("unbalanced parentheses in expression")
+    if not stack[0]:
+        raise TsinormError("empty expression")
+    return stack[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,8 @@ from .core import (
     format_scalar,
     format_vector,
     pairing,
+    parse_number,
+    parse_sexpr,
     parse_vector,
     restrict,
 )
@@ -65,7 +67,6 @@ from .lp import Constraint, LinearProgram, solve
 from .norming import (
     NormingFunctional,
     _parse_tree as _parse_functional_tree,
-    _tokenize_sexpr,
     _tree_sexpr as _functional_sexpr,
     _tree_vector as _functional_vector,
     norming_generators,
@@ -632,14 +633,6 @@ def _witness_sexpr(witness) -> str:
             f"({blocks}) {children})")
 
 
-def _number(kind, token, what: str):
-    """token read as kind (int or Fraction); TsinormError if it is none."""
-    try:
-        return kind(token)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise TsinormError(f"bad {what} {token!r}") from None
-
-
 def _witness_from_sexpr(node, y: FinVec, spec: MixedSpaceSpec) -> PrimalCertificate:
     """Rebuild a primal certificate bottom-up; values are recomputed from
     the ball vector, so a tampered document cannot smuggle them in."""
@@ -650,17 +643,18 @@ def _witness_from_sexpr(node, y: FinVec, spec: MixedSpaceSpec) -> PrimalCertific
             raise TsinormError("leaf witness needs exactly one index")
         if node[1] == "-":
             return PrimalCertificate(Q(0), Leaf(None))
-        index = _number(int, node[1], "leaf index")
+        index = parse_number(int, node[1], "leaf index")
         return PrimalCertificate(abs(y.coeff(index)), Leaf(index))
     if node[0] != "split" or len(node) < 5:
         raise TsinormError(f"bad witness node {node!r}")
-    level_index = _number(int, node[1], "split level")
-    theta = _number(Q, node[2], "split weight")
+    level_index = parse_number(int, node[1], "split level")
+    theta = parse_number(Q, node[2], "split weight")
     raw_blocks = node[3]
     if not isinstance(raw_blocks, list) or \
             not all(isinstance(b, list) for b in raw_blocks):
         raise TsinormError("split witness needs a block list")
-    blocks = tuple(tuple(_number(int, i, "block index") for i in b) for b in raw_blocks)
+    blocks = tuple(tuple(parse_number(int, i, "block index") for i in b)
+                   for b in raw_blocks)
     children = tuple(_witness_from_sexpr(c, y, spec) for c in node[4:])
     if len(children) != len(blocks):
         raise TsinormError("split witness has mismatched blocks and children")
@@ -672,25 +666,8 @@ def _witness_from_sexpr(node, y: FinVec, spec: MixedSpaceSpec) -> PrimalCertific
     return PrimalCertificate(value, Split(level_index, theta, partition, children))
 
 
-def _sexpr_nodes(text: str):
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    def parse(pos):
-        if tokens[pos] != "(":
-            return tokens[pos], pos + 1
-        out = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = parse(pos)
-            out.append(item)
-        if pos >= len(tokens):
-            raise TsinormError("unbalanced parentheses in witness expression")
-        return out, pos + 1
-    if not tokens:
-        raise TsinormError("empty witness expression")
-    node, end = parse(0)
-    if end != len(tokens):
-        raise TsinormError("trailing tokens after witness expression")
-    return node
+# Witness lines are read through this name outside the package too.
+_sexpr_nodes = parse_sexpr
 
 
 def export_dual_certificate(spec: MixedSpaceSpec, x: FinVec,
@@ -746,21 +723,18 @@ def import_dual_certificate(text: str):
     except (TypeError, ValueError) as exc:
         raise TsinormError(f"bad space config in certificate: {exc}") from None
     x = parse_vector(vector_line)
-    value = _number(Q, value_line, "certificate value")
+    value = parse_number(Q, value_line, "certificate value")
     terms = []
     for body in hull_lines:
         weight_text, sep, tree_text = body.partition(": ")
         if not sep:
             raise TsinormError(f"bad hull line {body!r}")
-        weight = _number(Q, weight_text, "hull weight")
-        tokens = _tokenize_sexpr(tree_text)
-        tree, pos = _parse_functional_tree(tokens, 0, spec)
-        if pos != len(tokens):
-            raise TsinormError(f"trailing tokens after hull functional in {body!r}")
+        weight = parse_number(Q, weight_text, "hull weight")
+        tree = _parse_functional_tree(parse_sexpr(tree_text), spec)
         coeffs = FinVec.from_items(_functional_vector(tree))
         terms.append(HullTerm(weight, NormingFunctional(coeffs, tree)))
     y = parse_vector(ball_vec_line)
-    ball_cert = _witness_from_sexpr(_sexpr_nodes(ball_wit_line), y, spec)
+    ball_cert = _witness_from_sexpr(parse_sexpr(ball_wit_line), y, spec)
     cert = DualCertificate(value, tuple(terms), y, ball_cert)
     verify_dual_certificate(spec, x, cert)
     return spec, x, cert

@@ -18,6 +18,7 @@ from .core import (
     IntervalScalar,
     PrecisionExhaustedError,
     TsinormError,
+    VectorParseError,
     as_scalar,
     format_scalar,
 )
@@ -392,10 +393,19 @@ def spec_to_config(spec: MixedSpaceSpec) -> dict:
     return {"name": spec.name, "levels": levels}
 
 
+def _config_int(value, what: str) -> int:
+    # JSON true/false arrive as bool and 2.0 as float; neither is an integer
+    if type(value) is not int:
+        raise TsinormError(f"{what} must be an integer, got {value!r}; {CONFIG_SCHEMA_NOTE}")
+    return value
+
+
 def spec_from_config(doc: dict) -> MixedSpaceSpec:
     if not isinstance(doc, dict):
         raise TsinormError(f"space config must be a mapping; {CONFIG_SCHEMA_NOTE}")
     name = doc.get("name", "custom")
+    if not isinstance(name, str):
+        raise TsinormError(f"space config 'name' must be a string, got {name!r}")
     raw_levels = doc.get("levels")
     if not isinstance(raw_levels, list) or not raw_levels:
         raise TsinormError(f"space config needs a nonempty 'levels' list; {CONFIG_SCHEMA_NOTE}")
@@ -406,28 +416,38 @@ def spec_from_config(doc: dict) -> MixedSpaceSpec:
             tdoc = item["theta"]
         except (TypeError, KeyError):
             raise TsinormError(f"level {pos}: need 'family' and 'theta'") from None
-        if fdoc == "schreier1":
-            fam: AdmissibilityFamily = Schreier1()
-        elif isinstance(fdoc, dict) and "card_at_most" in fdoc:
-            fam = CardinalityAtMost(int(fdoc["card_at_most"]))
-        elif isinstance(fdoc, dict) and "explicit" in fdoc:
-            fam = ExplicitFinite(tuple(tuple(s) for s in fdoc["explicit"]))
-        else:
-            raise TsinormError(f"level {pos}: unknown family {fdoc!r}; {CONFIG_SCHEMA_NOTE}")
-        if tdoc == "schlumprecht":
-            if not isinstance(fam, CardinalityAtMost):
-                raise TsinormError(
-                    f"level {pos}: bare 'schlumprecht' weight needs a card_at_most family "
-                    "to infer its level; use {'schlumprecht': l} otherwise")
-            theta: Theta = SchlumprechtWeight(fam.n)
-        elif isinstance(tdoc, dict) and "schlumprecht" in tdoc:
-            theta = SchlumprechtWeight(int(tdoc["schlumprecht"]))
-        elif isinstance(tdoc, str):
-            theta = as_scalar(tdoc)
-        else:
-            raise TsinormError(f"level {pos}: unknown theta {tdoc!r}; {CONFIG_SCHEMA_NOTE}")
         try:
+            if fdoc == "schreier1":
+                fam: AdmissibilityFamily = Schreier1()
+            elif isinstance(fdoc, dict) and "card_at_most" in fdoc:
+                fam = CardinalityAtMost(
+                    _config_int(fdoc["card_at_most"], f"level {pos}: card_at_most"))
+            elif isinstance(fdoc, dict) and "explicit" in fdoc:
+                sets = fdoc["explicit"]
+                if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
+                    raise TsinormError(
+                        f"level {pos}: explicit family must be a list of integer lists")
+                fam = ExplicitFinite(tuple(
+                    tuple(_config_int(m, f"level {pos}: explicit member") for m in s)
+                    for s in sets))
+            else:
+                raise TsinormError(f"level {pos}: unknown family {fdoc!r}; {CONFIG_SCHEMA_NOTE}")
+            if tdoc == "schlumprecht":
+                if not isinstance(fam, CardinalityAtMost):
+                    raise TsinormError(
+                        f"level {pos}: bare 'schlumprecht' weight needs a card_at_most family "
+                        "to infer its level; use {'schlumprecht': l} otherwise")
+                theta: Theta = SchlumprechtWeight(fam.n)
+            elif isinstance(tdoc, dict) and "schlumprecht" in tdoc:
+                theta = SchlumprechtWeight(
+                    _config_int(tdoc["schlumprecht"], f"level {pos}: schlumprecht level"))
+            elif isinstance(tdoc, str):
+                theta = as_scalar(tdoc)
+            else:
+                raise TsinormError(f"level {pos}: unknown theta {tdoc!r}; {CONFIG_SCHEMA_NOTE}")
             levels.append(Level(fam, theta))
+        except VectorParseError:  # a bad theta literal, already a TsinormError
+            raise
         except ValueError as exc:
             raise TsinormError(f"level {pos}: {exc}") from None
     return MixedSpaceSpec(name, tuple(levels))

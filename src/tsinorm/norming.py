@@ -37,7 +37,11 @@ from .core import (
     FinVec,
     TsinormError,
     format_scalar,
+    format_vector,
     pairing,
+    parse_number,
+    parse_sexpr,
+    parse_vector,
 )
 from .families import (
     MixedSpaceSpec,
@@ -424,10 +428,6 @@ def _tree_sexpr(tree: FunctionalTree) -> str:
     return f"({format_scalar(tree.theta)} {inner})"
 
 
-def _format_vector_entries(x: FinVec) -> str:
-    return " ".join(f"{i}:{format_scalar(c)}" for i, c in x.entries)
-
-
 def export_norming_set(vset: NormingSet) -> str:
     """Serialize: metadata header lines, then one functional per line as
     `theta-tree s-expression <TAB> coefficient vector literal`."""
@@ -439,86 +439,42 @@ def export_norming_set(vset: NormingSet) -> str:
     for i, lev in enumerate(vset.spec.levels):
         lines.append(f"# level {i}: {lev.family} theta={format_theta(lev.theta)}")
     for f in vset.functionals:
-        lines.append(f"{_tree_sexpr(f.tree)}\t{_format_vector_entries(f.coeffs)}")
+        lines.append(f"{_tree_sexpr(f.tree)}\t{format_vector(f.coeffs)}")
     return "\n".join(lines) + "\n"
 
 
-def _tokenize_sexpr(text: str) -> list:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def _parse_tree(tokens: list, pos: int, spec: MixedSpaceSpec):
-    """Parse one tree from tokens[pos:]; returns (tree, next_pos).
+def _parse_tree(node, spec: MixedSpaceSpec) -> FunctionalTree:
+    """Rebuild one functional tree from a parse_sexpr node.
 
     Node weights are matched back to the first level of `spec` with the
     same rational theta whose family admits the children's supports.
     """
-    if pos >= len(tokens):
-        raise TsinormError("unexpected end of functional expression")
-    tok = tokens[pos]
-    if tok == "(":
-        pos += 1
-        if pos >= len(tokens):
-            raise TsinormError("unexpected end of functional expression")
-        try:
-            theta = Q(tokens[pos])
-        except (ValueError, ZeroDivisionError):
-            raise TsinormError(f"bad node weight {tokens[pos]!r}") from None
-        pos += 1
-        children = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            child, pos = _parse_tree(tokens, pos, spec)
-            children.append(child)
-        if pos >= len(tokens):
-            raise TsinormError("unbalanced parentheses in functional expression")
-        pos += 1
-        if not children:
-            raise TsinormError("node without children")
-        supports = []
-        for child in children:
-            supports.append(tuple(sorted(_tree_vector(child))))
-        try:
-            P = BlockPartition(tuple(supports))
-        except ValueError as exc:
-            raise TsinormError(f"children are not successive: {exc}") from None
-        level_index = None
-        for i, lev in enumerate(spec.levels):
-            if theta_is_rational(lev.theta) and Q(lev.theta) == theta \
-                    and is_admissible(lev.family, P):
-                level_index = i
-                break
-        if level_index is None:
-            raise TsinormError(
-                f"no level of space {spec.name!r} has weight {theta} and "
-                f"admits child supports {supports}")
-        return FunctionalNode(level_index, theta, tuple(children)), pos
-    if tok == ")":
-        raise TsinormError("unbalanced parentheses in functional expression")
-    sign = 1
-    if tok.startswith("-"):
-        sign, tok = -1, tok[1:]
-    if not tok.startswith("e") or not tok[1:].isdigit():
-        raise TsinormError(f"bad leaf token {tok!r}: expected e<index>")
-    index = int(tok[1:])
-    if index < 1:
-        raise TsinormError(f"leaf index {index} out of range: must be >= 1")
-    return FunctionalLeaf(index, sign), pos + 1
-
-
-def _parse_vector_literal(text: str) -> FinVec:
-    entries = {}
-    for token in text.split():
-        head, sep, tail = token.partition(":")
-        if not sep:
-            raise TsinormError(f"bad vector token {token!r}: expected index:value")
-        try:
-            idx, val = int(head), Q(tail)
-        except (ValueError, ZeroDivisionError):
-            raise TsinormError(f"bad vector token {token!r}") from None
-        if idx in entries:
-            raise TsinormError(f"duplicate index {idx} in vector literal")
-        entries[idx] = val
-    return FinVec.from_items(entries)
+    if isinstance(node, str):
+        sign, tok = (-1, node[1:]) if node.startswith("-") else (1, node)
+        if not tok.startswith("e"):
+            raise TsinormError(f"bad leaf token {node!r}: expected e<index>")
+        index = parse_number(int, tok[1:], "leaf index")
+        if index < 1:
+            raise TsinormError(f"leaf index {index} out of range: must be >= 1")
+        return FunctionalLeaf(index, sign)
+    if not node:
+        raise TsinormError("empty functional node")
+    theta = parse_number(Q, node[0], "node weight")
+    children = tuple(_parse_tree(child, spec) for child in node[1:])
+    if not children:
+        raise TsinormError("node without children")
+    supports = [tuple(sorted(_tree_vector(child))) for child in children]
+    try:
+        P = BlockPartition(tuple(supports))
+    except ValueError as exc:
+        raise TsinormError(f"children are not successive: {exc}") from None
+    for i, lev in enumerate(spec.levels):
+        if theta_is_rational(lev.theta) and Q(lev.theta) == theta \
+                and is_admissible(lev.family, P):
+            return FunctionalNode(i, theta, children)
+    raise TsinormError(
+        f"no level of space {spec.name!r} has weight {theta} and "
+        f"admits child supports {supports}")
 
 
 def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
@@ -528,9 +484,8 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
     admissible successive children at every node, supports inside the
     window, and no duplicate coefficient vectors.
     """
-    window = generation = None
+    header = {}
     stabilized = False
-    count = None
     level_lines = []
     funcs = []
     seen = set()
@@ -543,14 +498,12 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
             if body.startswith("norming-set"):
                 for field in body.split()[1:]:
                     key, _, value = field.partition("=")
-                    if key == "window":
-                        window = int(value)
-                    elif key == "generation":
-                        generation = int(value)
+                    if key in ("window", "generation", "count"):
+                        header[key] = parse_number(int, value, f"header {key}")
                     elif key == "stabilized":
+                        if value not in ("true", "false"):
+                            raise TsinormError(f"bad header stabilized {value!r}")
                         stabilized = value == "true"
-                    elif key == "count":
-                        count = int(value)
             elif body.startswith("level"):
                 level_lines.append(body)
             continue
@@ -558,14 +511,10 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
         if not sep:
             raise TsinormError(
                 f"bad functional line {line!r}: expected tree<TAB>vector")
-        tokens = _tokenize_sexpr(expr)
-        tree, pos = _parse_tree(tokens, 0, spec)
-        if pos != len(tokens):
-            raise TsinormError(f"trailing tokens in functional expression {expr!r}")
-        coeffs = _parse_vector_literal(vec_text)
-        f = NormingFunctional(coeffs, tree)
-        funcs.append(f)
+        tree = _parse_tree(parse_sexpr(expr), spec)
+        funcs.append(NormingFunctional(parse_vector(vec_text), tree))
 
+    window, generation = header.get("window"), header.get("generation")
     if window is None or generation is None:
         raise TsinormError("missing norming-set metadata header")
     expected_levels = [f"level {i}: {lev.family} theta={format_theta(lev.theta)}"
@@ -573,13 +522,16 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
     if level_lines != expected_levels:
         raise TsinormError(
             f"export level metadata {level_lines!r} does not match space {spec.name!r}")
+    count = header.get("count")
     if count is not None and count != len(funcs):
         raise TsinormError(
             f"header count {count} does not match {len(funcs)} functional lines")
+    if not funcs:
+        raise TsinormError("norming-set export has no functional lines")
     for f in funcs:
         verify_norming_functional(spec, f, window=window)
         if f.coeffs.entries in seen:
             raise TsinormError(
-                f"duplicate functional {_format_vector_entries(f.coeffs)!r}")
+                f"duplicate functional {format_vector(f.coeffs)!r}")
         seen.add(f.coeffs.entries)
     return NormingSet(spec, window, tuple(funcs), generation, stabilized)

@@ -189,6 +189,38 @@ class TestConfigFile:
         code, _, err = run(capsys, ["norm", "fj", "1:1", "--space", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("name, level", [
+        ("bad", {"family": {"card_at_most": [2]}, "theta": "1/3"}),
+        ("bad", {"family": {"card_at_most": "x"}, "theta": "1/3"}),
+        ("bad", {"family": {"explicit": 5}, "theta": "1/3"}),
+        ("bad", {"family": {"explicit": [[1, "a"]]}, "theta": "1/3"}),
+        ("bad", {"family": {"card_at_most": 2.7}, "theta": "1/3"}),
+        ("bad", {"family": {"card_at_most": True}, "theta": "1/3"}),
+        ("bad", {"family": {"card_at_most": 2}, "theta": {"schlumprecht": 2.5}}),
+        (5, {"family": {"card_at_most": 2}, "theta": "schlumprecht"}),
+    ], ids=["card-list", "card-string", "explicit-int", "explicit-string-member",
+            "card-float", "card-bool", "schlumprecht-float", "name-int"])
+    def test_invalid_config_rejected(self, capsys, tmp_path, name, level):
+        doc = {"name": name,
+               "levels": [{"family": "schreier1", "theta": "1/2"}, level]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for kind in ("mixed", "dual-bounds"):
+            code, _, err = run(capsys, ["norm", kind, "1:1 2:1",
+                                        "--space", str(path)])
+            assert code == 2
+            assert err.startswith("error:")
+
+        cert = tmp_path / "cert.txt"
+        run(capsys, ["certify", "3:1 4:1 5:1", "--out", str(cert)])
+        lines = cert.read_text().splitlines()
+        assert lines[1].startswith("space: ")
+        lines[1] = "space: " + json.dumps(doc)
+        cert.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, ["certify", "--check", str(cert)])
+        assert code == 1
+        assert out.startswith("certificate rejected:")
+
 
 class TestTable:
     def test_basis_growth_example(self, capsys):
@@ -387,6 +419,11 @@ class TestCertify:
         ("(leaf 3)", "(split 0 1/2 ((3) (x)) (leaf 3) (leaf 4))"),
         ('"family": "schreier1"', '"family": {"card_at_most": [2]}'),
         ("(1/2 e3 e4 e5)", "(1/2 e3 e4 e5) e9"),
+        pytest.param("e5", "e\u00b2", id="superscript-leaf-index"),
+        pytest.param("(leaf 3)", "(" * 3000 + "leaf 3" + ")" * 3000,
+                     id="deep-witness"),
+        pytest.param("(1/2 e3 e4 e5)", "(1/2 " * 3000 + "e3 e4 e5" + ")" * 3000,
+                     id="deep-hull-tree"),
     ])
     def test_mutated_document_rejected(self, capsys, tmp_path, old, new):
         path = tmp_path / "cert.txt"

@@ -9,6 +9,8 @@ from tsinorm.core import (
     FinVec,
     IndeterminateComparisonError,
     IntervalScalar,
+    SEXPR_MAX_DEPTH,
+    TsinormError,
     VectorParseError,
     as_scalar,
     decide_lt,
@@ -17,6 +19,8 @@ from tsinorm.core import (
     format_scalar,
     format_vector,
     pairing,
+    parse_number,
+    parse_sexpr,
     parse_vector,
     restrict,
     scalar_to_decimal,
@@ -167,6 +171,33 @@ class TestVectorGrammar:
     def test_rejects(self, bad):
         with pytest.raises(VectorParseError):
             parse_vector(bad)
+
+
+class TestTreeGrammar:
+    def test_parse(self):
+        assert parse_sexpr("e3") == "e3"
+        assert parse_sexpr(" (1/2 -e3(leaf 4) ()) ") == ["1/2", "-e3", ["leaf", "4"], []]
+
+    def test_nesting_cap(self):
+        depth = SEXPR_MAX_DEPTH
+        tree = parse_sexpr("(" * depth + "e1" + ")" * depth)
+        for _ in range(depth):
+            tree, = tree
+        assert tree == "e1"
+        with pytest.raises(TsinormError, match="nested deeper"):
+            parse_sexpr("(" * (depth + 1) + "e1" + ")" * (depth + 1))
+
+    @pytest.mark.parametrize("bad", ["", " ", "(", ")", "(e1", "e1)", "(e1))", "e1 e2",
+                                     "(e1) e2", "(e1) (e2)"])
+    def test_rejects(self, bad):
+        with pytest.raises(TsinormError):
+            parse_sexpr(bad)
+
+    @pytest.mark.parametrize("kind, token", [(int, "x"), (int, "\u00b2"), (int, ["3"]),
+                                             (Q, "1/0"), (Q, "x"), (Q, ["1"])])
+    def test_number_rejects(self, kind, token):
+        with pytest.raises(TsinormError, match="bad leaf index"):
+            parse_number(kind, token, "leaf index")
 
 
 class TestPartitions:

@@ -1,8 +1,11 @@
 """Dual norm via LP gauge, rho upper bounds, implicit equation, falsifier."""
+import functools
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsinorm.core import (
     BudgetExceededError,
@@ -17,6 +20,7 @@ from tsinorm.families import (
     CardinalityAtMost,
     Level,
     MixedSpaceSpec,
+    Schreier1,
     schlumprecht_spec,
     tsirelson_spec,
 )
@@ -27,7 +31,9 @@ from tsinorm.dualnorm import (
     dual_norm,
     dual_norm_bounds,
     dual_norm_value,
+    export_dual_certificate,
     falsify_ell1_variant,
+    import_dual_certificate,
     rho_chain,
     rho_partition_upper,
     rho_with_splits_upper,
@@ -36,7 +42,12 @@ from tsinorm.dualnorm import (
     verify_dual_certificate,
     verify_implicit_equation,
 )
-from tsinorm.norming import norming_generators
+from tsinorm.norming import (
+    build_norming_set,
+    export_norming_set,
+    import_norming_set,
+    norming_generators,
+)
 from tsinorm.primal import mixed_norm
 
 from frozen_values import DUAL_GOLDENS, RHO_CHAIN_E345, SIGMA_GOLDENS
@@ -167,6 +178,56 @@ class TestCertificates:
                               cert.ball_certificate)
         with pytest.raises(TsinormError):
             verify_dual_certificate(TS, x, bad)
+
+
+DOC_TOKEN = re.compile(r"[()]|[^\s()]+")
+JUNK_TOKENS = ("0", "-1", "1/0", "x", "e\u00b2", "e0", "-e9", "(", ")")
+
+
+@functools.lru_cache(maxsize=None)
+def exported_documents():
+    """Two certificates and a window-3 norming-set export, as text."""
+    card_demo = MixedSpaceSpec("card-demo", (Level(Schreier1(), Q(1, 2)),
+                                             Level(CardinalityAtMost(2), Q(1, 3))))
+    docs = []
+    for spec, x in ((TS, vec({3: 1, 4: 1, 5: 1})),
+                    (card_demo, vec({1: 1, 2: Q(-1, 2), 3: 1}))):
+        docs.append(export_dual_certificate(spec, x, dual_norm(spec, x)[1]))
+    docs.append(export_norming_set(build_norming_set(TS, 3)))
+    return tuple(docs)
+
+
+@given(which=st.integers(0, 2), at=st.integers(0, 10 ** 6),
+       op=st.sampled_from(("replace", "delete", "duplicate", "wrap")),
+       other=st.one_of(st.sampled_from(JUNK_TOKENS), st.integers(0, 10 ** 6)))
+@settings(deadline=None, max_examples=1000)
+def test_mutated_document_rejected_or_sound(which, at, op, other):
+    """One token of an exported document replaced (by a junk token or one
+    from the documents), deleted, duplicated or wrapped in parentheses:
+    the import raises TsinormError, or what it returns is still true."""
+    docs = exported_documents()
+    text = docs[which]
+    spans = [m.span() for m in DOC_TOKEN.finditer(text)]
+    a, b = spans[at % len(spans)]
+    if isinstance(other, int):
+        pool = sorted({t for d in docs for t in DOC_TOKEN.findall(d)})
+        other = pool[other % len(pool)]
+    new = {"replace": other, "delete": "",
+           "duplicate": f"{text[a:b]} {text[a:b]}", "wrap": f"({text[a:b]})"}[op]
+    mutated = text[:a] + new + text[b:]
+    try:
+        if which < 2:
+            spec, x, cert = import_dual_certificate(mutated)
+        else:
+            vset = import_norming_set(mutated, TS)
+    except TsinormError:
+        return
+    if which < 2:
+        assert cert.value == dual_norm(spec, x)[0]
+    else:
+        for f in vset.functionals:  # every functional lies in the dual ball
+            signs = vec({i: 1 if c > 0 else -1 for i, c in f.coeffs.entries})
+            assert f(signs) <= mixed_norm(TS, signs)[0]
 
 
 class TestNormAxioms:

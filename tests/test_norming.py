@@ -338,6 +338,24 @@ class TestExportImport:
         with pytest.raises(TsinormError, match="metadata"):
             import_norming_set("e1\t1:1\n", TS)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda t: t.replace("(1/2 e2 e3)", "(1/2 " * 3000 + "e2 e3" + ")" * 3000),
+        lambda t: t.replace("e2\t", "e\u00b2\t"),
+        lambda t: t.replace("\t1:1", "\t0:1"),
+        lambda t: t.replace("window=3", "window=x"),
+        lambda t: t.replace("count=10", "count=x"),
+        lambda t: t.replace("stabilized=true", "stabilized=maybe"),
+        lambda t: "".join(t.replace("count=10", "count=0").splitlines(True)[:2]),
+    ], ids=["deep-tree", "superscript-leaf-index", "zero-index-column",
+            "window-not-a-number", "count-not-a-number", "stabilized-maybe",
+            "header-only"])
+    def test_malformed_export_rejected(self, mutate):
+        text = export_norming_set(build_norming_set(TS, 3))
+        bad = mutate(text)
+        assert bad != text
+        with pytest.raises(TsinormError):
+            import_norming_set(bad, TS)
+
     def test_wrong_space_rejected(self):
         text = export_norming_set(build_norming_set(TS, 3))
         other = MixedSpaceSpec("halves", (Level(CardinalityAtMost(2), Q(1, 2)),))
