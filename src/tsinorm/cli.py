@@ -28,6 +28,7 @@ from .core import (
     PrecisionExhaustedError,
     TsinormError,
     VectorParseError,
+    as_scalar,
     ell1_norm,
     format_scalar,
     format_vector,
@@ -313,8 +314,7 @@ def _suite_duality(spec, args, rng, budget):
     vectors = _full_vectors(args.support) if args.full else \
         _sample_vectors(rng, args.support, args.sample)
     violations = []
-    max_columns = 0
-    max_rows = 0
+    max_patterns = 0
     for x in vectors:
         if x.is_zero:
             continue
@@ -324,10 +324,10 @@ def _suite_duality(spec, args, rng, budget):
         except TsinormError as exc:
             violations.append(f"{format_vector(x)}: {exc}")
             continue
-        gens = dualnorm._generators(spec, x.support, budget)
-        max_columns = max(max_columns, len(gens))
-        max_rows = max(max_rows, len(dualnorm._abs_patterns(gens)))
-    extras = {"max_hull_columns": max_columns, "max_ball_rows": max_rows}
+        # one hull column and one ball row per maximal pattern
+        max_patterns = max(max_patterns,
+                           len(dualnorm._patterns(spec, x.support, budget)))
+    extras = {"max_hull_columns": max_patterns, "max_ball_rows": max_patterns}
     return [("lp-duality-and-certificates", len(vectors), violations)], extras
 
 
@@ -356,7 +356,7 @@ def cmd_check(args) -> int:
 
     if args.suite == "ell1-falsify":
         try:
-            entries = [Q(t) for t in args.entries.split(",") if t.strip()]
+            entries = [as_scalar(t) for t in args.entries.split(",") if t.strip()]
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"bad entry grid {args.entries!r}") from None
         try:

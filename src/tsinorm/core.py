@@ -9,6 +9,7 @@ whenever the enclosures genuinely overlap.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
@@ -44,6 +45,33 @@ class IndeterminateComparisonError(TsinormError):
     """A certified comparison was forced to a decision it cannot make."""
 
 
+def _read_rational(token) -> Fraction:
+    """Fraction(token), refused when its numerator or denominator has
+    more digits than int-to-str conversion allows
+    (sys.get_int_max_str_digits(); 0 lifts the limit), so every value
+    read can be printed back.  A decimal exponent is bounded before
+    Fraction builds its power of ten: past the limit plus the mantissa's
+    length it could only overflow it, so 12 bytes cannot stall the
+    reader.  Raises ValueError, TypeError or ZeroDivisionError as
+    Fraction does."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and isinstance(token, str):
+        mantissa, sep, exponent = token.lower().partition("e")
+        if sep:
+            try:
+                exp = int(exponent)
+            except ValueError:
+                exp = 0  # malformed; Fraction rejects it below
+            if abs(exp) > limit + len(mantissa):
+                raise ValueError("decimal exponent out of range")
+    q = Fraction(token)
+    if limit:
+        big = max(abs(q.numerator), q.denominator)
+        if big.bit_length() > 3 * limit and big >= 10 ** limit:
+            raise ValueError(f"more than {limit} digits")
+    return q
+
+
 def as_scalar(value: Union[int, str, Fraction]) -> Fraction:
     """Coerce an int, Fraction, or `p/q` string to an exact scalar."""
     if isinstance(value, Fraction):
@@ -54,7 +82,7 @@ def as_scalar(value: Union[int, str, Fraction]) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            return _read_rational(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise VectorParseError(f"bad rational literal {value!r}: {exc}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as a scalar")
@@ -336,7 +364,7 @@ def parse_vector(text: str) -> FinVec:
         if idx in entries:
             raise VectorParseError(f"duplicate index {idx}")
         try:
-            val = Fraction(tail)
+            val = _read_rational(tail)
         except (ValueError, ZeroDivisionError):
             raise VectorParseError(f"bad value in {token!r}") from None
         entries[idx] = val
@@ -357,7 +385,7 @@ SEXPR_MAX_DEPTH = 256
 def parse_number(kind, token, what: str):
     """token read as kind (int or Fraction); TsinormError if it is none."""
     try:
-        return kind(token)
+        return _read_rational(token) if kind is Fraction else kind(token)
     except (TypeError, ValueError, ZeroDivisionError):
         raise TsinormError(f"bad {what} {token!r}") from None
 

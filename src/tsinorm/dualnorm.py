@@ -9,6 +9,16 @@ is a linear program, and the value gets pinned from both sides:
 * ball program: largest pairing of x against a vector of primal norm at
   most one (each such vector is a lower bound).
 
+Both programs run over the maximal nonnegative patterns a, one per
+absolute value class, never over their 2^|supp a| sign variants.  The
+dual ball is unconditional (closed under sign flips), so the hull gauge
+is the dominance program min sum(c_a) subject to sum(c_a * a) >= |x|,
+and the ball program is its LP dual.  The signed hull terms of the
+certificate are rebuilt from the dominance optimum by arithmetic: each
+term is cut down to the part of |x| it covers, and the cut vector, a
+coordinatewise shrink r*a of a with r in [0, 1], is a convex combination
+of at most |supp a| + 1 sign flips of a (a staircase split).
+
 Strong LP duality makes the two optima equal; the implementation solves
 both independently and treats disagreement as an internal failure, never
 as an answer.  The implicit-equation checker reduces to these exact values.
@@ -19,11 +29,11 @@ whose cover branch is covers.best_cover.  verify_implicit_equation walks
 covers.cover_branches, the enumerator, because it reports the partition
 count and every violating branch.
 
-Generators are built over supp(x) rather than the whole window [1, max
+Patterns are built over supp(x) rather than the whole window [1, max
 supp(x)]: admissibility only reads supports, so the closure over the
 sub-index-set holds exactly the window functionals supported inside
 supp(x), and the discarded ones pair with x through zero coordinates
-only.  Pruning to maximal functionals is also harmless here: the sign
+only.  Pruning to maximal patterns is also harmless here: the sign
 variants of a dominating pattern span a coordinate box that contains
 every vector it dominates, so the convex hull is unchanged.
 """
@@ -66,10 +76,11 @@ from .families import (
 from .lp import Constraint, LinearProgram, solve
 from .norming import (
     NormingFunctional,
+    _flip_tree,
+    _maximal_patterns,
     _parse_tree as _parse_functional_tree,
     _tree_sexpr as _functional_sexpr,
     _tree_vector as _functional_vector,
-    norming_generators,
     verify_norming_functional,
 )
 from .primal import (
@@ -89,7 +100,7 @@ _RHO_MEMO: dict = {}
 
 
 def clear_caches() -> None:
-    """Drop every module-level memo (generators, values, certificates)."""
+    """Drop every module-level memo (patterns, values, certificates)."""
     _GENERATOR_CACHE.clear()
     _VALUE_MEMO.clear()
     _CERT_MEMO.clear()
@@ -134,20 +145,15 @@ def _require_rational(spec: MixedSpaceSpec, what: str) -> tuple:
     return tuple((i, lev.family, Q(lev.theta)) for i, lev in enumerate(spec.levels))
 
 
-def _generators(spec: MixedSpaceSpec, support: tuple, budget: int):
+def _patterns(spec: MixedSpaceSpec, support: tuple, budget: int) -> tuple:
+    """The maximal nonnegative patterns on `support` as (entries, tree)
+    pairs sorted by entries, memoised per space and support."""
     key = (spec.cache_key(), support)
     got = _GENERATOR_CACHE.get(key)
     if got is None:
-        got = norming_generators(spec, support, budget)
+        got = _maximal_patterns(spec, support, budget)
         _GENERATOR_CACHE[key] = got
     return got
-
-
-def _abs_patterns(generators) -> tuple:
-    seen = {}
-    for f in generators:
-        seen.setdefault(f.coeffs.abs().entries, None)
-    return tuple(sorted(seen))
 
 
 def _solve_ball(spec: MixedSpaceSpec, xa_entries: tuple, budget: int):
@@ -156,9 +162,8 @@ def _solve_ball(spec: MixedSpaceSpec, xa_entries: tuple, budget: int):
     <x, y> over the whole dual-ball polar, and |x|'s best y is sign(x)*z.
     Returns (value, z as dict)."""
     support = tuple(i for i, _ in xa_entries)
-    gens = _generators(spec, support, budget)
     rows = [Constraint(tuple(dict(a).get(i, Q(0)) for i in support), "<=", Q(1))
-            for a in _abs_patterns(gens)]
+            for a, _ in _patterns(spec, support, budget)]
     objective = tuple(c for _, c in xa_entries)
     sol = solve(LinearProgram(objective, tuple(rows)), "max")
     if sol.status != "optimal":
@@ -170,23 +175,68 @@ def _solve_ball(spec: MixedSpaceSpec, xa_entries: tuple, budget: int):
 
 
 def _solve_hull(spec: MixedSpaceSpec, x: FinVec, budget: int):
-    """min sum(c_f) over c >= 0 with sum(c_f * f) = x, f running over the
-    signed maximal functionals on supp(x).  Returns (value, hull terms)."""
+    """Hull gauge of x and signed hull terms attaining it.
+
+    Solves the dominance program min sum(c_a) over c >= 0 with
+    sum(c_a * a) >= |x|, one column per maximal nonnegative pattern a on
+    supp(x).  Its optimum is the gauge because the hull is closed under
+    sign flips.  A greedy pass over the patterns in key order cuts each
+    term c_a * a down to the part of |x| still uncovered, c_a * (r * a)
+    with r in [0, 1]; _staircase_terms writes that as signed terms of
+    total weight c_a.  Returns (value, hull terms).
+    """
     support = x.support
-    gens = _generators(spec, support, budget)
-    xd = x.to_dict()
-    columns = [dict(f.coeffs.entries) for f in gens]
-    rows = []
-    for i in support:
-        rows.append(Constraint(tuple(col.get(i, Q(0)) for col in columns),
-                               "=", xd[i]))
-    sol = solve(LinearProgram(tuple(Q(1) for _ in columns), tuple(rows)), "min")
+    patterns = _patterns(spec, support, budget)
+    columns = [dict(a) for a, _ in patterns]
+    uncovered = {i: abs(c) for i, c in x.entries}
+    rows = tuple(Constraint(tuple(col.get(i, Q(0)) for col in columns),
+                            ">=", uncovered[i]) for i in support)
+    sol = solve(LinearProgram(tuple(Q(1) for _ in columns), rows), "min")
     if sol.status != "optimal":
         raise TsinormError(
             f"hull program ended {sol.status}; the unit functionals alone "
             "should have made it feasible")
-    terms = tuple(HullTerm(w, f) for f, w in zip(gens, sol.assignment) if w != 0)
-    return sol.value, terms
+    signs = {i: (1 if c > 0 else -1) for i, c in x.entries}
+    terms = []
+    for (a, tree), c in zip(patterns, sol.assignment):
+        if c == 0:
+            continue
+        shrink = {}
+        for i, ai in a:
+            part = min(c * ai, uncovered[i])
+            uncovered[i] -= part
+            shrink[i] = part / (c * ai)
+        terms.extend(_staircase_terms(c, a, tree, shrink, signs))
+    if any(uncovered.values()):
+        raise TsinormError(
+            f"internal consistency failure: hull terms leave part of |x| "
+            f"uncovered for x = {x.to_dict()}")
+    return sol.value, tuple(terms)
+
+
+def _staircase_terms(weight: Fraction, a: tuple, tree, shrink: dict,
+                     signs: dict) -> list:
+    """weight * sign(x) * (shrink * a) as hull terms on sign flips of a.
+
+    Coordinate i is taken positive with probability p_i = (1 + r_i) / 2,
+    whose expected sign is r_i = shrink[i].  With the coordinates ordered
+    by p descending, vertex k is positive on the first k of them and
+    carries p_(k) - p_(k+1) (p_(0) = 1, p_(n+1) = 0), so the weights sum
+    to one and every coordinate is positive with its own probability.
+    Zero weights are dropped, leaving at most |supp a| + 1 terms.
+    """
+    order = sorted(shrink, key=lambda i: -shrink[i])
+    probs = [Q(1)] + [(1 + shrink[i]) / 2 for i in order] + [Q(0)]
+    terms = []
+    for k in range(len(order) + 1):
+        w = probs[k] - probs[k + 1]
+        if w == 0:
+            continue
+        flips = {i: signs[i] if pos < k else -signs[i] for pos, i in enumerate(order)}
+        coeffs = FinVec.from_items({i: flips[i] * ai for i, ai in a})
+        terms.append(HullTerm(weight * w,
+                              NormingFunctional(coeffs, _flip_tree(tree, flips))))
+    return terms
 
 
 def dual_norm_value(spec: MixedSpaceSpec, x: FinVec,

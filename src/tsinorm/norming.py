@@ -335,11 +335,15 @@ def _maximal_keys(keys) -> frozenset:
     return frozenset(out)
 
 
-def _expand_signs(F: dict, keys, budget: int, context: str):
+def _check_sign_budget(keys, budget: int, context: str) -> None:
     total = sum(2 ** len(key) for key in keys)
     if total > budget:
         raise BudgetExceededError(
             f"{context}: sign expansion needs {total} functionals, budget {budget}")
+
+
+def _expand_signs(F: dict, keys, budget: int, context: str):
+    _check_sign_budget(keys, budget, context)
     funcs = []
     for key in sorted(keys):
         indices = [i for i, _ in key]
@@ -377,22 +381,37 @@ def build_norming_set(spec: MixedSpaceSpec, N: int,
     return NormingSet(spec, N, funcs, generation, stabilized=True)
 
 
-def norming_generators(spec: MixedSpaceSpec, indices,
-                       budget: int = DEFAULT_NORMING_BUDGET):
-    """Maximal signed functionals whose support lies inside `indices`.
+def _maximal_patterns(spec: MixedSpaceSpec, indices, budget: int) -> tuple:
+    """Maximal nonnegative patterns supported inside `indices`, as
+    (coefficient entries, first-built tree) pairs sorted by entries.
 
-    Same construction as build_norming_set, seeded from an arbitrary
-    strictly increasing index tuple instead of a full window.  This is
-    what the dual-norm gauge programs consume: functionals supported
-    outside supp(x) pair trivially with x, and filtering them is the same
-    as closing over supp(x) directly.
+    Their sign variants are counted against `budget` as if expanded, so
+    a caller working on the patterns alone keeps norming_generators'
+    budget without building the variants.
     """
     indices = tuple(indices)
     if any(indices[i] >= indices[i + 1] for i in range(len(indices) - 1)):
         raise ValueError("indices must be strictly increasing")
     F, _, _ = _closure(spec, indices, budget, include_singletons=False,
                        max_rounds=None)
-    return _expand_signs(F, _maximal_keys(F), budget,
+    keys = sorted(_maximal_keys(F))
+    _check_sign_budget(keys, budget, f"norming generators on {list(indices)}")
+    return tuple((key, F[key]) for key in keys)
+
+
+def norming_generators(spec: MixedSpaceSpec, indices,
+                       budget: int = DEFAULT_NORMING_BUDGET):
+    """Maximal signed functionals whose support lies inside `indices`.
+
+    Same construction as build_norming_set, seeded from an arbitrary
+    strictly increasing index tuple instead of a full window:
+    functionals supported outside a vector's support pair trivially with
+    it, and filtering them is the same as closing over the support
+    directly.  The dual-norm programs use the nonnegative patterns alone.
+    """
+    indices = tuple(indices)
+    patterns = _maximal_patterns(spec, indices, budget)
+    return _expand_signs(dict(patterns), [key for key, _ in patterns], budget,
                          f"norming generators on {list(indices)}")
 
 

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import tsinorm
-from tsinorm import fj_norm, import_norming_set, parse_vector, tau, tsirelson_spec
+from tsinorm import (dualnorm, fj_norm, import_norming_set, parse_vector, tau,
+                     tsirelson_spec)
 from tsinorm.cli import main
+from tsinorm.core import DEFAULT_NORMING_BUDGET
 
 
 def run(capsys, argv):
@@ -157,6 +159,14 @@ class TestNormErrors:
         assert code == 2
         assert "TSINORM_BUDGET" in err
 
+    @pytest.mark.parametrize("token", ["1e5000", "1e-5000", "1e999999999",
+                                       "1" * 3000 + "." + "3" * 3000])
+    def test_number_beyond_digit_limit(self, capsys, token):
+        # more digits than sys.get_int_max_str_digits() (4300 by default)
+        code, out, err = run(capsys, ["norm", "fj", f"1:{token}"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad value")
+
     def test_bad_format_choice(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["norm", "fj", "1:1", "--format", "csv"])
@@ -280,6 +290,15 @@ class TestCheck:
         argv = ["check", "lemmas", "--support", "4", "--sample", "15",
                 "--pairs", "15", "--seed", "7"]
         assert run(capsys, argv) == run(capsys, argv)
+
+    def test_duality_hull_columns_are_patterns(self, capsys):
+        # the hull program has one column per maximal pattern, as the ball
+        # program has one row
+        code, out, _ = run(capsys, ["check", "duality", "--support", "5",
+                                    "--sample", "12", "--format", "json"])
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["max_hull_columns"] == doc["max_ball_rows"] > 1
 
     def test_duality_reports_lp_size(self, capsys):
         code, out, _ = run(capsys, ["check", "duality", "--support", "4",
@@ -434,6 +453,43 @@ class TestCertify:
         code, out, _ = run(capsys, ["certify", "--check", str(path)])
         assert code == 1
         assert out.startswith("certificate rejected:")
+
+    @pytest.mark.parametrize("old, new", [
+        ("value: 2", "value: 1e999999999"),
+        ("vector: 3:1", "vector: 3:1e999999999"),
+        ("hull 2:", "hull 1e-999999999:"),
+        ("ball-vector: 3:1", "ball-vector: 3:1e5000"),
+        ('"theta": "1/2"', '"theta": "1e999999999"'),
+    ])
+    def test_number_beyond_digit_limit_rejected(self, capsys, tmp_path, old, new):
+        path = tmp_path / "cert.txt"
+        run(capsys, ["certify", "3:1 4:1 5:1", "--out", str(path)])
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        code, out, _ = run(capsys, ["certify", "--check", str(path)])
+        assert code == 1
+        assert out.startswith("certificate rejected:")
+
+    def test_large_support_round_trip(self, capsys, tmp_path):
+        # all ones on {2..7}: 82 maximal patterns, 1952 signed functionals
+        tsinorm.clear_caches()
+        path = tmp_path / "cert.txt"
+        code, out, _ = run(capsys, ["certify", "2:1 3:1 4:1 5:1 6:1 7:1",
+                                    "--out", str(path)])
+        assert (code, out) == (0, "certificate written: value=19/5\n")
+        code, out, _ = run(capsys, ["certify", "--check", str(path)])
+        assert code == 0
+        assert out.startswith("certificate ok:") and out.endswith(" value=19/5\n")
+
+        ts = tsirelson_spec()
+        support = tuple(range(2, 9))
+        patterns = dualnorm._patterns(ts, support, DEFAULT_NORMING_BUDGET)
+        assert dualnorm._GENERATOR_CACHE[(ts.cache_key(), support)] is patterns
+        assert len(patterns) == 202
+        # the cache holds patterns, not the 8766 signed functionals they stand for
+        assert all(c > 0 for a, _ in patterns for _, c in a)
+        assert sum(2 ** len(a) for a, _ in patterns) == 8766
 
     def test_check_json(self, capsys, tmp_path):
         path = tmp_path / "cert.txt"

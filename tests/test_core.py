@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -198,6 +199,34 @@ class TestTreeGrammar:
     def test_number_rejects(self, kind, token):
         with pytest.raises(TsinormError, match="bad leaf index"):
             parse_number(kind, token, "leaf index")
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int-to-str digit limit")
+class TestNumberDigitLimit:
+    """Every rational token reader refuses a numerator or denominator
+    longer than the interpreter can print, without building it first."""
+
+    TOO_LONG = [f"1e{DIGIT_LIMIT}", f"1e-{DIGIT_LIMIT}", "1e999999999", "-7.5E-999999999",
+                "0e999999999", "1" * (DIGIT_LIMIT - 10) + "." + "3" * (DIGIT_LIMIT - 10)]
+
+    @pytest.mark.parametrize("token", TOO_LONG)
+    def test_rejected_by_every_reader(self, token):
+        with pytest.raises(TsinormError):
+            parse_number(Q, token, "value")
+        with pytest.raises(VectorParseError):
+            as_scalar(token)
+        with pytest.raises(VectorParseError):
+            parse_vector(f"3:{token}")
+
+    def test_limit_itself_is_read(self):
+        big = f"1e{DIGIT_LIMIT - 1}"
+        assert parse_number(Q, big, "value") == 10 ** (DIGIT_LIMIT - 1)
+        assert as_scalar(f"1e-{DIGIT_LIMIT - 1}") == Q(1, 10 ** (DIGIT_LIMIT - 1))
+        assert format_vector(parse_vector(f"2:{big}")) == "2:1" + "0" * (DIGIT_LIMIT - 1)
+        assert parse_number(Q, "25e-2", "value") == Q(1, 4)
 
 
 class TestPartitions:

@@ -7,7 +7,9 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tsinorm import dualnorm
 from tsinorm.core import (
+    DEFAULT_NORMING_BUDGET,
     BudgetExceededError,
     FinVec,
     PrecisionExhaustedError,
@@ -18,6 +20,7 @@ from tsinorm.core import (
 )
 from tsinorm.families import (
     CardinalityAtMost,
+    ExplicitFinite,
     Level,
     MixedSpaceSpec,
     Schreier1,
@@ -42,7 +45,9 @@ from tsinorm.dualnorm import (
     verify_dual_certificate,
     verify_implicit_equation,
 )
+from tsinorm.lp import Constraint, LinearProgram, solve as lp_solve
 from tsinorm.norming import (
+    _flip_tree,
     build_norming_set,
     export_norming_set,
     import_norming_set,
@@ -583,3 +588,85 @@ class TestMixedSpecs:
         ))
         report = verify_implicit_equation(spec, e(1, 2, 3))
         assert report.ok
+
+
+class TestPatternHull:
+    """The hull program runs over absolute maximal patterns; its signed
+    terms are rebuilt by a staircase split of each pattern."""
+
+    CARD_DEMO = MixedSpaceSpec("card-demo", (Level(Schreier1(), Q(1, 2)),
+                                             Level(CardinalityAtMost(2), Q(1, 3))))
+    EXPLICIT = MixedSpaceSpec("explicit-demo", (
+        Level(ExplicitFinite(((1, 2), (2, 3, 4), (3, 5), (1, 4, 5), (2, 5, 6))),
+              Q(2, 3)),
+        Level(Schreier1(), Q(1, 2))))
+    ORACLE_LEVELS = {"tsirelson": TSIRELSON_LEVELS,
+                     "card-demo": TSIRELSON_LEVELS + (("card", 2, Q(1, 3)),)}
+
+    @staticmethod
+    def signed_hull_optimum(spec, x):
+        """min sum(c_f) over c >= 0 with sum(c_f * f) = x, one column per
+        signed maximal functional: the program before the reduction."""
+        columns = [f.coeffs.to_dict() for f in norming_generators(spec, x.support)]
+        xd = x.to_dict()
+        rows = tuple(Constraint(tuple(col.get(i, Q(0)) for col in columns), "=", xd[i])
+                     for i in x.support)
+        sol = lp_solve(LinearProgram(tuple(Q(1) for _ in columns), rows), "min")
+        assert sol.status == "optimal"
+        return sol.value
+
+    def vectors(self):
+        rng = random.Random(20261018)
+        out = []
+        for spec, top, sizes in ((TS, 8, (2, 3, 4, 5)), (self.CARD_DEMO, 6, (2, 3, 4)),
+                                 (self.EXPLICIT, 6, (2, 3, 4, 5))):
+            for _ in range(20):
+                support = rng.sample(range(1, top + 1), rng.choice(sizes))
+                out.append((spec, vec({i: rng.choice(GRID_ENTRIES) for i in support})))
+        return out
+
+    def test_agrees_with_signed_hull_and_oracle(self):
+        oracle_checked = 0
+        for spec, x in self.vectors():
+            value, terms = dualnorm._solve_hull(spec, x, DEFAULT_NORMING_BUDGET)
+            assert value == self.signed_hull_optimum(spec, x)
+            assert value == dual_norm_value(spec, x)
+            levels = self.ORACLE_LEVELS.get(spec.name)
+            if levels is not None and len(x.support) <= 3:
+                assert value == oracle_dual_norm(x.to_dict(), levels)
+                oracle_checked += 1
+
+            patterns = dict(dualnorm._GENERATOR_CACHE[(spec.cache_key(), x.support)])
+            per_pattern = {}
+            for term in terms:
+                assert term.weight > 0
+                a = term.functional.coeffs.abs().entries
+                assert a in patterns
+                flips = {i: 1 if c > 0 else -1 for i, c in term.functional.coeffs.entries}
+                assert term.functional.tree == _flip_tree(patterns[a], flips)
+                per_pattern[a] = per_pattern.get(a, 0) + 1
+            assert all(n <= len(a) + 1 for a, n in per_pattern.items())
+            assert sum(t.weight for t in terms) == value
+
+            got, cert = dual_norm(spec, x)
+            assert got == value and cert.hull_terms == terms
+            verify_dual_certificate(spec, x, cert)
+        assert oracle_checked >= 15
+
+    def test_staircase_split(self):
+        # a = (1/2, 1/2, 1/2) needed at shares (1, 0, 1/2), with x's signs (+, -, +)
+        pattern = ((3, Q(1, 2)), (4, Q(1, 2)), (5, Q(1, 2)))
+        tree = dualnorm._patterns(TS, (3, 4, 5), DEFAULT_NORMING_BUDGET)[0][1]
+        terms = dualnorm._staircase_terms(Q(2), pattern, tree,
+                                          {3: Q(1), 4: Q(0), 5: Q(1, 2)},
+                                          {3: 1, 4: -1, 5: 1})
+        # P(+) is 1, 3/4, 1/2 on e3, e5, e4; vertex 0 (all flipped) weighs 0
+        half = Q(1, 2)
+        assert [(t.weight, t.functional.coeffs.to_dict()) for t in terms] == [
+            (Q(1, 2), {3: half, 4: half, 5: -half}),
+            (Q(1, 2), {3: half, 4: half, 5: half}),
+            (Q(1), {3: half, 4: -half, 5: half}),
+        ]
+        # the combination is 2 * sign(x) * (shares * a)
+        combo = sum((t.functional.coeffs.scale(t.weight) for t in terms), FinVec.zero())
+        assert combo.to_dict() == {3: Q(1), 5: Q(1, 2)}
