@@ -7,6 +7,9 @@ its blocks are slices entries[a:b], and the caller values a slice through
 part(a, b), usually its own memoised recursion.  Levels are (index,
 family, theta) triples, tried in order.
 
+approximant is the one level-n iteration over best_cover, maximising
+from the sup norm (fj_norm_level) or minimising from the l1 norm (rho).
+
 Where admissibility depends only on the block count and the first index
 (families.max_blocks is not None), a dynamic program over (block count,
 start position) serves the level in time polynomial in the support size.
@@ -97,6 +100,25 @@ def best_cover(entries: tuple, levels, part, incumbent, maximise: bool):
                         bounds.append(cut[j][bounds[-1]])
                     best = (cand, level, tuple(bounds) + (m,))
     return None if best[1] is None else best
+
+
+def approximant(levels, entries: tuple, n: int, memo: dict, maximise: bool) -> Fraction:
+    """Level n at entries: level 0 is the largest entry (maximise) or the
+    entry sum, level n the better of level n - 1 and best_cover over
+    level-(n - 1) block values, memoised under (entries, n)."""
+    if not entries or n == 0:
+        values = [c for _, c in entries]
+        return max(values, default=Fraction(0)) if maximise else sum(values, Fraction(0))
+    value = memo.get((entries, n))
+    if value is None:
+        value = approximant(levels, entries, n - 1, memo, maximise)
+        best = best_cover(entries, levels,
+                          lambda a, b: approximant(levels, entries[a:b], n - 1, memo, maximise),
+                          value, maximise)
+        if best is not None:
+            value = best[0]
+        memo[(entries, n)] = value
+    return value
 
 
 def _start_caps(family, entries: tuple, starts):

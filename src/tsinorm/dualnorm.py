@@ -4,30 +4,29 @@ The unit ball of the dual norm is the closed convex hull of the norming
 functionals together with zero.  For a finitely supported x that gauge
 is a linear program, and the value gets pinned from both sides:
 
-* hull program: least total weight writing x as a nonnegative
-  combination of stored functionals (each solution is an upper bound),
 * ball program: largest pairing of x against a vector of primal norm at
-  most one (each such vector is a lower bound).
+  most one (each such vector is a lower bound),
+* hull side: least total weight writing x as a nonnegative combination
+  of stored functionals (each such combination is an upper bound).
 
-Both programs run over the maximal nonnegative patterns a, one per
-absolute value class, never over their 2^|supp a| sign variants.  The
-dual ball is unconditional (closed under sign flips), so the hull gauge
-is the dominance program min sum(c_a) subject to sum(c_a * a) >= |x|,
-and the ball program is its LP dual.  The signed hull terms of the
-certificate are rebuilt from the dominance optimum by arithmetic: each
-term is cut down to the part of |x| it covers, and the cut vector, a
-coordinatewise shrink r*a of a with r in [0, 1], is a convex combination
-of at most |supp a| + 1 sign flips of a (a staircase split).
-
-Strong LP duality makes the two optima equal; the implementation solves
-both independently and treats disagreement as an internal failure, never
-as an answer.  The implicit-equation checker reduces to these exact values.
+Both run over the maximal nonnegative patterns a, one per absolute value
+class, never over their 2^|supp a| sign variants.  The dual ball is
+unconditional (closed under sign flips), so the hull gauge is the
+dominance program min sum(c_a) subject to sum(c_a * a) >= |x|, the LP
+dual of the ball program.  Only the ball program is solved; its
+KKT-verified duals are a dominance optimum, and the signed hull terms
+are rebuilt from them by arithmetic: each term is cut down to the part
+of |x| it covers, and the cut vector, a coordinatewise shrink r*a of a
+with r in [0, 1], is a convex combination of at most |supp a| + 1 sign
+flips of a (a staircase split).  Terms that miss x or the ball value are
+an internal failure, never an answer.  The implicit-equation checker
+reduces to these exact values.
 
 The rho upper iterates need no LP.  rho_partition_upper, sigma_ell1_variant
-and the sub-vectors of rho_with_splits_upper share one recursion and memo,
-whose cover branch is covers.best_cover.  verify_implicit_equation walks
-covers.cover_branches, the enumerator, because it reports the partition
-count and every violating branch.
+and the sub-vectors of rho_with_splits_upper share one memo per space
+over covers.approximant, minimising from the l1 norm.
+verify_implicit_equation walks covers.cover_branches, the enumerator,
+because it reports the partition count and every violating branch.
 
 Patterns are built over supp(x) rather than the whole window [1, max
 supp(x)]: admissibility only reads supports, so the closure over the
@@ -64,7 +63,7 @@ from .core import (
     parse_vector,
     restrict,
 )
-from .covers import best_cover, cover_branches
+from .covers import approximant, cover_branches
 from .families import (
     Level,
     MixedSpaceSpec,
@@ -160,7 +159,10 @@ def _solve_ball(spec: MixedSpaceSpec, xa_entries: tuple, budget: int):
     """max <|x|, z> over z >= 0 with a.z <= 1 for every nonnegative
     maximal pattern a.  By sign completeness this equals the maximum of
     <x, y> over the whole dual-ball polar, and |x|'s best y is sign(x)*z.
-    Returns (value, z as dict)."""
+
+    Returns (value, z as dict, duals), duals being the verified row
+    multipliers in _patterns order: an optimum of the dominance program.
+    """
     support = tuple(i for i, _ in xa_entries)
     rows = [Constraint(tuple(dict(a).get(i, Q(0)) for i in support), "<=", Q(1))
             for a, _ in _patterns(spec, support, budget)]
@@ -171,34 +173,25 @@ def _solve_ball(spec: MixedSpaceSpec, xa_entries: tuple, budget: int):
             f"ball program ended {sol.status}; this cannot happen for a "
             "seeded generator set")
     z = {i: v for i, v in zip(support, sol.assignment) if v != 0}
-    return sol.value, z
+    return sol.value, z, sol.duals
 
 
-def _solve_hull(spec: MixedSpaceSpec, x: FinVec, budget: int):
-    """Hull gauge of x and signed hull terms attaining it.
+def _hull_terms(spec: MixedSpaceSpec, x: FinVec, budget: int,
+                weights: tuple, value: Fraction) -> tuple:
+    """Signed hull terms of total weight `value` that combine to x.
 
-    Solves the dominance program min sum(c_a) over c >= 0 with
-    sum(c_a * a) >= |x|, one column per maximal nonnegative pattern a on
-    supp(x).  Its optimum is the gauge because the hull is closed under
-    sign flips.  A greedy pass over the patterns in key order cuts each
-    term c_a * a down to the part of |x| still uncovered, c_a * (r * a)
-    with r in [0, 1]; _staircase_terms writes that as signed terms of
-    total weight c_a.  Returns (value, hull terms).
+    weights holds one dominance weight c_a per maximal pattern a on
+    supp(x), in _patterns order.  A greedy pass over the patterns cuts
+    each term c_a * a down to the part of |x| still uncovered,
+    c_a * (r * a) with r in [0, 1]; _staircase_terms writes that as signed
+    terms of total weight c_a.  Weights that are not a dominance optimum
+    of value `value` raise TsinormError: the build itself is broken.
     """
-    support = x.support
-    patterns = _patterns(spec, support, budget)
-    columns = [dict(a) for a, _ in patterns]
+    patterns = _patterns(spec, x.support, budget)
     uncovered = {i: abs(c) for i, c in x.entries}
-    rows = tuple(Constraint(tuple(col.get(i, Q(0)) for col in columns),
-                            ">=", uncovered[i]) for i in support)
-    sol = solve(LinearProgram(tuple(Q(1) for _ in columns), rows), "min")
-    if sol.status != "optimal":
-        raise TsinormError(
-            f"hull program ended {sol.status}; the unit functionals alone "
-            "should have made it feasible")
     signs = {i: (1 if c > 0 else -1) for i, c in x.entries}
     terms = []
-    for (a, tree), c in zip(patterns, sol.assignment):
+    for (a, tree), c in zip(patterns, weights, strict=True):
         if c == 0:
             continue
         shrink = {}
@@ -211,7 +204,23 @@ def _solve_hull(spec: MixedSpaceSpec, x: FinVec, budget: int):
         raise TsinormError(
             f"internal consistency failure: hull terms leave part of |x| "
             f"uncovered for x = {x.to_dict()}")
-    return sol.value, tuple(terms)
+    _check_hull_sum(x, value, terms)
+    return tuple(terms)
+
+
+def _check_hull_sum(x: FinVec, value: Fraction, terms) -> None:
+    """Raise TsinormError unless the weights sum to value and the
+    weighted functionals to x."""
+    total = Q(0)
+    combo: dict = {}
+    for term in terms:
+        total += term.weight
+        for i, c in term.functional.coeffs.entries:
+            combo[i] = combo.get(i, Q(0)) + term.weight * c
+    if total != value:
+        raise TsinormError(f"hull weights sum to {total}, certificate claims {value}")
+    if {i: c for i, c in combo.items() if c != 0} != x.to_dict():
+        raise TsinormError("hull combination does not reproduce x")
 
 
 def _staircase_terms(weight: Fraction, a: tuple, tree, shrink: dict,
@@ -244,8 +253,9 @@ def dual_norm_value(spec: MixedSpaceSpec, x: FinVec,
     """Exact dual norm, ball program only (no certificate assembled).
 
     The fast path for the iterators and checkers that need many values;
-    dual_norm itself always runs both programs.  The norm only depends on
-    absolute values, so the memo is shared across sign patterns.
+    dual_norm solves the same program and also rebuilds the hull terms
+    from its duals.  The norm only depends on absolute values, so the
+    memo is shared across sign patterns.
     """
     _require_rational(spec, "dual_norm")
     if x.is_zero:
@@ -253,7 +263,7 @@ def dual_norm_value(spec: MixedSpaceSpec, x: FinVec,
     key = (spec.cache_key(), x.abs().entries)
     got = _VALUE_MEMO.get(key)
     if got is None:
-        got, _ = _solve_ball(spec, key[1], budget)
+        got, _, _ = _solve_ball(spec, key[1], budget)
         _VALUE_MEMO[key] = got
     return got
 
@@ -262,11 +272,12 @@ def dual_norm(spec: MixedSpaceSpec, x: FinVec,
               budget: int = DEFAULT_NORMING_BUDGET):
     """Exact dual norm with a doubly-witnessed certificate.
 
-    Returns (value, DualCertificate).  The hull and ball programs are
-    solved independently; unequal optima raise TsinormError since they
-    would mean the build itself is broken.  The ball witness is fed back
-    through the primal recursion to certify it really lies in the unit
-    ball.
+    Returns (value, DualCertificate).  One ball program gives the value,
+    the ball vector and, through its verified duals, the hull terms;
+    terms that do not reproduce x at that value raise TsinormError since
+    they would mean the build itself is broken.  The ball witness is fed
+    back through the primal recursion to certify it really lies in the
+    unit ball.
     """
     _require_rational(spec, "dual_norm")
     if x.is_zero:
@@ -277,13 +288,9 @@ def dual_norm(spec: MixedSpaceSpec, x: FinVec,
     if got is not None:
         return got
 
-    hull_value, terms = _solve_hull(spec, x, budget)
     xa = x.abs()
-    ball_value, z = _solve_ball(spec, xa.entries, budget)
-    if hull_value != ball_value:
-        raise TsinormError(
-            f"internal consistency failure: hull optimum {hull_value} != "
-            f"ball optimum {ball_value} for x = {x.to_dict()}")
+    value, z, duals = _solve_ball(spec, xa.entries, budget)
+    terms = _hull_terms(spec, x, budget, duals, value)
     signs = {i: (1 if c > 0 else -1) for i, c in x.entries}
     y = FinVec.from_items({i: signs[i] * v for i, v in z.items()})
     ball_norm, ball_cert = mixed_norm(spec, y)
@@ -291,13 +298,13 @@ def dual_norm(spec: MixedSpaceSpec, x: FinVec,
         raise TsinormError(
             f"internal consistency failure: ball witness has primal norm "
             f"{ball_norm} > 1")
-    if pairing(x, y) != ball_value:
+    if pairing(x, y) != value:
         raise TsinormError(
             "internal consistency failure: ball witness pairing drifted")
-    cert = DualCertificate(hull_value, terms, y, ball_cert)
-    _VALUE_MEMO.setdefault((spec.cache_key(), xa.entries), hull_value)
-    _CERT_MEMO[key] = (hull_value, cert)
-    return hull_value, cert
+    cert = DualCertificate(value, terms, y, ball_cert)
+    _VALUE_MEMO.setdefault((spec.cache_key(), xa.entries), value)
+    _CERT_MEMO[key] = (value, cert)
+    return value, cert
 
 
 def verify_dual_certificate(spec: MixedSpaceSpec, x: FinVec,
@@ -308,21 +315,11 @@ def verify_dual_certificate(spec: MixedSpaceSpec, x: FinVec,
     the value from above.  The ball side re-runs the primal recursion on
     the witness (no linear programming) and proves it from below.
     """
-    total = Q(0)
-    combo: dict = {}
     for term in cert.hull_terms:
         if term.weight <= 0:
             raise TsinormError(f"hull weight {term.weight} is not positive")
         verify_norming_functional(spec, term.functional)
-        total += term.weight
-        for i, c in term.functional.coeffs.entries:
-            combo[i] = combo.get(i, Q(0)) + term.weight * c
-    if total != cert.value:
-        raise TsinormError(
-            f"hull weights sum to {total}, certificate claims {cert.value}")
-    combo = {i: c for i, c in combo.items() if c != 0}
-    if combo != x.to_dict():
-        raise TsinormError("hull combination does not reproduce x")
+    _check_hull_sum(x, cert.value, cert.hull_terms)
 
     verify_primal_certificate(spec, cert.ball_vector, cert.ball_certificate)
     ball_norm, _ = mixed_norm(spec, cert.ball_vector)
@@ -392,27 +389,8 @@ def rho_partition_upper(spec: MixedSpaceSpec, x: FinVec, n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     levels = _require_rational(spec, "rho_partition_upper")
-    if x.is_zero:
-        return Q(0)
-    return _rho(spec.cache_key(), levels, x.abs().entries, n)
-
-
-def _rho(spec_key, levels, entries: tuple, n: int) -> Fraction:
-    """rho_partition_upper at |x| = entries (nonempty), memoised per space."""
-    key = (spec_key, entries, n)
-    value = _RHO_MEMO.get(key)
-    if value is None:
-        if n == 0:
-            value = sum((c for _, c in entries), Q(0))
-        else:
-            value = _rho(spec_key, levels, entries, n - 1)
-            best = best_cover(entries, levels,
-                              lambda a, b: _rho(spec_key, levels, entries[a:b], n - 1),
-                              value, False)
-            if best is not None:
-                value = best[0]
-        _RHO_MEMO[key] = value
-    return value
+    memo = _RHO_MEMO.setdefault(spec.cache_key(), {})
+    return approximant(levels, x.abs().entries, n, memo, False)
 
 
 def rho_chain(spec: MixedSpaceSpec, x: FinVec, n_max: int) -> Tuple[RhoIterate, ...]:
@@ -458,19 +436,19 @@ def rho_with_splits_upper(spec: MixedSpaceSpec, x: FinVec, n: int,
         cands.append((w1, w2))
     if x.is_zero:
         return Q(0)
-    spec_key = spec.cache_key()
+    memo = _RHO_MEMO.setdefault(spec.cache_key(), {})
 
     def part(w: FinVec, m: int, own: Fraction) -> Fraction:
         # own: iterate m of x's chain, the only one that sees the splits
         if w.entries == x.entries:
             return own
-        return _rho(spec_key, levels, w.abs().entries, m) if w.entries else Q(0)
+        return approximant(levels, w.abs().entries, m, memo, False)
 
     value = ell1_norm(x)
     for m in range(1, n + 1):
         # x's chain never exceeds rho, so this adds exactly x's cover branch
         prev = value
-        value = min(value, _rho(spec_key, levels, x.abs().entries, m))
+        value = min(value, approximant(levels, x.abs().entries, m, memo, False))
         for w1, w2 in cands:
             cand = part(w1, m - 1, prev) + part(w2, m - 1, prev)
             if cand < value:
@@ -579,14 +557,12 @@ def sigma_ell1_variant(spec: MixedSpaceSpec, x: FinVec,
     levels = _require_rational(spec, "sigma_ell1_variant")
     if iteration_cap < 1:
         raise ValueError(f"iteration cap must be >= 1, got {iteration_cap}")
-    if x.is_zero:
-        return Q(0), True
-    spec_key = spec.cache_key()
+    memo = _RHO_MEMO.setdefault(spec.cache_key(), {})
     entries = x.abs().entries
     need = len(entries)
-    prev = _rho(spec_key, levels, entries, 0)
+    prev = approximant(levels, entries, 0, memo, False)
     for n in range(1, iteration_cap + 1):
-        cur = _rho(spec_key, levels, entries, n)
+        cur = approximant(levels, entries, n, memo, False)
         if cur == prev and n > need:
             return cur, True
         prev = cur

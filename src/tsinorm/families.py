@@ -8,7 +8,7 @@ weights 1/log2(l+1), handled as certified intervals).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
@@ -49,12 +49,13 @@ class CardinalityAtMost:
 class ExplicitFinite:
     """A finite list of finite index sets, used verbatim.
 
-    Singletons {1}..{max listed index} are added at construction so that
-    single-block tuples are always admissible, matching the structural
-    families.  Listed sets are kept as given otherwise (no heredity or
-    spreading is assumed).
+    The singletons {1}..{_top}, _top the largest listed index, belong to
+    it implicitly, so single-block tuples are always admissible, matching
+    the structural families.  `sets` keeps the larger listed sets, as
+    given otherwise (no heredity or spreading is assumed).
     """
     sets: tuple = ()
+    _top: int = field(default=1, init=False, repr=False)
 
     def __post_init__(self):
         canon = set()
@@ -65,13 +66,14 @@ class ExplicitFinite:
                 raise ValueError("empty set in explicit family")
             if fs[0] < 1 or not all(isinstance(m, int) for m in fs):
                 raise ValueError(f"bad family member {s!r}")
-            canon.add(fs)
+            if len(fs) > 1:
+                canon.add(fs)
             top = max(top, fs[-1])
-        canon.update((m,) for m in range(1, top + 1))
         object.__setattr__(self, "sets", tuple(sorted(canon, key=lambda t: (len(t), t))))
+        object.__setattr__(self, "_top", top)
 
     def __str__(self):
-        return f"explicit({len(self.sets)} sets)"
+        return f"explicit({self._top + len(self.sets)} sets)"
 
 
 AdmissibilityFamily = Union[Schreier1, CardinalityAtMost, ExplicitFinite]
@@ -103,6 +105,8 @@ def is_admissible(family: AdmissibilityFamily, P: BlockPartition) -> bool:
     cap = max_blocks(family, P.blocks[0][0])
     if cap is not None:
         return k <= cap
+    if k == 1:  # through the implicit singleton {1}
+        return True
     minima = P.block_minima()
     maxima = tuple(b[-1] for b in P.blocks)
     for M in family.sets:
@@ -257,7 +261,7 @@ def _family_key(fam: AdmissibilityFamily) -> tuple:
         return ("schreier1",)
     if isinstance(fam, CardinalityAtMost):
         return ("card", fam.n)
-    return ("explicit", fam.sets)
+    return ("explicit", fam.sets, fam._top)
 
 
 def _theta_key(theta: Theta):
@@ -384,7 +388,8 @@ def spec_to_config(spec: MixedSpaceSpec) -> dict:
         elif isinstance(fam, CardinalityAtMost):
             fdoc = {"card_at_most": fam.n}
         else:
-            fdoc = {"explicit": [list(s) for s in fam.sets]}
+            fdoc = {"explicit": [[m] for m in range(1, fam._top + 1)]
+                    + [list(s) for s in fam.sets]}
         if isinstance(lv.theta, Fraction):
             tdoc = format_scalar(lv.theta)
         else:

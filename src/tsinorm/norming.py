@@ -32,6 +32,7 @@ from typing import Optional, Tuple, Union
 
 from .core import (
     DEFAULT_NORMING_BUDGET,
+    SEXPR_MAX_DEPTH,
     BlockPartition,
     BudgetExceededError,
     FinVec,
@@ -440,10 +441,14 @@ def raw_norming_generation(spec: MixedSpaceSpec, N: int, generations: int,
 # ---------------------------------------------------------------------------
 # export / import
 
-def _tree_sexpr(tree: FunctionalTree) -> str:
+def _tree_sexpr(tree: FunctionalTree, depth: int = 1) -> str:
+    """The tree as text; nesting deeper than parse_sexpr reads back raises
+    TsinormError, so no export writes a tree its import refuses."""
     if isinstance(tree, FunctionalLeaf):
         return f"e{tree.index}" if tree.sign > 0 else f"-e{tree.index}"
-    inner = " ".join(_tree_sexpr(c) for c in tree.children)
+    if depth > SEXPR_MAX_DEPTH:
+        raise TsinormError(f"functional tree nested deeper than {SEXPR_MAX_DEPTH}")
+    inner = " ".join(_tree_sexpr(c, depth + 1) for c in tree.children)
     return f"({format_scalar(tree.theta)} {inner})"
 
 

@@ -44,7 +44,7 @@ from .core import (
     restrict,
     sup_norm,
 )
-from .covers import _improves, best_cover  # noqa: F401 (_improves re-exported)
+from .covers import approximant, best_cover
 from .families import (
     Level,
     MixedSpaceSpec,
@@ -108,26 +108,7 @@ def fj_norm_level(x: FinVec, n: int, *, use_cache: bool = True) -> Fraction:
     if n < 0:
         raise ValueError(f"level {n} < 0")
     memo = _FJ_LEVEL_MEMO if use_cache else {}
-    return _fj_level(_abs_entries(x), n, memo)
-
-
-def _fj_level(entries: tuple, n: int, memo: dict) -> Fraction:
-    if not entries:
-        return Fraction(0)
-    key = (entries, n)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if n == 0:
-        value = max(c for _, c in entries)
-    else:
-        value = _fj_level(entries, n - 1, memo)
-        best = best_cover(entries, _FJ_LEVELS,
-                          lambda a, b: _fj_level(entries[a:b], n - 1, memo), value, True)
-        if best is not None:
-            value = best[0]
-    memo[key] = value
-    return value
+    return approximant(_FJ_LEVELS, _abs_entries(x), n, memo, True)
 
 
 def _mixed_eval(entries: tuple, levels: tuple, memo: dict,

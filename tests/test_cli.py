@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -192,6 +193,30 @@ class TestConfigFile:
                                     "--space", str(path)])
         assert code == 0
         assert Q(out.strip()) >= 1
+
+    def test_huge_explicit_index_stays_small(self, capsys, tmp_path):
+        # the singletons {1}..{10^8} this family admits are never listed
+        doc = {"name": "huge",
+               "levels": [{"family": {"explicit": [[1, 100000000]]},
+                           "theta": "2/3"}]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        cert = tmp_path / "cert.txt"
+        run(capsys, ["certify", "3:1 4:1 5:1", "--out", str(cert)])
+        lines = cert.read_text().splitlines()
+        lines[1] = "space: " + json.dumps(doc)
+        cert.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            mixed = run(capsys, ["norm", "mixed", "1:1 100000000:1",
+                                 "--space", str(path)])
+            checked = run(capsys, ["certify", "--check", str(cert)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mixed == (0, "4/3\n", "")
+        assert checked[0] == 1 and checked[1].startswith("certificate rejected:")
+        assert peak < 4 * 2 ** 20
 
     def test_malformed_config(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

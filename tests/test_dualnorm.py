@@ -628,7 +628,9 @@ class TestPatternHull:
     def test_agrees_with_signed_hull_and_oracle(self):
         oracle_checked = 0
         for spec, x in self.vectors():
-            value, terms = dualnorm._solve_hull(spec, x, DEFAULT_NORMING_BUDGET)
+            value, _, duals = dualnorm._solve_ball(spec, x.abs().entries,
+                                                   DEFAULT_NORMING_BUDGET)
+            terms = dualnorm._hull_terms(spec, x, DEFAULT_NORMING_BUDGET, duals, value)
             assert value == self.signed_hull_optimum(spec, x)
             assert value == dual_norm_value(spec, x)
             levels = self.ORACLE_LEVELS.get(spec.name)
@@ -670,3 +672,39 @@ class TestPatternHull:
         # the combination is 2 * sign(x) * (shares * a)
         combo = sum((t.functional.coeffs.scale(t.weight) for t in terms), FinVec.zero())
         assert combo.to_dict() == {3: Q(1), 5: Q(1, 2)}
+
+    def test_bad_weights_are_internal_failures(self, monkeypatch):
+        x = vec({3: Q(1), 4: Q(-1, 2), 5: Q(3, 4)})
+        budget = DEFAULT_NORMING_BUDGET
+        value, _, duals = dualnorm._solve_ball(TS, x.abs().entries, budget)
+        with pytest.raises(TsinormError, match="uncovered"):
+            dualnorm._hull_terms(TS, x, budget, (Q(0),) * len(duals), value)
+        # still dominating |x|, but heavier than the optimum
+        heavier = (duals[0] + 1,) + duals[1:]
+        with pytest.raises(TsinormError, match="sum to"):
+            dualnorm._hull_terms(TS, x, budget, heavier, value)
+        # right weights, every term on the all-plus sign pattern
+        staircase = dualnorm._staircase_terms
+        monkeypatch.setattr(
+            dualnorm, "_staircase_terms",
+            lambda w, a, tree, shrink, signs: staircase(
+                w, a, tree, shrink, {i: 1 for i in signs}))
+        with pytest.raises(TsinormError, match="does not reproduce x"):
+            dualnorm._hull_terms(TS, x, budget, duals, value)
+
+    def test_one_ball_program_per_dual_norm(self, monkeypatch):
+        senses = []
+        lp = dualnorm.solve
+
+        def counting(program, sense="max"):
+            senses.append(sense)
+            return lp(program, sense)
+
+        monkeypatch.setattr(dualnorm, "solve", counting)
+        for spec, x in self.vectors()[::6]:
+            dualnorm.clear_caches()
+            senses.clear()
+            value, cert = dual_norm(spec, x)
+            assert senses == ["max"]
+            verify_dual_certificate(spec, x, cert)
+            assert dual_norm(spec, x)[0] == value and senses == ["max"]

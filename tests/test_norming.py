@@ -20,6 +20,7 @@ from tsinorm.norming import (
     FunctionalLeaf,
     FunctionalNode,
     NormingFunctional,
+    NormingSet,
     build_norming_set,
     export_norming_set,
     import_norming_set,
@@ -355,6 +356,22 @@ class TestExportImport:
         assert bad != text
         with pytest.raises(TsinormError):
             import_norming_set(bad, TS)
+
+    @staticmethod
+    def one_part_chain(depth):
+        """A window-1 set holding (1/2)^depth e1 as a one-part chain."""
+        tree = FunctionalLeaf(1, 1)
+        for _ in range(depth):
+            tree = FunctionalNode(0, Q(1, 2), (tree,))
+        f = NormingFunctional(FinVec.from_items({1: Q(1, 2 ** depth)}), tree)
+        return NormingSet(TS, 1, (f,), generation=depth, stabilized=False)
+
+    def test_export_refuses_what_import_refuses(self):
+        text = export_norming_set(self.one_part_chain(256))
+        back = import_norming_set(text, TS)
+        assert coeff_vectors(back) == coeff_vectors(self.one_part_chain(256))
+        with pytest.raises(TsinormError, match="nested deeper than 256"):
+            export_norming_set(self.one_part_chain(257))
 
     def test_wrong_space_rejected(self):
         text = export_norming_set(build_norming_set(TS, 3))

@@ -15,11 +15,11 @@ from tsinorm.families import (
     schlumprecht_spec,
     tsirelson_spec,
 )
+from tsinorm.covers import _improves
 from tsinorm.primal import (
     Leaf,
     PrimalCertificate,
     Split,
-    _improves,
     clear_caches,
     fj_norm,
     fj_norm_level,
