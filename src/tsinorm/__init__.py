@@ -2,9 +2,10 @@
 
 Everything is computed over the rationals; no floats enter any norm
 value.  The primal side evaluates the successive-block recursions
-directly, the dual side runs a pair of exact linear programs over a
-finitely generated norming set, and every nontrivial answer carries a
-certificate that re-verifies by plain arithmetic.
+directly, the dual side solves one exact linear program over the
+maximal patterns of a finitely generated norming set, and every
+nontrivial answer carries a certificate that re-verifies by plain
+arithmetic.
 """
 from .core import (
     BlockPartition,

@@ -167,14 +167,7 @@ def cmd_norm(args) -> int:
     cert_fields = None
     if args.certify and certificate is not None:
         if args.kind == "dual":
-            cert_fields = {
-                "value": format_scalar(certificate.value),
-                "hull": [{"weight": format_scalar(t.weight),
-                          "tree": dualnorm._functional_sexpr(t.functional.tree)}
-                         for t in certificate.hull_terms],
-                "ball_vector": format_vector(certificate.ball_vector),
-                "ball_witness": _witness_sexpr(certificate.ball_certificate.witness),
-            }
+            cert_fields = dualnorm._certificate_fields(certificate)
         else:
             if isinstance(certificate.value, IntervalScalar):
                 raise UsageError(
@@ -204,10 +197,7 @@ def cmd_norm(args) -> int:
             if "witness" in cert_fields:
                 lines.append(f"witness: {cert_fields['witness']}")
             else:
-                for h in cert_fields["hull"]:
-                    lines.append(f"hull {h['weight']}: {h['tree']}")
-                lines.append(f"ball-vector: {cert_fields['ball_vector']}")
-                lines.append(f"ball-witness: {cert_fields['ball_witness']}")
+                lines.extend(dualnorm._certificate_lines(cert_fields))
         _write_out(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -394,10 +384,8 @@ def cmd_check(args) -> int:
         # the search reports what it finds; either outcome is a completed run
         return EXIT_OK
 
-    if args.suite in ("duality", "implicit-eq") and spec.has_symbolic_theta:
+    if spec.has_symbolic_theta:
         raise UsageError(f"{args.suite} needs rational weights at every level")
-    if args.suite == "lemmas" and spec.has_symbolic_theta:
-        raise UsageError("lemmas needs rational weights at every level")
 
     suite_fn = {"lemmas": _suite_lemmas, "duality": _suite_duality,
                 "implicit-eq": _suite_implicit_eq}[args.suite]

@@ -79,7 +79,6 @@ from .norming import (
     _maximal_patterns,
     _parse_tree as _parse_functional_tree,
     _tree_sexpr as _functional_sexpr,
-    _tree_vector as _functional_vector,
     verify_norming_functional,
 )
 from .primal import (
@@ -293,15 +292,7 @@ def dual_norm(spec: MixedSpaceSpec, x: FinVec,
     terms = _hull_terms(spec, x, budget, duals, value)
     signs = {i: (1 if c > 0 else -1) for i, c in x.entries}
     y = FinVec.from_items({i: signs[i] * v for i, v in z.items()})
-    ball_norm, ball_cert = mixed_norm(spec, y)
-    if ball_norm > 1:
-        raise TsinormError(
-            f"internal consistency failure: ball witness has primal norm "
-            f"{ball_norm} > 1")
-    if pairing(x, y) != value:
-        raise TsinormError(
-            "internal consistency failure: ball witness pairing drifted")
-    cert = DualCertificate(value, terms, y, ball_cert)
+    cert = DualCertificate(value, terms, y, _ball_certificate(spec, x, y, value))
     _VALUE_MEMO.setdefault((spec.cache_key(), xa.entries), value)
     _CERT_MEMO[key] = (value, cert)
     return value, cert
@@ -322,14 +313,22 @@ def verify_dual_certificate(spec: MixedSpaceSpec, x: FinVec,
     _check_hull_sum(x, cert.value, cert.hull_terms)
 
     verify_primal_certificate(spec, cert.ball_vector, cert.ball_certificate)
-    ball_norm, _ = mixed_norm(spec, cert.ball_vector)
+    _ball_certificate(spec, x, cert.ball_vector, cert.value)
+
+
+def _ball_certificate(spec: MixedSpaceSpec, x: FinVec, y: FinVec,
+                      value: Fraction) -> PrimalCertificate:
+    """The primal certificate of ball witness y; raise TsinormError unless
+    y lies in the unit ball and pairs with x to `value`."""
+    ball_norm, ball_cert = mixed_norm(spec, y)
     if ball_norm > 1:
         raise TsinormError(
             f"ball witness has primal norm {ball_norm}, outside the unit ball")
-    if pairing(x, cert.ball_vector) != cert.value:
+    paired = pairing(x, y)
+    if paired != value:
         raise TsinormError(
-            f"ball witness pairs to {pairing(x, cert.ball_vector)}, "
-            f"certificate claims {cert.value}")
+            f"ball witness pairs to {paired}, certificate claims {value}")
+    return ball_cert
 
 
 def dual_norm_bounds(spec: MixedSpaceSpec, x: FinVec,
@@ -696,6 +695,27 @@ def _witness_from_sexpr(node, y: FinVec, spec: MixedSpaceSpec) -> PrimalCertific
 _sexpr_nodes = parse_sexpr
 
 
+def _certificate_fields(cert: DualCertificate) -> dict:
+    """The certificate's value, hull terms, ball vector and ball witness
+    as text fields, shared by documents and `norm dual --certify`."""
+    return {
+        "value": format_scalar(cert.value),
+        "hull": [{"weight": format_scalar(t.weight),
+                  "tree": _functional_sexpr(t.functional.tree)}
+                 for t in cert.hull_terms],
+        "ball_vector": format_vector(cert.ball_vector),
+        "ball_witness": _witness_sexpr(cert.ball_certificate.witness),
+    }
+
+
+def _certificate_lines(fields: dict) -> list:
+    """The hull, ball-vector and ball-witness lines of _certificate_fields."""
+    return [f"hull {h['weight']}: {h['tree']}" for h in fields["hull"]] + [
+        f"ball-vector: {fields['ball_vector']}",
+        f"ball-witness: {fields['ball_witness']}",
+    ]
+
+
 def export_dual_certificate(spec: MixedSpaceSpec, x: FinVec,
                             cert: DualCertificate) -> str:
     """One re-checkable text document: space config, vector, value, hull
@@ -706,12 +726,7 @@ def export_dual_certificate(spec: MixedSpaceSpec, x: FinVec,
         f"vector: {format_vector(x)}",
         f"value: {format_scalar(cert.value)}",
     ]
-    for term in cert.hull_terms:
-        lines.append(f"hull {format_scalar(term.weight)}: "
-                     f"{_functional_sexpr(term.functional.tree)}")
-    lines.append(f"ball-vector: {format_vector(cert.ball_vector)}")
-    lines.append(f"ball-witness: {_witness_sexpr(cert.ball_certificate.witness)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _certificate_lines(_certificate_fields(cert))) + "\n"
 
 
 def import_dual_certificate(text: str):
@@ -756,9 +771,8 @@ def import_dual_certificate(text: str):
         if not sep:
             raise TsinormError(f"bad hull line {body!r}")
         weight = parse_number(Q, weight_text, "hull weight")
-        tree = _parse_functional_tree(parse_sexpr(tree_text), spec)
-        coeffs = FinVec.from_items(_functional_vector(tree))
-        terms.append(HullTerm(weight, NormingFunctional(coeffs, tree)))
+        tree, coeffs = _parse_functional_tree(parse_sexpr(tree_text), spec)
+        terms.append(HullTerm(weight, NormingFunctional(FinVec.from_items(coeffs), tree)))
     y = parse_vector(ball_vec_line)
     ball_cert = _witness_from_sexpr(parse_sexpr(ball_wit_line), y, spec)
     cert = DualCertificate(value, tuple(terms), y, ball_cert)

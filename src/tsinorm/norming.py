@@ -19,8 +19,10 @@ Three structural facts shape the construction:
 * Pruning waits for the fixpoint.  A dominated functional can sit in an
   admissible tuple where its wider-supported dominator does not fit, so
   dropping it mid-iteration could lose later combinations.  The loop
-  runs the raw closure dry, prunes once, and reports as the generation
-  the first round whose maximal set already equals the final one.
+  runs the raw closure dry and prunes once.  The generation is the
+  latest round that built a kept key: once all final maximal keys exist,
+  every other key is dominated by one, so that round's maximal set is
+  already final, and no earlier round's is.
 """
 from __future__ import annotations
 
@@ -96,16 +98,17 @@ class NormingFunctional:
         return pairing(self.coeffs, x)
 
 
-def _tree_vector(tree: FunctionalTree) -> dict:
-    if isinstance(tree, FunctionalLeaf):
-        return {tree.index: Q(tree.sign)}
-    out: dict = {}
-    for child in tree.children:
-        for i, c in _tree_vector(child).items():
-            if i in out:
-                raise TsinormError("tree children have overlapping supports")
-            out[i] = tree.theta * c
-    return out
+def _bundle(theta: Fraction, child_vectors) -> tuple:
+    """The one node rule: theta times the sum of successive children, as
+    (coordinate dict, partition of the child supports).  Raises
+    TsinormError for no children or children that are not successive."""
+    if not child_vectors:
+        raise TsinormError("node without children")
+    try:
+        P = BlockPartition(tuple(tuple(sorted(v)) for v in child_vectors))
+    except ValueError as exc:
+        raise TsinormError(f"children are not successive: {exc}") from None
+    return {i: theta * c for v in child_vectors for i, c in v.items()}, P
 
 
 def _flip_tree(tree: FunctionalTree, signs: dict) -> FunctionalTree:
@@ -122,11 +125,11 @@ def verify_norming_functional(spec: MixedSpaceSpec, f: NormingFunctional,
     Checks: the tree recomputes exactly the stored coordinate vector,
     every node uses a level of `spec` with matching rational theta and an
     admissible successive child tuple, and (optionally) the support stays
-    inside [1, window].
+    inside [1, window].  One bottom-up walk recomputes every node once.
     """
-    def check(tree: FunctionalTree) -> None:
+    def walk(tree: FunctionalTree) -> dict:
         if isinstance(tree, FunctionalLeaf):
-            return
+            return {tree.index: Q(tree.sign)}
         if not isinstance(tree, FunctionalNode):
             raise TsinormError(f"not a functional tree node: {tree!r}")
         if not 0 <= tree.level_index < len(spec.levels):
@@ -135,25 +138,14 @@ def verify_norming_functional(spec: MixedSpaceSpec, f: NormingFunctional,
         if not theta_is_rational(level.theta) or Q(level.theta) != tree.theta:
             raise TsinormError(
                 f"node weight {tree.theta} does not match level {tree.level_index}")
-        if not tree.children:
-            raise TsinormError("node without children")
-        supports = []
-        for child in tree.children:
-            vec = _tree_vector(child)
-            supports.append(tuple(sorted(vec)))
-        try:
-            P = BlockPartition(tuple(supports))
-        except ValueError as exc:
-            raise TsinormError(f"children are not successive: {exc}") from None
+        vec, P = _bundle(tree.theta, [walk(child) for child in tree.children])
         if not is_admissible(level.family, P):
             raise TsinormError(
-                f"child supports {supports} are not admissible for level {tree.level_index}")
-        for child in tree.children:
-            check(child)
+                f"child supports {list(P.blocks)} are not admissible for level "
+                f"{tree.level_index}")
+        return vec
 
-    check(f.tree)
-    recomputed = FinVec.from_items(_tree_vector(f.tree))
-    if recomputed.entries != f.coeffs.entries:
+    if FinVec.from_items(walk(f.tree)).entries != f.coeffs.entries:
         raise TsinormError("tree does not recompute the stored coefficients")
     if window is not None:
         support = f.coeffs.support
@@ -247,10 +239,13 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     over a sub-index-set gives exactly the functionals of the full-window
     closure whose support lies inside it.
 
-    Returns (F, snapshots, reached_fixpoint): F maps coefficient entry
-    tuples to their first-constructed tree, snapshots[n] is the key set
-    after n rounds.  Rounds are semi-naive: a tuple is only combined when
-    at least one part is new since the previous round.
+    Returns (F, born, reached_fixpoint): F maps coefficient entry tuples
+    to their first-constructed tree, born maps them to the round that
+    built them (0 for the seeds).  A kept set's generation is the latest
+    birth among its keys; for the maximal keys that is the first round
+    whose maximal set is final, as every other key is dominated by one.
+    Rounds are semi-naive: a tuple is only combined when at least one
+    part is new since the previous round.
     """
     levels = _rational_levels(spec)
     if not indices:
@@ -261,7 +256,7 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     if len(F) > budget:
         raise BudgetExceededError(
             f"seeding {len(F)} unit functionals already exceeds budget {budget}")
-    snapshots = [frozenset(F)]
+    born = dict.fromkeys(F, 0)
     frontier = frozenset(F)
     cap_cache: dict = {}
     rounds = 0
@@ -270,7 +265,6 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     while frontier and (max_rounds is None or rounds < max_rounds):
         listing = sorted(F)
         minima = [key[0][0] for key in listing]
-        trees = dict(F)
         new: dict = {}
 
         def emit(parts, has_frontier):
@@ -285,7 +279,7 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
                 if ckey in F or ckey in new:
                     continue
                 new[ckey] = FunctionalNode(
-                    level_index, theta, tuple(trees[key] for key in parts))
+                    level_index, theta, tuple(F[key] for key in parts))
                 if len(F) + len(new) > budget:
                     raise BudgetExceededError(
                         f"norming closure exceeds the budget of {budget} functionals")
@@ -312,27 +306,26 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
             frontier = frozenset()
             break
         F.update(new)
-        snapshots.append(frozenset(F))
-        frontier = frozenset(new)
         rounds += 1
+        born.update(dict.fromkeys(new, rounds))
+        frontier = frozenset(new)
 
-    return F, snapshots, not frontier
+    return F, born, not frontier
 
 
 def _maximal_keys(keys) -> frozenset:
-    """Keys not coordinatewise dominated by a distinct key (all nonneg)."""
-    pool = [(key, dict(key)) for key in keys]
-    out = []
-    for key, kd in pool:
-        dominated = False
-        for other, od in pool:
-            if other is key or len(other) < len(key):
-                continue
-            if other != key and all(od.get(i, Q(0)) >= c for i, c in kd.items()):
-                dominated = True
-                break
-        if not dominated:
+    """Keys not coordinatewise dominated by a distinct key (all nonneg).
+
+    A distinct key that dominates another has a strictly larger
+    coefficient sum, and so does the maximal key above it; one pass in
+    descending sum therefore only tests each key against those kept.
+    """
+    out, kept = [], []
+    for key in sorted(keys, key=lambda k: sum(c for _, c in k), reverse=True):
+        if not any(len(od) >= len(key) and all(od.get(i, 0) >= c for i, c in key)
+                   for od in kept):
             out.append(key)
+            kept.append(dict(key))
     return frozenset(out)
 
 
@@ -343,12 +336,12 @@ def _check_sign_budget(keys, budget: int, context: str) -> None:
             f"{context}: sign expansion needs {total} functionals, budget {budget}")
 
 
-def _expand_signs(F: dict, keys, budget: int, context: str):
-    _check_sign_budget(keys, budget, context)
+def _expand_signs(patterns) -> tuple:
+    """Every sign variant of the (key, tree) pairs, sorted by coefficients.
+    Callers check the budget first with _check_sign_budget."""
     funcs = []
-    for key in sorted(keys):
+    for key, tree in patterns:
         indices = [i for i, _ in key]
-        tree = F[key]
         for pattern in itertools.product((1, -1), repeat=len(indices)):
             signs = dict(zip(indices, pattern))
             coeffs = FinVec.from_items({i: s * c for (i, c), s in zip(key, pattern)})
@@ -369,17 +362,13 @@ def build_norming_set(spec: MixedSpaceSpec, N: int,
     """
     if N < 1:
         raise ValueError(f"window bound must be >= 1, got {N}")
-    F, snapshots, _ = _closure(spec, tuple(range(1, N + 1)), budget,
-                               include_singletons=False, max_rounds=None)
-    final_maximal = _maximal_keys(F)
-    generation = 0
-    for n, snap in enumerate(snapshots):
-        if _maximal_keys(snap) == final_maximal:
-            generation = n
-            break
-    funcs = _expand_signs(F, final_maximal, budget,
-                          f"norming set on window [1, {N}]")
-    return NormingSet(spec, N, funcs, generation, stabilized=True)
+    F, born, _ = _closure(spec, tuple(range(1, N + 1)), budget,
+                          include_singletons=False, max_rounds=None)
+    maximal = _maximal_keys(F)
+    _check_sign_budget(maximal, budget, f"norming set on window [1, {N}]")
+    funcs = _expand_signs((key, F[key]) for key in maximal)
+    return NormingSet(spec, N, funcs, max(born[key] for key in maximal),
+                      stabilized=True)
 
 
 def _maximal_patterns(spec: MixedSpaceSpec, indices, budget: int) -> tuple:
@@ -410,10 +399,7 @@ def norming_generators(spec: MixedSpaceSpec, indices,
     it, and filtering them is the same as closing over the support
     directly.  The dual-norm programs use the nonnegative patterns alone.
     """
-    indices = tuple(indices)
-    patterns = _maximal_patterns(spec, indices, budget)
-    return _expand_signs(dict(patterns), [key for key, _ in patterns], budget,
-                         f"norming generators on {list(indices)}")
+    return _expand_signs(_maximal_patterns(spec, indices, budget))
 
 
 def raw_norming_generation(spec: MixedSpaceSpec, N: int, generations: int,
@@ -429,13 +415,11 @@ def raw_norming_generation(spec: MixedSpaceSpec, N: int, generations: int,
         raise ValueError(f"generation count must be >= 0, got {generations}")
     if N < 1:
         raise ValueError(f"window bound must be >= 1, got {N}")
-    F, snapshots, fixpoint = _closure(spec, tuple(range(1, N + 1)), budget,
-                                      include_singletons=True,
-                                      max_rounds=generations)
-    funcs = _expand_signs(F, F.keys(), budget,
-                          f"raw generation {generations} on window [1, {N}]")
-    return NormingSet(spec, N, funcs, generation=len(snapshots) - 1,
-                      stabilized=fixpoint)
+    F, born, fixpoint = _closure(spec, tuple(range(1, N + 1)), budget,
+                                 include_singletons=True, max_rounds=generations)
+    _check_sign_budget(F, budget, f"raw generation {generations} on window [1, {N}]")
+    return NormingSet(spec, N, _expand_signs(F.items()),
+                      generation=max(born.values()), stabilized=fixpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +451,9 @@ def export_norming_set(vset: NormingSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_tree(node, spec: MixedSpaceSpec) -> FunctionalTree:
-    """Rebuild one functional tree from a parse_sexpr node.
+def _parse_tree(node, spec: MixedSpaceSpec) -> tuple:
+    """Rebuild one functional tree from a parse_sexpr node, as the pair
+    (tree, coordinate dict).
 
     Node weights are matched back to the first level of `spec` with the
     same rational theta whose family admits the children's supports.
@@ -480,25 +465,19 @@ def _parse_tree(node, spec: MixedSpaceSpec) -> FunctionalTree:
         index = parse_number(int, tok[1:], "leaf index")
         if index < 1:
             raise TsinormError(f"leaf index {index} out of range: must be >= 1")
-        return FunctionalLeaf(index, sign)
+        return FunctionalLeaf(index, sign), {index: Q(sign)}
     if not node:
         raise TsinormError("empty functional node")
     theta = parse_number(Q, node[0], "node weight")
-    children = tuple(_parse_tree(child, spec) for child in node[1:])
-    if not children:
-        raise TsinormError("node without children")
-    supports = [tuple(sorted(_tree_vector(child))) for child in children]
-    try:
-        P = BlockPartition(tuple(supports))
-    except ValueError as exc:
-        raise TsinormError(f"children are not successive: {exc}") from None
+    pairs = [_parse_tree(child, spec) for child in node[1:]]
+    vec, P = _bundle(theta, [v for _, v in pairs])
     for i, lev in enumerate(spec.levels):
         if theta_is_rational(lev.theta) and Q(lev.theta) == theta \
                 and is_admissible(lev.family, P):
-            return FunctionalNode(i, theta, children)
+            return FunctionalNode(i, theta, tuple(t for t, _ in pairs)), vec
     raise TsinormError(
         f"no level of space {spec.name!r} has weight {theta} and "
-        f"admits child supports {supports}")
+        f"admits child supports {list(P.blocks)}")
 
 
 def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
@@ -535,7 +514,7 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
         if not sep:
             raise TsinormError(
                 f"bad functional line {line!r}: expected tree<TAB>vector")
-        tree = _parse_tree(parse_sexpr(expr), spec)
+        tree, _ = _parse_tree(parse_sexpr(expr), spec)
         funcs.append(NormingFunctional(parse_vector(vec_text), tree))
 
     window, generation = header.get("window"), header.get("generation")

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsinorm.core import (
     BudgetExceededError,
@@ -11,8 +12,10 @@ from tsinorm.core import (
 )
 from tsinorm.families import (
     CardinalityAtMost,
+    ExplicitFinite,
     Level,
     MixedSpaceSpec,
+    Schreier1,
     schlumprecht_spec,
     tsirelson_spec,
 )
@@ -21,6 +24,7 @@ from tsinorm.norming import (
     FunctionalNode,
     NormingFunctional,
     NormingSet,
+    _maximal_keys,
     build_norming_set,
     export_norming_set,
     import_norming_set,
@@ -33,6 +37,11 @@ from tsinorm.primal import fj_norm, fj_norm_level, mixed_norm
 from oracles import TSIRELSON_LEVELS, brute_raw_functionals, brute_tau
 
 TS = tsirelson_spec()
+CARD_DEMO = MixedSpaceSpec("card-demo", (Level(Schreier1(), Q(1, 2)),
+                                         Level(CardinalityAtMost(2), Q(1, 3))))
+EXPLICIT = MixedSpaceSpec("explicit-demo", (
+    Level(ExplicitFinite(((1, 2), (2, 3, 4), (3, 5), (1, 4, 5), (2, 5, 6))), Q(2, 3)),
+    Level(Schreier1(), Q(1, 2))))
 
 _ORACLE_RAW = {}
 
@@ -52,6 +61,14 @@ def vec(d):
 
 def coeff_vectors(vset):
     return {f.coeffs.entries for f in vset.functionals}
+
+
+def reference_maximal(keys):
+    """All-pairs reference: the keys no distinct key dominates."""
+    return frozenset(
+        key for key in keys
+        if not any(other != key and all(dict(other).get(i, 0) >= c for i, c in key)
+                   for other in keys))
 
 
 def grid_vectors(indices, grid):
@@ -288,6 +305,50 @@ class TestInvariantsAndStructure:
             build_norming_set(TS, 6, budget=100)
 
 
+class TestGeneration:
+    @pytest.mark.parametrize("spec, top", [(CARD_DEMO, 4), (EXPLICIT, 4), (TS, 5)],
+                             ids=["card-demo", "explicit", "tsirelson"])
+    def test_first_raw_round_with_the_final_maximal_set(self, spec, top):
+        # the one-part bundles of the raw rounds are dominated by their
+        # contractions, so raw round n has the built set's maximal
+        # patterns exactly from the built set's generation on
+        for N in range(1, top + 1):
+            built = build_norming_set(spec, N)
+            final = {f.coeffs.abs().entries for f in built.functionals}
+            first = next(
+                (n for n in range(built.generation + 2)
+                 if reference_maximal({f.coeffs.abs().entries for f in
+                                       raw_norming_generation(spec, N, n).functionals})
+                 == final), None)
+            assert first == built.generation, N
+
+
+KEY = st.dictionaries(st.integers(1, 6),
+                      st.sampled_from((Q(1), Q(1, 2), Q(1, 3), Q(2, 3), Q(1, 4))),
+                      min_size=1, max_size=4)
+
+
+@given(base=st.lists(KEY, min_size=1, max_size=12),
+       derived=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 5),
+                                  st.sampled_from((Q(1), Q(1, 2))), st.booleans()),
+                        max_size=12))
+@settings(deadline=None, max_examples=300)
+def test_maximal_keys_match_all_pairs(base, derived):
+    # derived keys are either shifted copies (equal coefficient sums) or
+    # copies with one index dropped and coefficients scaled (nested below
+    # the key they came from)
+    keys = {tuple(sorted(d.items())) for d in base}
+    for which, drop, factor, shift in derived:
+        d = base[which % len(base)]
+        if shift:
+            d = {i + 1: c for i, c in d.items()}
+        else:
+            d = {i: c * factor for i, c in d.items()
+                 if len(d) == 1 or i != sorted(d)[drop % len(d)]}
+        keys.add(tuple(sorted(d.items())))
+    assert _maximal_keys(keys) == reference_maximal(keys)
+
+
 class TestExportImport:
     def test_round_trip(self):
         vs = build_norming_set(TS, 5)
@@ -394,6 +455,20 @@ class TestVerifier:
                                   FunctionalLeaf(2, 1), FunctionalLeaf(3, 1))))
         with pytest.raises(TsinormError, match="level index"):
             verify_norming_functional(TS, f)
+
+    @pytest.mark.parametrize("inner, coeffs", [
+        ((FunctionalLeaf(5, 1), FunctionalLeaf(5, 1)), {3: Q(1, 2), 4: Q(1, 4), 5: Q(1, 8)}),
+        ((FunctionalLeaf(6, 1), FunctionalLeaf(5, 1)),
+         {3: Q(1, 2), 4: Q(1, 4), 5: Q(1, 8), 6: Q(1, 8)}),
+    ], ids=["overlap", "out-of-order"])
+    def test_rejects_bad_children_two_levels_down(self, inner, coeffs):
+        # coeffs are what a walk that skipped the successive check would
+        # recompute, so only that check can reject these trees
+        h = Q(1, 2)
+        tree = FunctionalNode(0, h, (FunctionalLeaf(3, 1), FunctionalNode(0, h, (
+            FunctionalLeaf(4, 1), FunctionalNode(0, h, inner)))))
+        with pytest.raises(TsinormError):
+            verify_norming_functional(TS, NormingFunctional(vec(coeffs), tree))
 
     def test_rejects_window_escape(self):
         f = NormingFunctional(vec({4: Q(1)}), FunctionalLeaf(4, 1))
