@@ -562,9 +562,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call to main() and reused: the parser holds no
+# per-call state (TSINORM_BUDGET is read in _budget at call time).
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except UsageError as exc:

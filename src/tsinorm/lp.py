@@ -1,15 +1,25 @@
 """Exact rational linear programming.
 
-Two-phase primal simplex over Fraction arithmetic with Bland's rule, so
-termination is guaranteed and every optimum is exact.  Dual multipliers are
-read off the final tableau from each row's initial unit column, and every
-optimal result is KKT-verified before being returned.  Built for desk-scale
-problems (tens of rows, hundreds of columns), not for sparsity or speed.
+Two-phase primal simplex with Bland's rule, so termination is guaranteed
+and every optimum is exact.  Dual multipliers are read off the final
+tableau from each row's initial unit column, and every optimal result is
+KKT-verified in Fraction arithmetic before being returned.
+
+The tableau is fraction-free (Edmonds 1967; Bareiss 1968; as in exact LP
+solvers such as QSopt_ex): each row is scaled to integers, and every
+entry is stored as d times its true value, an integer, where d is the
+absolute determinant of the current basis.  A pivot does integer products
+and one exact division per entry, where Fraction arithmetic would take a
+gcd per operation.  The scalings are positive, so every reduced-cost sign
+and every ratio order is the one the Fraction tableau would see.  Bland's
+rule therefore takes the same pivots and ends at the same vertex with the
+same duals, which keeps ball vectors and certificates unchanged.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Tuple
 
 from .core import TsinormError, as_scalar
@@ -119,14 +129,18 @@ def _solve_max(lp: LinearProgram):
         else:
             cols.append((j, 1))
     ncols = len(cols)
+    split = ncols > n
+    shifted = [j for j in range(n) if shift[j]]
 
     def transformed_row(coeffs):
-        return [coeffs[j] * s for j, s in cols]
+        if not split:
+            return list(coeffs)
+        return [coeffs[j] if s > 0 else -coeffs[j] for j, s in cols]
 
     rows = []          # (coeff list, relation, rhs) over transformed columns
     row_origin = []    # original constraint index, or None for bound rows
     for i, con in enumerate(lp.constraints):
-        rhs = con.rhs - sum(con.coeffs[j] * shift[j] for j in range(n))
+        rhs = con.rhs - sum(con.coeffs[j] * shift[j] for j in shifted)
         rows.append([transformed_row(con.coeffs), con.relation, rhs])
         row_origin.append(i)
     for j in range(n):
@@ -138,7 +152,7 @@ def _solve_max(lp: LinearProgram):
             rows.append([transformed_row(unit), "<=", upper[j] - shift[j]])
             row_origin.append(None)
 
-    obj = [lp.objective[j] * s for j, s in cols]
+    obj = transformed_row(lp.objective)
 
     tab = _Tableau(ncols, rows)
     if not tab.phase1():
@@ -150,147 +164,172 @@ def _solve_max(lp: LinearProgram):
     xt = tab.column_values()
     assignment = list(shift)
     for col, (j, s) in enumerate(cols):
-        if assignment[j] is None:
-            assignment[j] = Fraction(0)
-        assignment[j] += s * xt[col]
+        if xt[col]:
+            assignment[j] += xt[col] if s > 0 else -xt[col]
     duals = [Fraction(0)] * len(lp.constraints)
     for r, origin in enumerate(row_origin):
         if origin is not None:
             duals[origin] = tab.row_dual(r)
-    value = sum(c * x for c, x in zip(lp.objective, assignment)) if assignment else Fraction(0)
+    value = sum((c * x for c, x in zip(lp.objective, assignment) if c and x), Fraction(0))
     return LpSolution(OPTIMAL, value, tuple(assignment), tuple(duals))
 
 
 class _Tableau:
-    """Dense simplex tableau in the z_j - c_j convention.
+    """Fraction-free simplex tableau in the z_j - c_j convention.
 
     Columns: structural, then one slack/surplus per row that needs it,
     then one artificial per =/>= row.  Each input row keeps a pointer to
     its initial unit column so duals can be read from the final objective
     row.  Artificial columns are never allowed to re-enter.
+
+    Row r is multiplied by scale[r], the lcm of its denominators, and its
+    slack, surplus and artificial columns are divided by scale[r], so every
+    entry is an integer and the starting basis is the identity.  Costs are
+    multiplied by the lcm of theirs.  Every stored entry, the objective row
+    included, is d times the true tableau entry, where d > 0 is the
+    absolute determinant of the current basis.  A pivot on (r, j) is the
+    Bareiss update (p*a - f*q) // d with p the pivot entry; the division
+    is exact and d becomes |p|.  All of these scalings are positive, so
+    every reduced-cost sign and every ratio order is the true one, and
+    Bland's rule takes the pivots of the plain Fraction tableau.
     """
 
     def __init__(self, nstruct, rows):
         self.nstruct = nstruct
         self.flip = []
+        self.scale = []
         matrix = []
         rhs = []
         rels = []
         for coeffs, rel, b in rows:
+            sign = 1
             if b < 0:
-                coeffs = [-a for a in coeffs]
-                b = -b
+                sign = -1
                 rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-                self.flip.append(True)
-            else:
-                self.flip.append(False)
-            matrix.append(list(coeffs))
-            rhs.append(b)
+            self.flip.append(sign < 0)
+            s = lcm(b.denominator, *(a.denominator for a in coeffs))
+            matrix.append([sign * a.numerator * (s // a.denominator) for a in coeffs])
+            rhs.append(sign * b.numerator * (s // b.denominator))
             rels.append(rel)
+            self.scale.append(s)
         m = len(matrix)
         self.m = m
         self.unit_col = [None] * m   # the column whose reduced cost is this row's dual
         self.artificial = set()
         basis = [None] * m
+        extra = [[] for _ in range(m)]   # (column, entry) past the structural ones
         ncols = nstruct
         for r, rel in enumerate(rels):
             if rel == "<=":
-                self._append_column(matrix, r, Fraction(1))
+                extra[r].append((ncols, 1))
                 self.unit_col[r] = ncols
                 basis[r] = ncols
                 ncols += 1
             elif rel == ">=":
-                self._append_column(matrix, r, Fraction(-1))
+                extra[r].append((ncols, -1))
                 ncols += 1
         for r, rel in enumerate(rels):
             if rel in ("=", ">="):
-                self._append_column(matrix, r, Fraction(1))
+                extra[r].append((ncols, 1))
                 self.unit_col[r] = ncols
                 self.artificial.add(ncols)
                 basis[r] = ncols
                 ncols += 1
+        for line, cells in zip(matrix, extra):
+            line.extend([0] * (ncols - nstruct))
+            for col, value in cells:
+                line[col] = value
         self.T = matrix
         self.b = rhs
+        self.d = 1
         self.basis = basis
         self.ncols = ncols
         self.obj = None
+        self.cost_scale = 1
         self.deleted = [False] * m
 
-    @staticmethod
-    def _append_column(matrix, row, value):
-        for r, line in enumerate(matrix):
-            line.append(value if r == row else Fraction(0))
-
     def _pivot(self, r, j):
-        T, b, obj = self.T, self.b, self.obj
-        piv = T[r][j]
-        inv = 1 / piv
-        T[r] = [a * inv for a in T[r]]
-        b[r] *= inv
-        prow = T[r]
-        brow = b[r]
+        T, b, d = self.T, self.b, self.d
+        prow, brow = T[r], b[r]
+        p = prow[j]
+        if p < 0:
+            # keep d positive: store the pivot row negated, which negates
+            # every row the update below produces
+            prow = T[r] = [-q for q in prow]
+            brow = b[r] = -brow
+            p = -p
         for r2 in range(self.m):
             if r2 == r or self.deleted[r2]:
                 continue
-            f = T[r2][j]
+            line = T[r2]
+            f = line[j]
             if f:
-                line = T[r2]
-                T[r2] = [a - f * p for a, p in zip(line, prow)]
-                b[r2] -= f * brow
-        f = obj[j]
-        if f:
-            self.obj = [a - f * p for a, p in zip(obj, prow)]
-            self.objval -= f * brow
+                T[r2] = [(p * a - f * q) // d for a, q in zip(line, prow)]
+                b[r2] = (p * b[r2] - f * brow) // d
+            elif p != d:
+                T[r2] = [p * a // d for a in line]
+                b[r2] = p * b[r2] // d
+        f = self.obj[j]
+        self.obj = [(p * a - f * q) // d for a, q in zip(self.obj, prow)]
+        self.objval = (p * self.objval - f * brow) // d
+        self.d = p
         self.basis[r] = j
 
     def _run(self, banned):
         # Bland: entering = lowest-index improving column, leaving = lowest
-        # basis index among minimum ratios.  Guarantees termination.
+        # basis index among minimum ratios.  Guarantees termination.  With
+        # d > 0, b[r] / a < b[best] / a_best iff b[r] * a_best < b[best] * a
+        # for a, a_best > 0.
+        T, b = self.T, self.b
         while True:
+            obj = self.obj
             enter = -1
             for j in range(self.ncols):
-                if j in banned:
-                    continue
-                if self.obj[j] < 0:
+                if obj[j] < 0 and j not in banned:
                     enter = j
                     break
             if enter < 0:
                 return OPTIMAL
             leave = -1
-            best = None
             for r in range(self.m):
                 if self.deleted[r]:
                     continue
-                a = self.T[r][enter]
+                a = T[r][enter]
                 if a > 0:
-                    ratio = self.b[r] / a
-                    if best is None or ratio < best or \
-                            (ratio == best and self.basis[r] < self.basis[leave]):
-                        best = ratio
-                        leave = r
+                    if leave < 0:
+                        leave, best_b, best_a = r, b[r], a
+                        continue
+                    lhs, rhs = b[r] * best_a, best_b * a
+                    if lhs < rhs or (lhs == rhs and self.basis[r] < self.basis[leave]):
+                        leave, best_b, best_a = r, b[r], a
             if leave < 0:
                 return UNBOUNDED
             self._pivot(leave, enter)
 
-    def _set_objective(self, c):
-        # rebuild the z_j - c_j row for cost vector c over the current basis
-        obj = [-cj for cj in c] + [Fraction(0)] * (self.ncols - len(c))
-        objval = Fraction(0)
+    def _set_objective(self, cost):
+        # rebuild the z_j - c_j row, times d, for integer costs over the
+        # current basis
+        d = self.d
+        obj = [-d * c for c in cost]
+        objval = 0
         for r in range(self.m):
             if self.deleted[r]:
                 continue
-            cb = c[self.basis[r]] if self.basis[r] < len(c) else Fraction(0)
+            cb = cost[self.basis[r]]
             if cb:
-                row = self.T[r]
-                obj = [a + cb * t for a, t in zip(obj, row)]
+                obj = [a + cb * t for a, t in zip(obj, self.T[r])]
                 objval += cb * self.b[r]
         self.obj = obj
         self.objval = objval
 
     def phase1(self) -> bool:
-        cost = [Fraction(0)] * self.ncols
-        for j in self.artificial:
-            cost[j] = Fraction(-1)
+        # maximize minus the sum of the artificials, in the scaled columns
+        # where row r's artificial counts 1/scale[r] of the original one
+        art_rows = [r for r in range(self.m) if self.unit_col[r] in self.artificial]
+        self.cost_scale = lcm(*(self.scale[r] for r in art_rows))
+        cost = [0] * self.ncols
+        for r in art_rows:
+            cost[self.unit_col[r]] = -(self.cost_scale // self.scale[r])
         self._set_objective(cost)
         status = self._run(banned=frozenset())
         if status != OPTIMAL or self.objval != 0:
@@ -310,26 +349,31 @@ class _Tableau:
         return True
 
     def phase2(self, c) -> str:
-        cost = list(c) + [Fraction(0)] * (self.ncols - len(c))
-        self._set_objective(cost)
+        self.cost_scale = lcm(*(cj.denominator for cj in c))
+        cost = [cj.numerator * (self.cost_scale // cj.denominator) for cj in c]
+        self._set_objective(cost + [0] * (self.ncols - len(c)))
         return self._run(banned=frozenset(self.artificial))
 
     def column_values(self):
-        vals = [Fraction(0)] * self.ncols
+        """Values of the structural columns at the current basis."""
+        vals = [Fraction(0)] * self.nstruct
         for r in range(self.m):
-            if not self.deleted[r]:
-                vals[self.basis[r]] = self.b[r]
+            if not self.deleted[r] and self.basis[r] < self.nstruct:
+                vals[self.basis[r]] = Fraction(self.b[r], self.d)
         return vals
 
     def row_dual(self, r) -> Fraction:
         # The reduced cost of row r's initial unit column equals y_r because
         # that column is zero-cost and carried the identity at the start.
+        # The stored column is the original one divided by scale[r], so its
+        # reduced cost is y_r / scale[r], times d and the cost scale.
         # Deleted rows were redundant; zero is a valid multiplier for them.
         if self.deleted[r]:
             return Fraction(0)
         if self.unit_col[r] is None:
             raise LpError("row lost its unit column")
-        y = self.obj[self.unit_col[r]]
+        y = Fraction(self.obj[self.unit_col[r]] * self.scale[r],
+                     self.d * self.cost_scale)
         return -y if self.flip[r] else y
 
 
@@ -337,7 +381,9 @@ def verify_solution(lp: LinearProgram, sense: str, sol: LpSolution) -> None:
     """Exact KKT check of an optimal solution; raises LpError on failure.
 
     Checks primal feasibility, dual sign conditions, complementary
-    slackness, and the strong-duality value identity.
+    slackness, and the strong-duality value identity.  Sums skip zero
+    products: row activities run over supp(x), reduced costs over the
+    rows with y_i != 0.
     """
     if sol.status != OPTIMAL:
         raise LpError("verify_solution needs an optimal solution")
@@ -352,31 +398,36 @@ def verify_solution(lp: LinearProgram, sense: str, sol: LpSolution) -> None:
             raise LpError(f"x[{j}] = {x[j]} below lower bound {lower[j]}")
         if upper[j] is not None and x[j] > upper[j]:
             raise LpError(f"x[{j}] = {x[j]} above upper bound {upper[j]}")
+    support = [(j, v) for j, v in enumerate(x) if v]
     for i, con in enumerate(lp.constraints):
-        lhs = sum(a * v for a, v in zip(con.coeffs, x))
+        coeffs = con.coeffs
+        lhs = sum(coeffs[j] * v for j, v in support if coeffs[j])
         if con.relation == "<=" and lhs > con.rhs:
             raise LpError(f"row {i} violated: {lhs} > {con.rhs}")
         if con.relation == ">=" and lhs < con.rhs:
             raise LpError(f"row {i} violated: {lhs} < {con.rhs}")
         if con.relation == "=" and lhs != con.rhs:
             raise LpError(f"row {i} violated: {lhs} != {con.rhs}")
+        if not y[i]:
+            continue
         # multiplier sign: for max, <= rows take y >= 0 and >= rows y <= 0;
         # everything reverses for min
         if con.relation == "<=" and sgn * y[i] < 0:
             raise LpError(f"dual sign wrong on <= row {i}: {y[i]}")
         if con.relation == ">=" and sgn * y[i] > 0:
             raise LpError(f"dual sign wrong on >= row {i}: {y[i]}")
-        if y[i] != 0 and lhs != con.rhs:
+        if lhs != con.rhs:
             raise LpError(f"complementary slackness broken on row {i}")
 
-    value_check = sum(c * v for c, v in zip(lp.objective, x))
+    value_check = sum(lp.objective[j] * v for j, v in support if lp.objective[j])
     if value_check != sol.value:
         raise LpError(f"reported value {sol.value} != c.x = {value_check}")
 
-    dual_value = sum(yi * con.rhs for yi, con in zip(y, lp.constraints))
+    active = [(yi, con) for yi, con in zip(y, lp.constraints) if yi]
+    dual_value = sum(yi * con.rhs for yi, con in active if con.rhs)
     for j in range(n):
-        d = lp.objective[j] - sum(y[i] * lp.constraints[i].coeffs[j]
-                                  for i in range(len(lp.constraints)))
+        d = lp.objective[j] - sum(yi * con.coeffs[j] for yi, con in active
+                                  if con.coeffs[j])
         at_lower = lower[j] is not None and x[j] == lower[j]
         at_upper = upper[j] is not None and x[j] == upper[j]
         if sgn * d > 0:

@@ -145,7 +145,13 @@ def verify_norming_functional(spec: MixedSpaceSpec, f: NormingFunctional,
                 f"{tree.level_index}")
         return vec
 
-    if FinVec.from_items(walk(f.tree)).entries != f.coeffs.entries:
+    _check_column(f, walk(f.tree), window)
+
+
+def _check_column(f: NormingFunctional, vec: dict, window: Optional[int]) -> None:
+    """f's stored coefficients must equal `vec`, the coordinates its tree
+    recomputes, and (optionally) stay inside [1, window]."""
+    if FinVec.from_items(vec).entries != f.coeffs.entries:
         raise TsinormError("tree does not recompute the stored coefficients")
     if window is not None:
         support = f.coeffs.support
@@ -491,6 +497,7 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
     stabilized = False
     level_lines = []
     funcs = []
+    vectors = []
     seen = set()
     for raw_line in text.splitlines():
         line = raw_line.strip()
@@ -514,8 +521,9 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
         if not sep:
             raise TsinormError(
                 f"bad functional line {line!r}: expected tree<TAB>vector")
-        tree, _ = _parse_tree(parse_sexpr(expr), spec)
+        tree, vec = _parse_tree(parse_sexpr(expr), spec)
         funcs.append(NormingFunctional(parse_vector(vec_text), tree))
+        vectors.append(vec)
 
     window, generation = header.get("window"), header.get("generation")
     if window is None or generation is None:
@@ -531,8 +539,9 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
             f"header count {count} does not match {len(funcs)} functional lines")
     if not funcs:
         raise TsinormError("norming-set export has no functional lines")
-    for f in funcs:
-        verify_norming_functional(spec, f, window=window)
+    # _parse_tree already matched every node to an admissible level of spec
+    for f, vec in zip(funcs, vectors):
+        _check_column(f, vec, window)
         if f.coeffs.entries in seen:
             raise TsinormError(
                 f"duplicate functional {format_vector(f.coeffs)!r}")

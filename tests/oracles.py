@@ -286,6 +286,193 @@ def oracle_lp_solve(
 
 
 # ---------------------------------------------------------------------------
+# reference simplex tableau: same interface as tsinorm.lp._Tableau
+
+OPTIMAL = "optimal"
+UNBOUNDED = "unbounded"
+
+
+class LpError(Exception):
+    """An inconsistency inside the reference tableau."""
+
+
+class FractionTableau:
+    """Dense simplex tableau in the z_j - c_j convention, over Fraction.
+
+    The package's solver before its fraction-free kernel, kept unchanged
+    as the reference: `tsinorm.lp` must take the same pivots and return
+    the same optimum when this class stands in for `lp._Tableau`.
+
+    Columns: structural, then one slack/surplus per row that needs it,
+    then one artificial per =/>= row.  Each input row keeps a pointer to
+    its initial unit column so duals can be read from the final objective
+    row.  Artificial columns are never allowed to re-enter.
+    """
+
+    def __init__(self, nstruct, rows):
+        self.nstruct = nstruct
+        self.flip = []
+        matrix = []
+        rhs = []
+        rels = []
+        for coeffs, rel, b in rows:
+            if b < 0:
+                coeffs = [-a for a in coeffs]
+                b = -b
+                rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+                self.flip.append(True)
+            else:
+                self.flip.append(False)
+            matrix.append(list(coeffs))
+            rhs.append(b)
+            rels.append(rel)
+        m = len(matrix)
+        self.m = m
+        self.unit_col = [None] * m   # the column whose reduced cost is this row's dual
+        self.artificial = set()
+        basis = [None] * m
+        ncols = nstruct
+        for r, rel in enumerate(rels):
+            if rel == "<=":
+                self._append_column(matrix, r, Fraction(1))
+                self.unit_col[r] = ncols
+                basis[r] = ncols
+                ncols += 1
+            elif rel == ">=":
+                self._append_column(matrix, r, Fraction(-1))
+                ncols += 1
+        for r, rel in enumerate(rels):
+            if rel in ("=", ">="):
+                self._append_column(matrix, r, Fraction(1))
+                self.unit_col[r] = ncols
+                self.artificial.add(ncols)
+                basis[r] = ncols
+                ncols += 1
+        self.T = matrix
+        self.b = rhs
+        self.basis = basis
+        self.ncols = ncols
+        self.obj = None
+        self.deleted = [False] * m
+
+    @staticmethod
+    def _append_column(matrix, row, value):
+        for r, line in enumerate(matrix):
+            line.append(value if r == row else Fraction(0))
+
+    def _pivot(self, r, j):
+        T, b, obj = self.T, self.b, self.obj
+        piv = T[r][j]
+        inv = 1 / piv
+        T[r] = [a * inv for a in T[r]]
+        b[r] *= inv
+        prow = T[r]
+        brow = b[r]
+        for r2 in range(self.m):
+            if r2 == r or self.deleted[r2]:
+                continue
+            f = T[r2][j]
+            if f:
+                line = T[r2]
+                T[r2] = [a - f * p for a, p in zip(line, prow)]
+                b[r2] -= f * brow
+        f = obj[j]
+        if f:
+            self.obj = [a - f * p for a, p in zip(obj, prow)]
+            self.objval -= f * brow
+        self.basis[r] = j
+
+    def _run(self, banned):
+        # Bland: entering = lowest-index improving column, leaving = lowest
+        # basis index among minimum ratios.  Guarantees termination.
+        while True:
+            enter = -1
+            for j in range(self.ncols):
+                if j in banned:
+                    continue
+                if self.obj[j] < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return OPTIMAL
+            leave = -1
+            best = None
+            for r in range(self.m):
+                if self.deleted[r]:
+                    continue
+                a = self.T[r][enter]
+                if a > 0:
+                    ratio = self.b[r] / a
+                    if best is None or ratio < best or \
+                            (ratio == best and self.basis[r] < self.basis[leave]):
+                        best = ratio
+                        leave = r
+            if leave < 0:
+                return UNBOUNDED
+            self._pivot(leave, enter)
+
+    def _set_objective(self, c):
+        # rebuild the z_j - c_j row for cost vector c over the current basis
+        obj = [-cj for cj in c] + [Fraction(0)] * (self.ncols - len(c))
+        objval = Fraction(0)
+        for r in range(self.m):
+            if self.deleted[r]:
+                continue
+            cb = c[self.basis[r]] if self.basis[r] < len(c) else Fraction(0)
+            if cb:
+                row = self.T[r]
+                obj = [a + cb * t for a, t in zip(obj, row)]
+                objval += cb * self.b[r]
+        self.obj = obj
+        self.objval = objval
+
+    def phase1(self) -> bool:
+        cost = [Fraction(0)] * self.ncols
+        for j in self.artificial:
+            cost[j] = Fraction(-1)
+        self._set_objective(cost)
+        status = self._run(banned=frozenset())
+        if status != OPTIMAL or self.objval != 0:
+            return False
+        # Remove artificials from the basis: pivot them out where the row
+        # still carries structural content, delete the row where it does not
+        # (the constraint was linearly dependent).
+        for r in range(self.m):
+            if self.deleted[r] or self.basis[r] not in self.artificial:
+                continue
+            pivot_col = next((j for j in range(self.ncols)
+                              if j not in self.artificial and self.T[r][j] != 0), None)
+            if pivot_col is None:
+                self.deleted[r] = True
+            else:
+                self._pivot(r, pivot_col)
+        return True
+
+    def phase2(self, c) -> str:
+        cost = list(c) + [Fraction(0)] * (self.ncols - len(c))
+        self._set_objective(cost)
+        return self._run(banned=frozenset(self.artificial))
+
+    def column_values(self):
+        vals = [Fraction(0)] * self.ncols
+        for r in range(self.m):
+            if not self.deleted[r]:
+                vals[self.basis[r]] = self.b[r]
+        return vals
+
+    def row_dual(self, r) -> Fraction:
+        # The reduced cost of row r's initial unit column equals y_r because
+        # that column is zero-cost and carried the identity at the start.
+        # Deleted rows were redundant; zero is a valid multiplier for them.
+        if self.deleted[r]:
+            return Fraction(0)
+        if self.unit_col[r] is None:
+            raise LpError("row lost its unit column")
+        y = self.obj[self.unit_col[r]]
+        return -y if self.flip[r] else y
+
+
+# ---------------------------------------------------------------------------
 # dual norm oracle: ball maximization over a generation-capped functional set,
 # certified from below by the brute primal recursion.
 

@@ -13,6 +13,7 @@ import pytest
 import tsinorm
 from tsinorm import (dualnorm, fj_norm, import_norming_set, parse_vector, tau,
                      tsirelson_spec)
+from tsinorm import cli
 from tsinorm.cli import main
 from tsinorm.core import DEFAULT_NORMING_BUDGET
 
@@ -506,6 +507,13 @@ class TestCertify:
         code, out, _ = run(capsys, ["certify", "--check", str(path)])
         assert code == 0
         assert out.startswith("certificate ok:") and out.endswith(" value=19/5\n")
+        # all ones on {2..8}: a ball program of 202 rows
+        code, out, _ = run(capsys, ["certify", "2:1 3:1 4:1 5:1 6:1 7:1 8:1",
+                                    "--out", str(path)])
+        assert (code, out) == (0, "certificate written: value=4\n")
+        code, out, _ = run(capsys, ["certify", "--check", str(path)])
+        assert code == 0
+        assert out.startswith("certificate ok:") and out.endswith(" value=4\n")
 
         ts = tsirelson_spec()
         support = tuple(range(2, 9))
@@ -543,6 +551,47 @@ class TestCertify:
 # imported, not whatever copy is installed elsewhere.
 CHECKOUT_ENV = {**os.environ,
                 "PYTHONPATH": str(Path(tsinorm.__file__).resolve().parent.parent)}
+
+
+class TestParserReuse:
+    # budget from the environment, a usage error, the other budget, --help
+    CALLS = [
+        ("3", ["norm", "dual", "1:1 2:1"]),
+        ("3", ["norm", "dual", "1:1 2:1", "--format", "csv"]),
+        ("1000", ["norm", "dual", "1:1 2:1"]),
+        (None, ["norm", "--help"]),
+    ]
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
+        builds = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: builds.append(1) or build_parser())
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setenv("COLUMNS", "80")
+        child_env = {k: v for k, v in CHECKOUT_ENV.items() if k != "TSINORM_BUDGET"}
+        child_env["COLUMNS"] = "80"
+        script = "import sys\nfrom tsinorm.cli import main\nsys.exit(main())\n"
+        codes = []
+        for budget, argv in self.CALLS:
+            env = dict(child_env)
+            if budget is None:
+                monkeypatch.delenv("TSINORM_BUDGET", raising=False)
+            else:
+                monkeypatch.setenv("TSINORM_BUDGET", budget)
+                env["TSINORM_BUDGET"] = budget
+            fresh = subprocess.run([sys.executable, "-c", script, *argv],
+                                   capture_output=True, text=True, env=env)
+            tsinorm.clear_caches()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            codes.append(code)
+        assert codes == [3, 2, 0, 0]
+        assert len(builds) == 1
 
 
 def run_console_script(*argv):

@@ -1,5 +1,6 @@
 """Norming set construction, evaluation, pruning, and serialization."""
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -377,6 +378,19 @@ class TestExportImport:
         bad = text.replace("(1/2 e2 e3)", "(1/3 e2 e3)", 1)
         with pytest.raises(TsinormError):
             import_norming_set(bad, TS)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("(1/2 -e2 (1/2 -e3 -e4 -e5))\t2:-1/2 3:-1/4 4:-1/4 5:-1/4",
+         "(1/2 -e2 (1/2 -e3 -e4 -e5))\t2:-1/2 3:-1/4 4:-1/4 5:1/4",
+         "tree does not recompute the stored coefficients"),
+        ("window=5", "window=4",
+         "functional support (2, 3, 4, 5) leaves the window [1, 4]"),
+    ], ids=["nested-column-sign", "window-too-small"])
+    def test_column_checked_against_parsed_tree(self, old, new, message):
+        text = export_norming_set(build_norming_set(TS, 5))
+        assert old in text
+        with pytest.raises(TsinormError, match=re.escape(message)):
+            import_norming_set(text.replace(old, new, 1), TS)
 
     def test_inadmissible_tree_rejected(self):
         # two blocks starting at index 1 break the Schreier condition
