@@ -249,7 +249,10 @@ class FinVec:
         acc = {}
         for i, c in items:
             c = as_scalar(c)
-            acc[i] = acc.get(i, Fraction(0)) + c
+            if i in acc:
+                acc[i] += c
+            else:
+                acc[i] = c
         return cls(tuple((i, c) for i, c in sorted(acc.items()) if c != 0))
 
     @classmethod

@@ -2,22 +2,29 @@
 
 The primal norm and the rho upper iterates of the dual norm optimise over
 tuples E_1 < ... < E_k (k >= 2) of successive blocks that a level's
-family admits; best_cover serves both.  A support is a sorted entry tuple,
-its blocks are slices entries[a:b], and the caller values a slice through
-part(a, b), usually its own memoised recursion.  Levels are (index,
-family, theta) triples, tried in order.
+family admits.  A support is a sorted entry tuple, its blocks are slices
+entries[a:b], and levels are (index, family, theta) triples, tried in
+order.
 
-approximant is the one level-n iteration over best_cover, maximising
+best_windows values every window of one support bottom-up, for the primal
+norm: right ends in increasing order, starts in decreasing order, so each
+window reads only windows already valued, from a list, with no memo.
+best_cover optimises one support whose slices the caller values through
+part(a, b); approximant is the one level-n iteration over it, maximising
 from the sup norm (fj_norm_level) or minimising from the l1 norm (rho).
 
 Where admissibility depends only on the block count and the first index
-(families.max_blocks is not None), a dynamic program over (block count,
-start position) serves the level in time polynomial in the support size.
+(families.max_blocks is not None), a suffix-cover table serves the level:
+_fill computes, for one start s, the best cover of entries[s:end] by
+exactly j slices for every j it needs, from the columns of later starts.
+The table depends on the right end only, so best_windows shares one
+across every window ending there, and best_cover builds one per call.
 The enumerator of admissible partitions serves ExplicitFinite levels,
 interval values (an interval caller's precision-doubling schedule follows
 its sequence of certified comparisons) and cover_branches.  Both routes
 keep the first optimum in enumeration order (level, start, block count,
-then cut positions lexicographically), so their witnesses agree.
+then cut positions lexicographically), so their witnesses agree; _choose
+walks that order for both callers.
 
 core.enumerate_partitions and the families functions are called through
 their modules, so a wrapper bound over the module attribute sees every call.
@@ -33,7 +40,7 @@ from .core import IndeterminateComparisonError, IntervalScalar
 
 def _improves(cand, incumbent) -> bool:
     """Certified strict cand > incumbent; identical enclosures tie (False)."""
-    if isinstance(cand, Fraction) and isinstance(incumbent, Fraction):
+    if not isinstance(cand, IntervalScalar) and not isinstance(incumbent, IntervalScalar):
         return cand > incumbent
     c = IntervalScalar.coerce(cand)
     b = IntervalScalar.coerce(incumbent)
@@ -69,37 +76,108 @@ def best_cover(entries: tuple, levels, part, incumbent, maximise: bool):
             v = cache[(a, b)] = part(a, b)
         return v
 
-    def better(cand, incumbent) -> bool:
-        return _improves(cand, incumbent) if maximise else cand < incumbent
-
     starts = range(m) if maximise else range(1)
     exhaustive = isinstance(incumbent, IntervalScalar)
     caps = [None if exhaustive else _start_caps(family, entries, starts)
             for _, family, _ in levels]
-    kcap = max((c for cs in caps if cs is not None for c in cs), default=0)
-    if kcap >= 2:
-        table, cut = _cover_table(m, kcap, len(starts), val, maximise)
+    cols = [[None, None] for _ in range(m)]
+    cuts = [[None, None] for _ in range(m)]
+    rows = _rows(caps, m)
+    if max(rows) >= 2:
+        for s in range(m - 1, -1, -1):
+            _fill(cols, cuts, s, m, rows[s], val, maximise)
+            if s:
+                cols[s][1] = val(s, m)
+    best = _choose(entries, starts, levels, caps, cols, cuts, val, incumbent, maximise)
+    return None if best[1] is None else best
+
+
+def best_windows(entries: tuple, levels, point, settle):
+    """Value and witness of every window entries[a:b] of a nonempty
+    support under a maximising recursion: the window's sup value, or the
+    best theta * sum over an admissible cover of one of its suffixes by
+    k >= 2 windows.
+
+    Right ends b are visited in increasing order and starts a in
+    decreasing order.  The suffix-cover table of entries[:b] depends on
+    the right end only, so every window ending at b reads the same table;
+    a window's value becomes the table's row 1 at its start before the
+    next start is filled.  Levels are (index, family, weight) triples,
+    compared as weight * (sum of window values); point(v) is a leaf value
+    v on that scale and settle(c) turns a winning candidate back into a
+    window value.  Interval values (point returns an IntervalScalar) run
+    every level on the enumerator.
+
+    Returns (value, choice): value[a][b] is the window's value, or the
+    IndeterminateComparisonError that left it undecided, raised again
+    only where another window reads it; choice[a][b] is the position of
+    the leaf or the (level, bounds) of the winning cover.
+    """
+    m = len(entries)
+    value = [[None] * (m + 1) for _ in range(m)]
+    choice = [[None] * (m + 1) for _ in range(m)]
+
+    def val(a: int, b: int):
+        v = value[a][b]
+        if isinstance(v, IndeterminateComparisonError):
+            raise v.with_traceback(None)
+        return v
+
+    exhaustive = isinstance(point(entries[0][1]), IntervalScalar)
+    caps = [None if exhaustive else _start_caps(family, entries, range(m))
+            for _, family, _ in levels]
+    rows = _rows(caps, m)
+    for b in range(1, m + 1):
+        head = entries[:b]
+        cols = [[None, None] for _ in range(b)]
+        cuts = [[None, None] for _ in range(b)]
+        top, pos = entries[b - 1][1], b - 1  # a one-point window is its leaf
+        value[pos][b] = cols[pos][1] = settle(point(top))
+        choice[pos][b] = pos
+        for a in range(b - 2, -1, -1):
+            _fill(cols, cuts, a, b, min(b - a, rows[a]), val, True)
+            if entries[a][1] >= top:
+                top, pos = entries[a][1], a
+            try:
+                cand, level, bounds = _choose(head, range(a, b), levels, caps, cols, cuts,
+                                              val, point(top), True)
+                value[a][b] = cols[a][1] = settle(cand)
+                choice[a][b] = pos if level is None else (level, bounds)
+            except IndeterminateComparisonError as exc:
+                value[a][b] = exc
+    return value, choice
+
+
+def _choose(entries: tuple, starts, levels, caps, cols, cuts, val, incumbent,
+            maximise: bool):
+    """The first optimum strictly better than incumbent over covers of
+    entries[s:] for s in starts, in the order level, start, block count,
+    cut positions: (value, level, bounds), or (incumbent, None, None).
+    Levels with caps read the suffix table (cols, cuts); the others are
+    enumerated."""
+    end = len(entries)
     best = (incumbent, None, None)
     for level, cs in zip(levels, caps):
-        theta = level[2]
+        weight = level[2]
         if cs is None:
             for s in starts:
                 for _, _, bounds in _admissible_covers(entries, (level,), s):
                     values = [val(a, b) for a, b in zip(bounds, bounds[1:])]
-                    cand = (theta * sum(values[1:], values[0]) if maximise
-                            else max(values) / theta)
-                    if better(cand, best[0]):
+                    cand = (weight * sum(values[1:], values[0]) if maximise
+                            else max(values) / weight)
+                    if _improves(cand, best[0]) if maximise else cand < best[0]:
                         best = (cand, level, bounds)
             continue
         for s in starts:
-            for k in range(2, cs[s] + 1):
-                cand = theta * table[k][s] if maximise else table[k][s] / theta
-                if better(cand, best[0]):
+            col = cols[s]
+            for k in range(2, min(end - s, cs[s]) + 1):
+                cand = weight * col[k] if maximise else col[k] / weight
+                if cand > best[0] if maximise else cand < best[0]:
                     bounds = [s]
                     for j in range(k, 1, -1):
-                        bounds.append(cut[j][bounds[-1]])
-                    best = (cand, level, tuple(bounds) + (m,))
-    return None if best[1] is None else best
+                        bounds.append(cuts[bounds[-1]][j])
+                    best = (cand, level, tuple(bounds) + (end,))
+    return best
 
 
 def approximant(levels, entries: tuple, n: int, memo: dict, maximise: bool) -> Fraction:
@@ -122,47 +200,52 @@ def approximant(levels, entries: tuple, n: int, memo: dict, maximise: bool) -> F
 
 
 def _start_caps(family, entries: tuple, starts):
-    """Per start s, the most blocks an admissible cover of entries[s:] can
-    have; None when the family has no such bound."""
+    """Per start s, the most blocks an admissible cover starting at s can
+    have, however many points follow; None when the family has no such
+    bound."""
     caps = [families.max_blocks(family, entries[s][0]) for s in starts]
-    if caps[0] is None:
-        return None
-    return [min(len(entries) - s, c) for s, c in zip(starts, caps)]
+    return None if caps[0] is None else caps
 
 
-def _cover_table(m: int, kcap: int, top: int, val, maximise: bool):
-    """best[j][a]: the optimum over covers of entries[a:] by exactly j
-    slices, combining slice values by sum (maximise) or by max (minimise);
-    cut[j][a]: the first cut of the first optimiser, the smallest on ties.
-    Row kcap is only filled for starts a < top.  Row 1 starts at 1, so
-    the whole support is never valued as one of its own slices."""
-    best = [None] * (kcap + 1)
-    cut = [None] * (kcap + 1)
-    best[1] = [None] + [val(a, m) for a in range(1, m)]
-    for j in range(2, kcap + 1):
-        sub = best[j - 1]
-        row = [None] * m
-        cuts = [None] * m
-        stop = m - j + 1 if j < kcap else min(top, m - j + 1)
-        for a in range(stop):
-            b = bc = None
-            for c in range(a + 1, m - j + 2):
-                v = val(a, c)
-                w = sub[c]
-                if maximise:
-                    v = v + w
-                    if b is None or v > b:
-                        b, bc = v, c
-                else:
-                    if w > v:
-                        v = w
-                    if b is None or v < b:
-                        b, bc = v, c
-            row[a] = b
-            cuts[a] = bc
-        best[j] = row
-        cut[j] = cuts
-    return best, cut
+def _rows(caps, end: int) -> list:
+    """Per position s < end, the most slices the suffix table must hold at
+    s: the largest cap there, and one less than any cap at an earlier
+    start, whose rows read the later columns; never more than the end - s
+    points left.  For a shorter end b, min(b - s, rows[s]) is the bound."""
+    rows = []
+    carry = 0
+    for s in range(end):
+        here = max((cs[s] for cs in caps if cs is not None and s < len(cs)), default=0)
+        rows.append(min(end - s, max(here, carry)))
+        carry = max(carry, here - 1)
+    return rows
+
+
+def _fill(cols, cuts, s: int, end: int, rows: int, val, maximise: bool) -> None:
+    """Column s of the suffix-cover table of entries[:end]: cols[s][j] is
+    the optimum over covers of entries[s:end] by exactly j slices, 2 <= j
+    <= rows, combining slice values by sum (maximise) or by max
+    (minimise); cuts[s][j] is the first cut of the first optimiser, the
+    smallest on ties.  Reads cols[c][j - 1] for c > s; row 1, the slice
+    entries[c:end] itself, is the caller's."""
+    col = cols[s]
+    cut = cuts[s]
+    for j in range(2, rows + 1):
+        b = bc = None
+        for c in range(s + 1, end - j + 2):
+            v = val(s, c)
+            w = cols[c][j - 1]
+            if maximise:
+                v = v + w
+                if b is None or v > b:
+                    b, bc = v, c
+            else:
+                if w > v:
+                    v = w
+                if b is None or v < b:
+                    b, bc = v, c
+        col.append(b)
+        cut.append(bc)
 
 
 def cover_branches(entries: tuple, levels, part):

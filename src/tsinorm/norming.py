@@ -489,12 +489,14 @@ def _parse_tree(node, spec: MixedSpaceSpec) -> tuple:
 def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
     """Parse an export and re-verify every functional against `spec`.
 
-    Each line's tree must recompute its vector column exactly, with
-    admissible successive children at every node, supports inside the
-    window, and no duplicate coefficient vectors.
+    The header must name spec and give window=, generation= and
+    stabilized=.  Each line's tree must recompute its vector column
+    exactly, with admissible successive children at every node, supports
+    inside the window, and no duplicate coefficient vectors.
     """
     header = {}
-    stabilized = False
+    stabilized = None
+    named = f"norming-set space={spec.name}"
     level_lines = []
     funcs = []
     vectors = []
@@ -506,8 +508,15 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("norming-set"):
-                for field in body.split()[1:]:
-                    key, _, value = field.partition("=")
+                # the exporter writes the space name first, verbatim
+                if body != named and not body.startswith(named + " "):
+                    raise TsinormError(
+                        f"export header {body!r} does not match space {spec.name!r}")
+                for field in body[len(named):].split():
+                    key, sep, value = field.partition("=")
+                    if not sep or key == "space":
+                        raise TsinormError(
+                            f"export header {body!r} does not match space {spec.name!r}")
                     if key in ("window", "generation", "count"):
                         header[key] = parse_number(int, value, f"header {key}")
                     elif key == "stabilized":
@@ -528,6 +537,8 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
     window, generation = header.get("window"), header.get("generation")
     if window is None or generation is None:
         raise TsinormError("missing norming-set metadata header")
+    if stabilized is None:
+        raise TsinormError("norming-set header has no stabilized= field")
     expected_levels = [f"level {i}: {lev.family} theta={format_theta(lev.theta)}"
                        for i, lev in enumerate(spec.levels)]
     if level_lines != expected_levels:

@@ -10,24 +10,38 @@ but a skipped prefix matters, because the first block's minimum gates
 admissibility.  Single-block tuples contribute theta * N(E_1 x) < N(x) and
 are never optimal, so they are skipped.
 
-The inner max is covers.best_cover: its dynamic program for Schreier and
-cardinality levels with rational weights, its enumerator for explicit
-families and for symbolic weights, whose precision-doubling schedule
-follows the enumerator's order of certified comparisons.  Both routes give
-the same certificates.  fj_norm is mixed_norm on tsirelson_spec().
+One call evaluates every window entries[a:b] of |x| once, bottom-up
+(covers.best_windows): right ends in increasing order, starts in
+decreasing order, so each window reads only windows already valued.  The
+inner max reads a suffix-cover table shared by all windows with the same
+right end for Schreier and cardinality levels with rational weights, and
+the enumerator for explicit families and for symbolic weights, whose
+precision-doubling schedule follows the enumerator's order of certified
+comparisons.  Both routes give the same certificates.  fj_norm is
+mixed_norm on tsirelson_spec().
 
-Norms here are 1-unconditional: every value depends only on |x|, so all
-memo tables key on the absolute entry tuple.  Cached certificates therefore
-describe |x|; they verify against any sign pattern because leaf evaluation
-takes absolute values.
+With rational weights the values are Python integers in units of 1/L,
+L = D * Q^(m - 1): D is the lcm of the denominators of |x|, Q that of the
+kept weights, m the support size.  A window of l points has a witness
+tree of height at most l - 1, so its value is a multiple of
+1/(D * Q^(l - 1)) and theta * sum stays an integer; a candidate is
+compared as (theta * Q) * sum, and only the winner is divided by Q.
+Fractions are built only when the certificate is assembled.
 
-Shared memo tables are module-level dicts.  Insertion is idempotent (values
-are deterministic), which keeps concurrent use safe under the interpreter's
-atomic dict operations.
+Norms here are 1-unconditional: every value depends only on |x|, so
+certificates describe |x|; they verify against any sign pattern because
+leaf evaluation takes absolute values.
+
+mixed_norm and fj_norm keep no state between calls: each call's tables
+end with it, and concurrent calls share nothing.  Only fj_norm_level
+memoises, in a module-level dict whose insertion is idempotent (values
+are deterministic), which keeps concurrent use safe under the
+interpreter's atomic dict operations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -44,7 +58,7 @@ from .core import (
     restrict,
     sup_norm,
 )
-from .covers import approximant, best_cover
+from .covers import approximant, best_windows
 from .families import (
     Level,
     MixedSpaceSpec,
@@ -90,7 +104,6 @@ def _abs_entries(x: FinVec) -> tuple:
 # evaluation
 
 _FJ_LEVEL_MEMO: dict = {}
-_MIXED_MEMOS: dict = {}
 _FJ_LEVELS = tuple((i, lv.family, lv.theta) for i, lv in enumerate(tsirelson_spec().levels))
 
 
@@ -99,8 +112,9 @@ def fj_norm(x: FinVec, *, use_cache: bool = True):
 
     Returns (value, certificate).  The certificate's split nodes refer to
     level 0 of the single-level space returned by tsirelson_spec().
+    use_cache has no effect; it is kept for compatibility.
     """
-    return mixed_norm(tsirelson_spec(), x, use_cache=use_cache)
+    return mixed_norm(tsirelson_spec(), x)
 
 
 def fj_norm_level(x: FinVec, n: int, *, use_cache: bool = True) -> Fraction:
@@ -111,35 +125,51 @@ def fj_norm_level(x: FinVec, n: int, *, use_cache: bool = True) -> Fraction:
     return approximant(_FJ_LEVELS, _abs_entries(x), n, memo, True)
 
 
-def _mixed_eval(entries: tuple, levels: tuple, memo: dict,
-                interval_mode: bool) -> PrimalCertificate:
-    """Certificate of the norm of the positive entries; levels are
-    (index, family, theta) triples with resolved weights."""
-    cert = memo.get(entries)
-    if cert is not None:
-        return cert
-    if not entries:
-        zero = IntervalScalar.point(0) if interval_mode else Fraction(0)
-        cert = PrimalCertificate(zero, Leaf(None))
-        memo[entries] = cert
-        return cert
-    sup = max(c for _, c in entries)
-    value: Scalar = IntervalScalar.point(sup) if interval_mode else sup
-    witness: Union[Leaf, Split] = Leaf(next(i for i, c in entries if c == sup))
-    best = best_cover(
-        entries, levels,
-        lambda a, b: _mixed_eval(entries[a:b], levels, memo, interval_mode).value,
-        value, True)
-    if best is not None:
-        value, (index, _, theta), bounds = best
-        segments = [entries[a:b] for a, b in zip(bounds, bounds[1:])]
-        witness = Split(
-            index, theta,
-            BlockPartition(tuple(tuple(i for i, _ in seg) for seg in segments)),
-            tuple(_mixed_eval(seg, levels, memo, interval_mode) for seg in segments))
-    cert = PrimalCertificate(value, witness)
-    memo[entries] = cert
-    return cert
+def _certificate(entries: tuple, levels: tuple, point, settle, scalar) -> PrimalCertificate:
+    """Certificate of the norm of the positive entries from one bottom-up
+    pass over their windows; levels are (index, family, weight, theta)
+    with theta the weight the certificate records, and scalar(v) turns a
+    window value into the certificate's."""
+    value, choice = best_windows(entries, tuple(lv[:3] for lv in levels), point, settle)
+    root = value[0][len(entries)]
+    if isinstance(root, IndeterminateComparisonError):
+        raise root.with_traceback(None)
+    thetas = {lv[0]: lv[3] for lv in levels}
+
+    def build(a: int, b: int) -> PrimalCertificate:
+        c = choice[a][b]
+        if isinstance(c, int):
+            return PrimalCertificate(scalar(value[a][b]), Leaf(entries[c][0]))
+        (index, _, _), bounds = c
+        spans = tuple(zip(bounds, bounds[1:]))
+        return PrimalCertificate(scalar(value[a][b]), Split(
+            index, thetas[index],
+            BlockPartition(tuple(tuple(i for i, _ in entries[s:t]) for s, t in spans)),
+            tuple(build(s, t) for s, t in spans)))
+
+    return build(0, len(entries))
+
+
+def _exact_certificate(entries: tuple, kept: tuple) -> PrimalCertificate:
+    """The exact path: window values are integers in units of 1/L with
+    L = D * Q^(m - 1), D the lcm of the entries' denominators and Q that
+    of the weights'.  A candidate theta * sum is compared as the integer
+    (theta * Q) * sum, in units of 1/(L * Q)."""
+    d = math.lcm(*(c.denominator for _, c in entries))
+    q = math.lcm(*(theta.denominator for _, _, theta in kept))
+    unit = d * q ** (len(entries) - 1)
+    scaled = tuple((i, c.numerator * (unit // c.denominator)) for i, c in entries)
+    levels = tuple((i, family, theta.numerator * (q // theta.denominator), theta)
+                   for i, family, theta in kept)
+
+    def settle(cand: int) -> int:
+        v, r = divmod(cand, q)
+        if r:
+            raise TsinormError(f"internal: window value {cand}/{q} is not a multiple of 1/{unit}")
+        return v
+
+    return _certificate(scaled, levels, lambda v: v * q, settle,
+                        lambda v: Fraction(v, unit))
 
 
 def _kept_levels(spec: MixedSpaceSpec, support) -> tuple:
@@ -159,12 +189,16 @@ def mixed_norm(spec: MixedSpaceSpec, x: FinVec, *,
     weight; otherwise a certified IntervalScalar enclosure, produced with
     the working precision doubled until every branch comparison is
     decided (or the cap is hit, raising PrecisionExhaustedError).
+    use_cache has no effect; it is kept for compatibility.
     """
     kept = _kept_levels(spec, x.support)
     entries = _abs_entries(x)
-    if all(theta_is_rational(theta) for _, _, theta in kept):
-        memo = _get_mixed_memo((spec.cache_key(), None), use_cache)
-        cert = _mixed_eval(entries, kept, memo, interval_mode=False)
+    exact = all(theta_is_rational(theta) for _, _, theta in kept)
+    if not entries:
+        zero = Fraction(0) if exact else IntervalScalar.point(0)
+        return zero, PrimalCertificate(zero, Leaf(None))
+    if exact:
+        cert = _exact_certificate(entries, kept)
         return cert.value, cert
 
     p = precision if precision is not None else DEFAULT_THETA_PRECISION
@@ -172,10 +206,11 @@ def mixed_norm(spec: MixedSpaceSpec, x: FinVec, *,
     if p > cap:
         cap = p
     while True:
-        rlevels = tuple((i, family, resolve_theta(theta, p)) for i, family, theta in kept)
-        memo = _get_mixed_memo((spec.cache_key(), p), use_cache)
+        weights = [resolve_theta(theta, p) for _, _, theta in kept]
+        rlevels = tuple((i, family, w, w) for (i, family, _), w in zip(kept, weights))
         try:
-            cert = _mixed_eval(entries, rlevels, memo, interval_mode=True)
+            cert = _certificate(entries, rlevels, IntervalScalar.point, lambda c: c,
+                                lambda v: v)
             return cert.value, cert
         except IndeterminateComparisonError as exc:
             if p >= cap:
@@ -185,18 +220,8 @@ def mixed_norm(spec: MixedSpaceSpec, x: FinVec, *,
             p = min(p * 2, cap)
 
 
-def _get_mixed_memo(key, use_cache: bool) -> dict:
-    if not use_cache:
-        return {}
-    memo = _MIXED_MEMOS.get(key)
-    if memo is None:
-        memo = _MIXED_MEMOS.setdefault(key, {})
-    return memo
-
-
 def clear_caches() -> None:
     _FJ_LEVEL_MEMO.clear()
-    _MIXED_MEMOS.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ Deliberately slow and simple; only run on tiny inputs.
 Conventions: vectors are plain dicts {index: Fraction} with no zero values,
 indices >= 1.  A "level" is a tuple (kind, param, theta) where kind is
 "schreier" (param ignored, blocks k admissible iff k <= first index of the
-first block) or "card" (admissible iff k <= param) and theta is a Fraction,
-or for interval evaluation a (lo, hi) pair of Fractions.
+first block), "card" (admissible iff k <= param) or "explicit" (param a
+tuple of sorted index sets, admissible iff one of them interleaves with
+the blocks) and theta is a Fraction, or for interval evaluation a (lo, hi)
+pair of Fractions.
 """
 from __future__ import annotations
 
@@ -50,6 +52,12 @@ def _admissible(kind: str, param: int, chunks: list[tuple[int, ...]]) -> bool:
         return k <= chunks[0][0]
     if kind == "card":
         return k <= param
+    if kind == "explicit":
+        # param lists the sets M; M interleaves with the chunks when
+        # m_1 <= min E_1 and max E_(i-1) < m_i <= min E_i
+        return any(len(M) == k and M[0] <= chunks[0][0]
+                   and all(chunks[i - 1][-1] < M[i] <= chunks[i][0] for i in range(1, k))
+                   for M in param)
     raise ValueError(kind)
 
 
@@ -551,3 +559,129 @@ def brute_mixed_norm_interval(x: Vec, levels) -> tuple[Q, Q]:
                     if chi > hi_best:
                         hi_best = chi
     return (lo_best, hi_best)
+
+
+# ---------------------------------------------------------------------------
+# the memoised top-down recursion that the bottom-up window pass replaced
+
+class Undecided(Exception):
+    """Two interval branch values overlap without being identical."""
+
+
+def _iv_mul(a: tuple, b: tuple) -> tuple:
+    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (min(products), max(products))
+
+
+def _iv_improves(cand: tuple, incumbent: tuple) -> bool:
+    """Certified strict cand > incumbent; identical enclosures tie."""
+    if incumbent[1] < cand[0]:
+        return True
+    if incumbent[0] >= cand[1]:
+        return False
+    if cand == incumbent:
+        return False
+    raise Undecided(f"cannot order branch values {incumbent} and {cand}")
+
+
+def memo_mixed_norm(x: Vec, levels) -> tuple:
+    """Norm of x by the memoised top-down recursion over sub-windows of
+    |x|: each window keeps its sup value unless a cover of one of its
+    suffixes by k >= 2 sub-windows strictly beats it.  Candidates are
+    tried by level, start, block count, then cut positions, and the first
+    optimum is kept.  Schreier and card levels with rational weights read
+    a per-window table of best suffix covers; explicit levels, and every
+    level when the weights are (lo, hi) pairs, are enumerated, and
+    interval candidates are compared by _iv_improves, so the first
+    undecided comparison in evaluation order raises Undecided.
+
+    Returns (value, witness); a witness is ("leaf", index) (index None for
+    the zero vector) or ("split", level position, theta, blocks, children)
+    with children (value, witness) pairs.  Interval values are (lo, hi).
+    """
+    interval = any(isinstance(theta, tuple) for _, _, theta in levels)
+    entries = tuple(sorted((i, abs(c)) for i, c in x.items()))
+    return _memo_window(entries, tuple(levels), {}, interval)
+
+
+def _memo_window(entries: tuple, levels: tuple, memo: dict, interval: bool) -> tuple:
+    if entries in memo:
+        return memo[entries]
+    if not entries:
+        zero = (Q(0), Q(0)) if interval else Q(0)
+        return memo.setdefault(entries, (zero, ("leaf", None)))
+    m = len(entries)
+    sup = max(c for _, c in entries)
+    best = (sup, sup) if interval else sup
+    won = None
+    values: dict = {}
+
+    def part(a: int, b: int):
+        if (a, b) not in values:
+            values[(a, b)] = _memo_window(entries[a:b], levels, memo, interval)[0]
+        return values[(a, b)]
+
+    bound = {"schreier": lambda param, first: first, "card": lambda param, first: param}
+    caps = [None if interval or kind not in bound
+            else [min(m - s, bound[kind](param, entries[s][0])) for s in range(m)]
+            for kind, param, _ in levels]
+    kcap = max((c for cs in caps if cs is not None for c in cs), default=0)
+    if m >= 2 and kcap >= 2:
+        table, cut = _memo_suffix_table(m, kcap, part)
+    for pos, ((kind, param, theta), cs) in enumerate(zip(levels, caps)):
+        if m < 2:
+            break
+        if cs is None:
+            for s in range(m):
+                n = m - s
+                for k in range(2, n + 1):
+                    for cuts in itertools.combinations(range(s + 1, m), k - 1):
+                        bounds = (s,) + cuts + (m,)
+                        chunks = [tuple(i for i, _ in entries[a:b])
+                                  for a, b in zip(bounds, bounds[1:])]
+                        if not _admissible(kind, param, chunks):
+                            continue
+                        parts = [part(a, b) for a, b in zip(bounds, bounds[1:])]
+                        if interval:
+                            total = (sum(p[0] for p in parts), sum(p[1] for p in parts))
+                            cand = _iv_mul(theta, total)
+                            better = _iv_improves(cand, best)
+                        else:
+                            cand = theta * sum(parts)
+                            better = cand > best
+                        if better:
+                            best, won = cand, (pos, bounds)
+            continue
+        for s in range(m):
+            for k in range(2, cs[s] + 1):
+                cand = theta * table[k][s]
+                if cand > best:
+                    bounds = [s]
+                    for j in range(k, 1, -1):
+                        bounds.append(cut[j][bounds[-1]])
+                    best, won = cand, (pos, tuple(bounds) + (m,))
+    if won is None:
+        witness = ("leaf", next(i for i, c in entries if c == sup))
+    else:
+        pos, bounds = won
+        segments = [entries[a:b] for a, b in zip(bounds, bounds[1:])]
+        witness = ("split", pos, levels[pos][2],
+                   tuple(tuple(i for i, _ in seg) for seg in segments),
+                   tuple(_memo_window(seg, levels, memo, interval) for seg in segments))
+    return memo.setdefault(entries, (best, witness))
+
+
+def _memo_suffix_table(m: int, kcap: int, part):
+    """best[j][a]: the largest sum over covers of the window's suffix
+    [a, m) by exactly j slices; cut[j][a] the smallest first cut of an
+    optimiser.  Row 1 starts at 1: the window is not its own slice."""
+    best = {1: [None] + [part(a, m) for a in range(1, m)]}
+    cut = {}
+    for j in range(2, kcap + 1):
+        best[j], cut[j] = [None] * m, [None] * m
+        for a in range(m - j + 1):
+            for c in range(a + 1, m - j + 2):
+                v = part(a, c) + best[j - 1][c]
+                if best[j][a] is None or v > best[j][a]:
+                    best[j][a], cut[j][a] = v, c
+    return best, cut

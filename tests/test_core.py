@@ -107,6 +107,13 @@ class TestFinVec:
         assert x.support == (1, 5)
         assert (x - x).is_zero
 
+    def test_from_items_sums_repeats_and_drops_zeros(self):
+        x = FinVec.from_items([(4, Q(1, 2)), (2, 3), (4, "1/2"), (7, 0), (2, Q(-3)), (9, -1)])
+        assert x.entries == ((4, Q(1)), (9, Q(-1)))
+        assert all(type(c) is Q for _, c in x.entries)
+        assert FinVec.from_items([(5, Q(1)), (5, Q(-1))]).is_zero
+        assert FinVec.from_items({3: Q(2), 1: Q(0)}).entries == ((3, Q(2)),)
+
     def test_scale(self):
         x = fv({2: Q(3)})
         assert (x * Q(1, 3)).coeff(2) == 1

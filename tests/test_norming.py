@@ -422,9 +422,14 @@ class TestExportImport:
         lambda t: t.replace("count=10", "count=x"),
         lambda t: t.replace("stabilized=true", "stabilized=maybe"),
         lambda t: "".join(t.replace("count=10", "count=0").splitlines(True)[:2]),
+        lambda t: t.replace(" stabilized=true", ""),
+        lambda t: t.replace("space=tsirelson", "space=halves"),
+        lambda t: t.replace("space=tsirelson", "space=tsirelson2"),
+        lambda t: t.replace("count=10", "count=10 space=halves"),
     ], ids=["deep-tree", "superscript-leaf-index", "zero-index-column",
             "window-not-a-number", "count-not-a-number", "stabilized-maybe",
-            "header-only"])
+            "header-only", "no-stabilized", "other-space-name", "space-name-prefix",
+            "second-space-name"])
     def test_malformed_export_rejected(self, mutate):
         text = export_norming_set(build_norming_set(TS, 3))
         bad = mutate(text)
@@ -447,6 +452,14 @@ class TestExportImport:
         assert coeff_vectors(back) == coeff_vectors(self.one_part_chain(256))
         with pytest.raises(TsinormError, match="nested deeper than 256"):
             export_norming_set(self.one_part_chain(257))
+
+    def test_space_name_with_blanks_round_trips(self):
+        spec = MixedSpaceSpec("two words", TS.levels)
+        text = export_norming_set(build_norming_set(spec, 3))
+        assert coeff_vectors(import_norming_set(text, spec)) == coeff_vectors(
+            build_norming_set(TS, 3))
+        with pytest.raises(TsinormError, match="does not match"):
+            import_norming_set(text, MixedSpaceSpec("two", TS.levels))
 
     def test_wrong_space_rejected(self):
         text = export_norming_set(build_norming_set(TS, 3))

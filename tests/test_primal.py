@@ -5,13 +5,23 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsinorm.core import FinVec, IntervalScalar, PrecisionExhaustedError, TsinormError
+from tsinorm import primal
+from tsinorm.core import (
+    DEFAULT_THETA_PRECISION,
+    PRECISION_CAP,
+    FinVec,
+    IntervalScalar,
+    PrecisionExhaustedError,
+    TsinormError,
+)
 from tsinorm.families import (
     CardinalityAtMost,
+    ExplicitFinite,
     Level,
     MixedSpaceSpec,
     Schreier1,
     SchlumprechtWeight,
+    resolve_theta,
     schlumprecht_spec,
     tsirelson_spec,
 )
@@ -38,7 +48,13 @@ from frozen_values import (
     SCHLUMPRECHT_M3,
     ones,
 )
-from oracles import brute_block_norm, brute_block_norm_level, brute_mixed_norm
+from oracles import (
+    Undecided,
+    brute_block_norm,
+    brute_block_norm_level,
+    brute_mixed_norm,
+    memo_mixed_norm,
+)
 
 
 def vec(d) -> FinVec:
@@ -250,6 +266,130 @@ class TestSchlumprecht:
         b = IntervalScalar(Q(2), Q(4))
         with pytest.raises(IndeterminateComparisonError):
             _improves(b, a)
+
+
+CARD_DEMO = MixedSpaceSpec("card-demo", (Level(Schreier1(), Q(1, 2)),
+                                         Level(CardinalityAtMost(2), Q(1, 3))))
+CARD_MIX = MixedSpaceSpec("card-mix", tuple(Level(CardinalityAtMost(l), th)
+                                            for _, l, th in MIXED_CARD_LEVELS))
+EXPLICIT = MixedSpaceSpec("explicit-mix", (
+    Level(ExplicitFinite(((2, 3), (3, 5, 8), (4, 6), (2, 5, 7, 9), (5, 6, 7))), Q(2, 3)),
+    Level(CardinalityAtMost(2), Q(1, 2)),
+    Level(ExplicitFinite(((1, 4), (2, 4, 6))), Q(3, 4))))
+ORACLE_GRID = (Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(2), Q(-2), Q(3, 4), Q(5, 3))
+
+
+def _oracle_levels(spec, x, precision=None):
+    """The levels mixed_norm keeps for x, as oracle tuples, with weights
+    resolved at precision when given; and the kept levels' indices."""
+    kept = primal._kept_levels(spec, x.support)
+    levels = []
+    for _, family, theta in kept:
+        if isinstance(family, Schreier1):
+            kind, param = "schreier", 0
+        elif isinstance(family, CardinalityAtMost):
+            kind, param = "card", family.n
+        else:
+            kind, param = "explicit", family.sets
+        if precision is not None:
+            enclosure = resolve_theta(theta, precision)
+            theta = (enclosure.lo, enclosure.hi)
+        levels.append((kind, param, theta))
+    return levels, [i for i, _, _ in kept]
+
+
+def _as_oracle(cert, indices):
+    """A certificate in the oracle's tuple form."""
+    def scalar(v):
+        return (v.lo, v.hi) if isinstance(v, IntervalScalar) else v
+    w = cert.witness
+    if isinstance(w, Leaf):
+        return scalar(cert.value), ("leaf", w.index)
+    return scalar(cert.value), ("split", indices.index(w.level_index), scalar(w.theta),
+                                w.partition.blocks,
+                                tuple(_as_oracle(c, indices) for c in w.children))
+
+
+def _oracle_interval(spec, x, precision, cap):
+    """memo_mixed_norm under mixed_norm's precision-doubling schedule;
+    None when the cap leaves a comparison undecided."""
+    p = precision
+    while True:
+        levels, _ = _oracle_levels(spec, x, p)
+        try:
+            return memo_mixed_norm(x.to_dict(), levels)
+        except Undecided:
+            if p >= cap:
+                return None
+            p = min(p * 2, cap)
+
+
+class TestWindowPassOracle:
+    """The bottom-up window pass gives the value and witness tree of the
+    memoised top-down recursion it replaced (oracles.memo_mixed_norm)."""
+
+    @pytest.mark.parametrize("spec,max_points,seed", [
+        (tsirelson_spec(), 18, 101), (CARD_DEMO, 10, 102), (CARD_MIX, 10, 103),
+        (EXPLICIT, 8, 104)])
+    def test_exact_spaces(self, spec, max_points, seed):
+        rng = random.Random(seed)
+        for n in range(1, max_points + 1):
+            for _ in range(2):
+                idx = rng.sample(range(1, max_points + 7), n)
+                x = vec({i: rng.choice(ORACLE_GRID) for i in idx})
+                levels, indices = _oracle_levels(spec, x)
+                value, cert = mixed_norm(spec, x)
+                assert _as_oracle(cert, indices) == memo_mixed_norm(x.to_dict(), levels), str(x)
+                assert isinstance(value, Q)
+
+    @pytest.mark.parametrize("precision,cap", [
+        (DEFAULT_THETA_PRECISION, PRECISION_CAP), (4, PRECISION_CAP), (4, 4)])
+    def test_schlumprecht(self, precision, cap):
+        rng = random.Random(precision + cap)
+        spec = schlumprecht_spec()
+        exhausted = 0
+        for n in range(1, 7):
+            for _ in range(3):
+                idx = rng.sample(range(1, 11), n)
+                x = vec({i: rng.choice(ORACLE_GRID) for i in idx})
+                _, indices = _oracle_levels(spec, x)
+                want = _oracle_interval(spec, x, precision, cap)
+                if want is None:
+                    exhausted += 1
+                    with pytest.raises(PrecisionExhaustedError):
+                        mixed_norm(spec, x, precision=precision, precision_cap=cap)
+                    continue
+                _, cert = mixed_norm(spec, x, precision=precision, precision_cap=cap)
+                assert _as_oracle(cert, indices) == want, str(x)
+        assert exhausted == 0 or cap == 4
+
+    def test_precision_exhaustion_vector(self):
+        spec = MixedSpaceSpec("coarse", (Level(Schreier1(), SchlumprechtWeight(6)),))
+        x = vec({3: Q(9), 4: Q(8), 5: Q(8)})
+        assert _oracle_interval(spec, x, 4, 4) is None
+        with pytest.raises(PrecisionExhaustedError):
+            mixed_norm(spec, x, precision=4, precision_cap=4)
+        _, indices = _oracle_levels(spec, x)
+        _, cert = mixed_norm(spec, x, precision=4, precision_cap=8)
+        assert _as_oracle(cert, indices) == _oracle_interval(spec, x, 4, 8)
+
+
+def test_norm_calls_leave_module_state_unchanged():
+    def entries(table):
+        return len(table) + sum(entries(v) for v in table.values() if isinstance(v, dict))
+
+    def sizes():
+        return {name: entries(value) for name, value in vars(primal).items()
+                if isinstance(value, dict) and not name.startswith("__")}
+    before = sizes()
+    rng = random.Random(3)
+    for _ in range(20):
+        x = random_vec(rng, max_index=9)
+        fj_norm(x)
+        mixed_norm(CARD_DEMO, x)
+        mixed_norm(EXPLICIT, x)
+    mixed_norm(schlumprecht_spec(), vec(ones(2, 3, 5)))
+    assert sizes() == before
 
 
 class TestProperties:
