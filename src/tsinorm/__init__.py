@@ -83,14 +83,12 @@ from .dualnorm import (
     verify_dual_certificate,
     verify_implicit_equation,
 )
-from . import primal as _primal
 from . import dualnorm as _dualnorm
 from . import families as _families
 
 
 def clear_caches() -> None:
     """Drop every internal memo, weight enclosures included."""
-    _primal.clear_caches()
     _dualnorm.clear_caches()
     _families._LOG2_CACHE.clear()
 

@@ -1,30 +1,34 @@
 """Optimisation over admissible successive covers of a support.
 
-The primal norm and the rho upper iterates of the dual norm optimise over
-tuples E_1 < ... < E_k (k >= 2) of successive blocks that a level's
-family admits.  A support is a sorted entry tuple, its blocks are slices
-entries[a:b], and levels are (index, family, theta) triples, tried in
-order.
+The primal norm, its level approximants, and the rho and sigma iterates
+of the dual norm optimise over tuples E_1 < ... < E_k (k >= 2) of
+successive blocks that a level's family admits.  A support is a sorted
+entry tuple, its blocks are slices entries[a:b], and levels are (index,
+family, theta) triples, tried in order.  Maximising starts from the sup
+norm and adds theta * sum over covers of a suffix; minimising starts
+from the l1 norm and takes max / theta over covers of the whole support.
 
-best_windows values every window of one support bottom-up, for the primal
-norm: right ends in increasing order, starts in decreasing order, so each
-window reads only windows already valued, from a list, with no memo.
-best_cover optimises one support whose slices the caller values through
-part(a, b); approximant is the one level-n iteration over it, maximising
-from the sup norm (fj_norm_level) or minimising from the l1 norm (rho).
+best_windows is the one driver: it values every window of one support
+bottom-up, right ends in increasing order and starts in decreasing
+order, so each window reads only windows already valued, from a list,
+with no memo.  Without a previous table that pass is the fixpoint
+(mixed_norm, and fixpoint for sigma); with one it is a single level
+step, and iterates yields levels 0, 1, 2, ... of a support
+(fj_norm_level, rho) from one step per level.  Exact callers value
+windows as integers (integer_units).
 
 Where admissibility depends only on the block count and the first index
 (families.max_blocks is not None), a suffix-cover table serves the level:
 _fill computes, for one start s, the best cover of entries[s:end] by
 exactly j slices for every j it needs, from the columns of later starts.
-The table depends on the right end only, so best_windows shares one
-across every window ending there, and best_cover builds one per call.
-The enumerator of admissible partitions serves ExplicitFinite levels,
-interval values (an interval caller's precision-doubling schedule follows
-its sequence of certified comparisons) and cover_branches.  Both routes
-keep the first optimum in enumeration order (level, start, block count,
-then cut positions lexicographically), so their witnesses agree; _choose
-walks that order for both callers.
+The table depends on the right end only, so every window ending there
+shares one.  The enumerator of admissible partitions serves
+ExplicitFinite levels, interval values (an interval caller's
+precision-doubling schedule follows its sequence of certified
+comparisons) and cover_branches.  Both routes keep the first optimum in
+enumeration order (level, start, block count, then cut positions
+lexicographically), so their witnesses agree; _choose walks that order
+for both.
 
 core.enumerate_partitions and the families functions are called through
 their modules, so a wrapper bound over the module attribute sees every call.
@@ -32,10 +36,11 @@ their modules, so a wrapper bound over the module attribute sees every call.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import core, families
-from .core import IndeterminateComparisonError, IntervalScalar
+from .core import IndeterminateComparisonError, IntervalScalar, TsinormError
 
 
 def _improves(cand, incumbent) -> bool:
@@ -53,95 +58,66 @@ def _improves(cand, incumbent) -> bool:
         f"cannot order branch values {b} and {c}")
 
 
-def best_cover(entries: tuple, levels, part, incumbent, maximise: bool):
-    """The best admissible cover by k >= 2 blocks that strictly beats
-    incumbent, or None when none does.
-
-    maximise: the largest theta * sum(part over blocks) over covers of
-    every support suffix; otherwise the smallest max(part over blocks) /
-    theta over covers of the whole support.  Returns (value, level,
-    bounds) with bounds = (start, c_1, ..., len(entries)) the slice
-    boundaries of the winning blocks.  An IntervalScalar incumbent means
-    interval values: every level is then enumerated, with certified
-    comparisons (_improves).
-    """
-    m = len(entries)
-    if m < 2:
-        return None
-    cache: dict = {}
-
-    def val(a: int, b: int):
-        v = cache.get((a, b))
-        if v is None:
-            v = cache[(a, b)] = part(a, b)
-        return v
-
-    starts = range(m) if maximise else range(1)
-    exhaustive = isinstance(incumbent, IntervalScalar)
-    caps = [None if exhaustive else _start_caps(family, entries, starts)
-            for _, family, _ in levels]
-    cols = [[None, None] for _ in range(m)]
-    cuts = [[None, None] for _ in range(m)]
-    rows = _rows(caps, m)
-    if max(rows) >= 2:
-        for s in range(m - 1, -1, -1):
-            _fill(cols, cuts, s, m, rows[s], val, maximise)
-            if s:
-                cols[s][1] = val(s, m)
-    best = _choose(entries, starts, levels, caps, cols, cuts, val, incumbent, maximise)
-    return None if best[1] is None else best
-
-
-def best_windows(entries: tuple, levels, point, settle):
+def best_windows(entries: tuple, levels, point, settle, maximise: bool = True, prev=None):
     """Value and witness of every window entries[a:b] of a nonempty
-    support under a maximising recursion: the window's sup value, or the
-    best theta * sum over an admissible cover of one of its suffixes by
-    k >= 2 windows.
+    support under one step of a successive-cover recursion.
+
+    Maximising, a window's value is the best of its leaf, the sup, and
+    weight * (sum of block values) over admissible covers of its suffixes
+    by k >= 2 windows; minimising, the best of its leaf, the entry sum,
+    and weight * (max of block values) over covers of the whole window.
+    With prev None the blocks are valued in this pass: the fixpoint.
+    With prev a table from an earlier pass, the blocks and the incumbent
+    are read from it: one level step, whose leaf is prev's own value.
 
     Right ends b are visited in increasing order and starts a in
     decreasing order.  The suffix-cover table of entries[:b] depends on
     the right end only, so every window ending at b reads the same table;
-    a window's value becomes the table's row 1 at its start before the
-    next start is filled.  Levels are (index, family, weight) triples,
-    compared as weight * (sum of window values); point(v) is a leaf value
-    v on that scale and settle(c) turns a winning candidate back into a
-    window value.  Interval values (point returns an IntervalScalar) run
-    every level on the enumerator.
+    its row 1 at a start is the block value there, filled before the next
+    start.  Levels are (index, family, weight) triples; point(v) is a
+    leaf value v on the candidate scale and settle(c) turns a winning
+    candidate back into a window value.  Interval values (point returns
+    an IntervalScalar) run every level on the enumerator.
 
     Returns (value, choice): value[a][b] is the window's value, or the
     IndeterminateComparisonError that left it undecided, raised again
     only where another window reads it; choice[a][b] is the position of
-    the leaf or the (level, bounds) of the winning cover.
+    the leaf (after a level step: prev's value was kept) or the (level,
+    bounds) of the winning cover.
     """
     m = len(entries)
     value = [[None] * (m + 1) for _ in range(m)]
     choice = [[None] * (m + 1) for _ in range(m)]
+    blocks = value if prev is None else prev
 
     def val(a: int, b: int):
-        v = value[a][b]
+        v = blocks[a][b]
         if isinstance(v, IndeterminateComparisonError):
             raise v.with_traceback(None)
         return v
 
     exhaustive = isinstance(point(entries[0][1]), IntervalScalar)
-    caps = [None if exhaustive else _start_caps(family, entries, range(m))
-            for _, family, _ in levels]
+    caps = [None if exhaustive else _start_caps(family, entries) for _, family, _ in levels]
     rows = _rows(caps, m)
     for b in range(1, m + 1):
         head = entries[:b]
         cols = [[None, None] for _ in range(b)]
         cuts = [[None, None] for _ in range(b)]
-        top, pos = entries[b - 1][1], b - 1  # a one-point window is its leaf
-        value[pos][b] = cols[pos][1] = settle(point(top))
+        leaf, pos = entries[b - 1][1], b - 1  # a one-point window is its leaf
+        value[pos][b] = cols[pos][1] = settle(point(leaf))
         choice[pos][b] = pos
         for a in range(b - 2, -1, -1):
-            _fill(cols, cuts, a, b, min(b - a, rows[a]), val, True)
-            if entries[a][1] >= top:
-                top, pos = entries[a][1], a
+            _fill(cols, cuts, a, b, min(b - a, rows[a]), blocks[a], maximise)
+            if not maximise:
+                leaf += entries[a][1]
+            elif entries[a][1] >= leaf:
+                leaf, pos = entries[a][1], a
             try:
-                cand, level, bounds = _choose(head, range(a, b), levels, caps, cols, cuts,
-                                              val, point(top), True)
-                value[a][b] = cols[a][1] = settle(cand)
+                cand, level, bounds = _choose(
+                    head, range(a, b) if maximise else (a,), levels, caps, cols, cuts, val,
+                    point(leaf if prev is None else prev[a][b]), maximise)
+                value[a][b] = settle(cand)
+                cols[a][1] = blocks[a][b]
                 choice[a][b] = pos if level is None else (level, bounds)
             except IndeterminateComparisonError as exc:
                 value[a][b] = exc
@@ -153,8 +129,9 @@ def _choose(entries: tuple, starts, levels, caps, cols, cuts, val, incumbent,
     """The first optimum strictly better than incumbent over covers of
     entries[s:] for s in starts, in the order level, start, block count,
     cut positions: (value, level, bounds), or (incumbent, None, None).
-    Levels with caps read the suffix table (cols, cuts); the others are
-    enumerated."""
+    A cover's value is its level's weight times the sum (maximise) or the
+    max of its block values.  Levels with caps read the suffix table
+    (cols, cuts); the others are enumerated."""
     end = len(entries)
     best = (incumbent, None, None)
     for level, cs in zip(levels, caps):
@@ -163,15 +140,14 @@ def _choose(entries: tuple, starts, levels, caps, cols, cuts, val, incumbent,
             for s in starts:
                 for _, _, bounds in _admissible_covers(entries, (level,), s):
                     values = [val(a, b) for a, b in zip(bounds, bounds[1:])]
-                    cand = (weight * sum(values[1:], values[0]) if maximise
-                            else max(values) / weight)
+                    cand = weight * (sum(values[1:], values[0]) if maximise else max(values))
                     if _improves(cand, best[0]) if maximise else cand < best[0]:
                         best = (cand, level, bounds)
             continue
         for s in starts:
             col = cols[s]
             for k in range(2, min(end - s, cs[s]) + 1):
-                cand = weight * col[k] if maximise else col[k] / weight
+                cand = weight * col[k]
                 if cand > best[0] if maximise else cand < best[0]:
                     bounds = [s]
                     for j in range(k, 1, -1):
@@ -180,30 +156,68 @@ def _choose(entries: tuple, starts, levels, caps, cols, cuts, val, incumbent,
     return best
 
 
-def approximant(levels, entries: tuple, n: int, memo: dict, maximise: bool) -> Fraction:
-    """Level n at entries: level 0 is the largest entry (maximise) or the
-    entry sum, level n the better of level n - 1 and best_cover over
-    level-(n - 1) block values, memoised under (entries, n)."""
-    if not entries or n == 0:
-        values = [c for _, c in entries]
-        return max(values, default=Fraction(0)) if maximise else sum(values, Fraction(0))
-    value = memo.get((entries, n))
-    if value is None:
-        value = approximant(levels, entries, n - 1, memo, maximise)
-        best = best_cover(entries, levels,
-                          lambda a, b: approximant(levels, entries[a:b], n - 1, memo, maximise),
-                          value, maximise)
-        if best is not None:
-            value = best[0]
-        memo[(entries, n)] = value
-    return value
+def integer_units(entries: tuple, levels, maximise: bool):
+    """The exact route: (entries, levels, point, settle, unit) with every
+    window value an integer in units of 1/unit.
+
+    A cover multiplies its combined block value by theta (maximise) or
+    1/theta (minimise).  With D the lcm of the entries' denominators, Q
+    that of the factors' and m the support size, unit = D * Q^(m - 1): a
+    window of l points is its leaf or one factor times windows of at most
+    l - 1 points, so its value is a multiple of 1/(D * Q^(l - 1)).  The
+    scaled weights are factor * Q, so a candidate is an integer in units
+    of 1/(unit * Q), and only the winner is divided by Q (settle).
+    """
+    factors = [(t.numerator, t.denominator) if maximise else (t.denominator, t.numerator)
+               for _, _, t in levels]
+    d = math.lcm(*(c.denominator for _, c in entries))
+    q = math.lcm(*(den for _, den in factors))
+    unit = d * q ** (len(entries) - 1)
+    scaled = tuple((i, c.numerator * (unit // c.denominator)) for i, c in entries)
+    weights = tuple((i, family, num * (q // den))
+                    for (i, family, _), (num, den) in zip(levels, factors))
+
+    def settle(cand: int) -> int:
+        v, r = divmod(cand, q)
+        if r:
+            raise TsinormError(f"internal: window value {cand}/{q} is not a multiple of 1/{unit}")
+        return v
+
+    return scaled, weights, lambda v: v * q, settle, unit
 
 
-def _start_caps(family, entries: tuple, starts):
+def fixpoint(levels, entries: tuple, maximise: bool) -> Fraction:
+    """The recursion's value at a support with rational weights, from
+    one fixpoint pass of best_windows; the limit of iterates."""
+    if not entries:
+        return Fraction(0)
+    scaled, weights, point, settle, unit = integer_units(entries, levels, maximise)
+    value, _ = best_windows(scaled, weights, point, settle, maximise)
+    return Fraction(value[0][-1], unit)
+
+
+def iterates(levels, entries: tuple, maximise: bool):
+    """Levels 0, 1, 2, ... of the recursion at a support with rational
+    weights: level 0 is the largest entry (maximise) or the entry sum,
+    level n the better of level n - 1 and the best cover over level-(n - 1)
+    window values, one best_windows step per level.  A window of l points
+    is stable from level l - 1, so from level m - 1 on, m the support
+    size, the value repeats without further passes."""
+    if not entries:
+        yield from itertools.repeat(Fraction(0))
+    scaled, weights, point, settle, unit = integer_units(entries, levels, maximise)
+    table, _ = best_windows(scaled, (), point, settle, maximise)
+    for _ in range(len(entries) - 1):
+        yield Fraction(table[0][-1], unit)
+        table, _ = best_windows(scaled, weights, point, settle, maximise, table)
+    yield from itertools.repeat(Fraction(table[0][-1], unit))
+
+
+def _start_caps(family, entries: tuple):
     """Per start s, the most blocks an admissible cover starting at s can
     have, however many points follow; None when the family has no such
     bound."""
-    caps = [families.max_blocks(family, entries[s][0]) for s in starts]
+    caps = [families.max_blocks(family, i) for i, _ in entries]
     return None if caps[0] is None else caps
 
 
@@ -212,28 +226,29 @@ def _rows(caps, end: int) -> list:
     s: the largest cap there, and one less than any cap at an earlier
     start, whose rows read the later columns; never more than the end - s
     points left.  For a shorter end b, min(b - s, rows[s]) is the bound."""
+    bounded = [cs for cs in caps if cs is not None]
     rows = []
     carry = 0
-    for s in range(end):
-        here = max((cs[s] for cs in caps if cs is not None and s < len(cs)), default=0)
+    for s, here in enumerate(map(max, zip(*bounded)) if bounded else [0] * end):
         rows.append(min(end - s, max(here, carry)))
         carry = max(carry, here - 1)
     return rows
 
 
-def _fill(cols, cuts, s: int, end: int, rows: int, val, maximise: bool) -> None:
+def _fill(cols, cuts, s: int, end: int, rows: int, starting, maximise: bool) -> None:
     """Column s of the suffix-cover table of entries[:end]: cols[s][j] is
     the optimum over covers of entries[s:end] by exactly j slices, 2 <= j
     <= rows, combining slice values by sum (maximise) or by max
     (minimise); cuts[s][j] is the first cut of the first optimiser, the
-    smallest on ties.  Reads cols[c][j - 1] for c > s; row 1, the slice
+    smallest on ties.  Reads the first slice's value entries[s:c] as
+    starting[c] and cols[c][j - 1] for c > s; row 1, the slice
     entries[c:end] itself, is the caller's."""
     col = cols[s]
     cut = cuts[s]
     for j in range(2, rows + 1):
         b = bc = None
         for c in range(s + 1, end - j + 2):
-            v = val(s, c)
+            v = starting[c]
             w = cols[c][j - 1]
             if maximise:
                 v = v + w

@@ -22,9 +22,11 @@ flips of a (a staircase split).  Terms that miss x or the ball value are
 an internal failure, never an answer.  The implicit-equation checker
 reduces to these exact values.
 
-The rho upper iterates need no LP.  rho_partition_upper, sigma_ell1_variant
-and the sub-vectors of rho_with_splits_upper share one memo per space
-over covers.approximant, minimising from the l1 norm.
+The rho upper iterates need no LP, and keep no state between calls.
+rho_partition_upper, rho_chain and the parts of rho_with_splits_upper
+read levels from covers.iterates, one bottom-up window pass per level,
+minimising from the l1 norm; sigma_ell1_variant, their limit, is one
+fixpoint pass (covers.fixpoint).
 verify_implicit_equation walks covers.cover_branches, the enumerator,
 because it reports the partition count and every violating branch.
 
@@ -54,7 +56,6 @@ from .core import (
     IntervalScalar,
     PrecisionExhaustedError,
     TsinormError,
-    ell1_norm,
     format_scalar,
     format_vector,
     pairing,
@@ -63,10 +64,11 @@ from .core import (
     parse_vector,
     restrict,
 )
-from .covers import approximant, cover_branches
+from .covers import cover_branches, fixpoint, iterates
 from .families import (
     Level,
     MixedSpaceSpec,
+    rational_levels,
     resolve_theta,
     spec_from_config,
     spec_to_config,
@@ -94,7 +96,6 @@ Q = Fraction
 _GENERATOR_CACHE: dict = {}
 _VALUE_MEMO: dict = {}
 _CERT_MEMO: dict = {}
-_RHO_MEMO: dict = {}
 
 
 def clear_caches() -> None:
@@ -102,7 +103,6 @@ def clear_caches() -> None:
     _GENERATOR_CACHE.clear()
     _VALUE_MEMO.clear()
     _CERT_MEMO.clear()
-    _RHO_MEMO.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +136,7 @@ class RhoIterate:
 
 
 def _require_rational(spec: MixedSpaceSpec, what: str) -> tuple:
-    if spec.has_symbolic_theta:
-        raise TsinormError(
-            f"{what} needs rational weights at every level; space "
-            f"{spec.name!r} has a symbolic one (use dual_norm_bounds for enclosures)")
-    return tuple((i, lev.family, Q(lev.theta)) for i, lev in enumerate(spec.levels))
+    return rational_levels(spec, f"{what} needs", " (use dual_norm_bounds for enclosures)")
 
 
 def _patterns(spec: MixedSpaceSpec, support: tuple, budget: int) -> tuple:
@@ -388,14 +384,16 @@ def rho_partition_upper(spec: MixedSpaceSpec, x: FinVec, n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     levels = _require_rational(spec, "rho_partition_upper")
-    memo = _RHO_MEMO.setdefault(spec.cache_key(), {})
-    return approximant(levels, x.abs().entries, n, memo, False)
+    return next(itertools.islice(iterates(levels, x.abs().entries, False), n, None))
 
 
 def rho_chain(spec: MixedSpaceSpec, x: FinVec, n_max: int) -> Tuple[RhoIterate, ...]:
     """The iterates 0..n_max as a tuple; handy for tables and checks."""
-    return tuple(RhoIterate(n, rho_partition_upper(spec, x, n))
-                 for n in range(n_max + 1))
+    if n_max < 0:
+        return ()
+    levels = _require_rational(spec, "rho_partition_upper")
+    return tuple(RhoIterate(n, value) for n, value in
+                 zip(range(n_max + 1), iterates(levels, x.abs().entries, False)))
 
 
 def support_bipartitions(x: FinVec) -> tuple:
@@ -435,23 +433,16 @@ def rho_with_splits_upper(spec: MixedSpaceSpec, x: FinVec, n: int,
         cands.append((w1, w2))
     if x.is_zero:
         return Q(0)
-    memo = _RHO_MEMO.setdefault(spec.cache_key(), {})
-
-    def part(w: FinVec, m: int, own: Fraction) -> Fraction:
-        # own: iterate m of x's chain, the only one that sees the splits
-        if w.entries == x.entries:
-            return own
-        return approximant(levels, w.abs().entries, m, memo, False)
-
-    value = ell1_norm(x)
-    for m in range(1, n + 1):
+    chain = iterates(levels, x.abs().entries, False)
+    # None marks a part equal to x, whose level is x's own previous value,
+    # the only one that sees the splits
+    parts = [[None if w.entries == x.entries else iterates(levels, w.abs().entries, False)
+              for w in pair] for pair in cands]
+    value = next(chain)
+    for _ in range(n):
         # x's chain never exceeds rho, so this adds exactly x's cover branch
-        prev = value
-        value = min(value, approximant(levels, x.abs().entries, m, memo, False))
-        for w1, w2 in cands:
-            cand = part(w1, m - 1, prev) + part(w2, m - 1, prev)
-            if cand < value:
-                value = cand
+        below = [sum(value if g is None else next(g) for g in pair) for pair in parts]
+        value = min(value, next(chain), *below)
     return value
 
 
@@ -545,27 +536,22 @@ def sigma_ell1_variant(spec: MixedSpaceSpec, x: FinVec,
                        iteration_cap: int = 32):
     """The l1-variant iterate: the rho recursion with the infimum branch
     replaced by the l1 norm, run to its per-vector fixpoint.  That is
-    rho_partition_upper's recursion, whose memo it shares.
+    rho_partition_upper's recursion.
 
-    Returns (value, converged).  Levels are iterated until two agree,
-    but never before the support size: a level can stall for one step
-    while its blocks still improve underneath.  Blocks converge by
-    support-size induction, so the fixpoint arrives by |supp(x)| + 1
-    levels; the cap turns larger demands into converged=False instead.
+    Returns (value, converged).  Levels count as iterated until two
+    agree, but never before the support size: a level can stall for one
+    step while its blocks still improve underneath.  A window of l
+    points is stable from level l - 1, so the fixpoint is reached by
+    level |supp(x)| + 1 and comes from one fixpoint pass; a cap of at
+    most |supp(x)| gives level iteration_cap with converged=False.
     """
     levels = _require_rational(spec, "sigma_ell1_variant")
     if iteration_cap < 1:
         raise ValueError(f"iteration cap must be >= 1, got {iteration_cap}")
-    memo = _RHO_MEMO.setdefault(spec.cache_key(), {})
     entries = x.abs().entries
-    need = len(entries)
-    prev = approximant(levels, entries, 0, memo, False)
-    for n in range(1, iteration_cap + 1):
-        cur = approximant(levels, entries, n, memo, False)
-        if cur == prev and n > need:
-            return cur, True
-        prev = cur
-    return prev, False
+    if iteration_cap > len(entries):
+        return fixpoint(levels, entries, False), True
+    return next(itertools.islice(iterates(levels, entries, False), iteration_cap, None)), False
 
 
 def falsify_ell1_variant(spec: MixedSpaceSpec, N: int, G: Sequence,

@@ -204,6 +204,15 @@ def theta_is_rational(theta: Theta) -> bool:
     return isinstance(theta, Fraction)
 
 
+def rational_levels(spec: MixedSpaceSpec, needs: str, hint: str = "") -> tuple:
+    """(index, family, theta) per level of spec; a symbolic weight raises
+    TsinormError, its message beginning with `needs` and ending with hint."""
+    if spec.has_symbolic_theta:
+        raise TsinormError(f"{needs} rational weights at every level; space "
+                           f"{spec.name!r} has a symbolic one{hint}")
+    return tuple((i, lev.family, lev.theta) for i, lev in enumerate(spec.levels))
+
+
 def resolve_theta(theta: Theta, precision: int = DEFAULT_THETA_PRECISION) -> IntervalScalar:
     """Weight as an interval: a point for rational weights."""
     if isinstance(theta, Fraction):

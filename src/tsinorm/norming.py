@@ -51,6 +51,7 @@ from .families import (
     format_theta,
     is_admissible,
     max_blocks,
+    rational_levels,
     theta_is_rational,
 )
 
@@ -215,14 +216,6 @@ def tau(vset: NormingSet, x: FinVec) -> Fraction:
 # ---------------------------------------------------------------------------
 # closure construction
 
-def _rational_levels(spec: MixedSpaceSpec) -> tuple:
-    if spec.has_symbolic_theta:
-        raise TsinormError(
-            "norming sets need rational weights at every level; "
-            f"space {spec.name!r} has a symbolic one")
-    return tuple((i, lev.family, Q(lev.theta)) for i, lev in enumerate(spec.levels))
-
-
 def _k_cap(levels: tuple, first_min: int) -> int:
     """Upper bound on the part count of any admissible tuple whose first
     part has minimum first_min.  Only a pruning bound; admissibility is
@@ -253,7 +246,7 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     Rounds are semi-naive: a tuple is only combined when at least one
     part is new since the previous round.
     """
-    levels = _rational_levels(spec)
+    levels = rational_levels(spec, "norming sets need")
     if not indices:
         raise ValueError("need at least one index to seed from")
     F: dict = {}
@@ -492,7 +485,9 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
     The header must name spec and give window=, generation= and
     stabilized=.  Each line's tree must recompute its vector column
     exactly, with admissible successive children at every node, supports
-    inside the window, and no duplicate coefficient vectors.
+    inside the window, and no duplicate coefficient vectors.  The window
+    must be the largest index in the lines and the generation the depth
+    of the deepest tree, as in every set this module builds.
     """
     header = {}
     stabilized = None
@@ -557,4 +552,18 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
             raise TsinormError(
                 f"duplicate functional {format_vector(f.coeffs)!r}")
         seen.add(f.coeffs.entries)
+    # a built set holds e_window, and its key born in round r has depth r
+    top = max(f.coeffs.support[-1] for f in funcs)
+    if window != top:
+        raise TsinormError(f"header window {window} differs from the largest index {top}")
+    depth = max(_depth(f.tree) for f in funcs)
+    if generation != depth:
+        raise TsinormError(
+            f"header generation {generation} differs from the deepest tree's depth {depth}")
     return NormingSet(spec, window, tuple(funcs), generation, stabilized)
+
+
+def _depth(tree: FunctionalTree) -> int:
+    if isinstance(tree, FunctionalLeaf):
+        return 0
+    return 1 + max(_depth(c) for c in tree.children)

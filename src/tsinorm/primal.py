@@ -18,30 +18,24 @@ right end for Schreier and cardinality levels with rational weights, and
 the enumerator for explicit families and for symbolic weights, whose
 precision-doubling schedule follows the enumerator's order of certified
 comparisons.  Both routes give the same certificates.  fj_norm is
-mixed_norm on tsirelson_spec().
+mixed_norm on tsirelson_spec(), and fj_norm_level reads level n of the
+same recursion from covers.iterates, one window pass per level.
 
-With rational weights the values are Python integers in units of 1/L,
-L = D * Q^(m - 1): D is the lcm of the denominators of |x|, Q that of the
-kept weights, m the support size.  A window of l points has a witness
-tree of height at most l - 1, so its value is a multiple of
-1/(D * Q^(l - 1)) and theta * sum stays an integer; a candidate is
-compared as (theta * Q) * sum, and only the winner is divided by Q.
-Fractions are built only when the certificate is assembled.
+With rational weights the window values are Python integers, in the
+units of covers.integer_units; Fractions are built only when the
+certificate is assembled.
 
 Norms here are 1-unconditional: every value depends only on |x|, so
 certificates describe |x|; they verify against any sign pattern because
 leaf evaluation takes absolute values.
 
-mixed_norm and fj_norm keep no state between calls: each call's tables
-end with it, and concurrent calls share nothing.  Only fj_norm_level
-memoises, in a module-level dict whose insertion is idempotent (values
-are deterministic), which keeps concurrent use safe under the
-interpreter's atomic dict operations.
+No call keeps state: each call's tables end with it, and concurrent
+calls share nothing.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -58,7 +52,7 @@ from .core import (
     restrict,
     sup_norm,
 )
-from .covers import approximant, best_windows
+from .covers import best_windows, integer_units, iterates
 from .families import (
     Level,
     MixedSpaceSpec,
@@ -103,26 +97,23 @@ def _abs_entries(x: FinVec) -> tuple:
 # ---------------------------------------------------------------------------
 # evaluation
 
-_FJ_LEVEL_MEMO: dict = {}
 _FJ_LEVELS = tuple((i, lv.family, lv.theta) for i, lv in enumerate(tsirelson_spec().levels))
 
 
-def fj_norm(x: FinVec, *, use_cache: bool = True):
+def fj_norm(x: FinVec):
     """Exact norm for the Schreier family at weight 1/2, with certificate.
 
     Returns (value, certificate).  The certificate's split nodes refer to
     level 0 of the single-level space returned by tsirelson_spec().
-    use_cache has no effect; it is kept for compatibility.
     """
     return mixed_norm(tsirelson_spec(), x)
 
 
-def fj_norm_level(x: FinVec, n: int, *, use_cache: bool = True) -> Fraction:
+def fj_norm_level(x: FinVec, n: int) -> Fraction:
     """n-th approximant: level 0 is the sup norm, each level adds one split."""
     if n < 0:
         raise ValueError(f"level {n} < 0")
-    memo = _FJ_LEVEL_MEMO if use_cache else {}
-    return approximant(_FJ_LEVELS, _abs_entries(x), n, memo, True)
+    return next(itertools.islice(iterates(_FJ_LEVELS, _abs_entries(x), True), n, None))
 
 
 def _certificate(entries: tuple, levels: tuple, point, settle, scalar) -> PrimalCertificate:
@@ -151,25 +142,10 @@ def _certificate(entries: tuple, levels: tuple, point, settle, scalar) -> Primal
 
 
 def _exact_certificate(entries: tuple, kept: tuple) -> PrimalCertificate:
-    """The exact path: window values are integers in units of 1/L with
-    L = D * Q^(m - 1), D the lcm of the entries' denominators and Q that
-    of the weights'.  A candidate theta * sum is compared as the integer
-    (theta * Q) * sum, in units of 1/(L * Q)."""
-    d = math.lcm(*(c.denominator for _, c in entries))
-    q = math.lcm(*(theta.denominator for _, _, theta in kept))
-    unit = d * q ** (len(entries) - 1)
-    scaled = tuple((i, c.numerator * (unit // c.denominator)) for i, c in entries)
-    levels = tuple((i, family, theta.numerator * (q // theta.denominator), theta)
-                   for i, family, theta in kept)
-
-    def settle(cand: int) -> int:
-        v, r = divmod(cand, q)
-        if r:
-            raise TsinormError(f"internal: window value {cand}/{q} is not a multiple of 1/{unit}")
-        return v
-
-    return _certificate(scaled, levels, lambda v: v * q, settle,
-                        lambda v: Fraction(v, unit))
+    """The exact path, in the integer units of covers.integer_units."""
+    scaled, weights, point, settle, unit = integer_units(entries, kept, True)
+    levels = tuple(w + (theta,) for w, (_, _, theta) in zip(weights, kept))
+    return _certificate(scaled, levels, point, settle, lambda v: Fraction(v, unit))
 
 
 def _kept_levels(spec: MixedSpaceSpec, support) -> tuple:
@@ -181,15 +157,13 @@ def _kept_levels(spec: MixedSpaceSpec, support) -> tuple:
 
 def mixed_norm(spec: MixedSpaceSpec, x: FinVec, *,
                precision: Optional[int] = None,
-               precision_cap: Optional[int] = None,
-               use_cache: bool = True):
+               precision_cap: Optional[int] = None):
     """Norm of x in the mixed space, with certificate.
 
     Exact Fraction when every level relevant to supp(x) has a rational
     weight; otherwise a certified IntervalScalar enclosure, produced with
     the working precision doubled until every branch comparison is
     decided (or the cap is hit, raising PrecisionExhaustedError).
-    use_cache has no effect; it is kept for compatibility.
     """
     kept = _kept_levels(spec, x.support)
     entries = _abs_entries(x)
@@ -218,10 +192,6 @@ def mixed_norm(spec: MixedSpaceSpec, x: FinVec, *,
                     f"branch comparison undecided at precision cap {cap}: {exc}"
                 ) from exc
             p = min(p * 2, cap)
-
-
-def clear_caches() -> None:
-    _FJ_LEVEL_MEMO.clear()
 
 
 # ---------------------------------------------------------------------------

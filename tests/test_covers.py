@@ -56,13 +56,13 @@ def test_dp_matches_enumerator(enumerator_only):
     rng = random.Random(41)
     cases = [(spec, random_vector(rng, 9, 7)) for spec in SPACES for _ in range(25)]
     tsinorm.clear_caches()
-    dp = [(mixed_norm(spec, x, use_cache=False),
+    dp = [(mixed_norm(spec, x),
            [rho_partition_upper(spec, x, n) for n in range(4)],
            sigma_ell1_variant(spec, x)) for spec, x in cases]
     fj = [fj_norm(x) for spec, x in cases if spec.name == "tsirelson"]
     enumerator_only()
     tsinorm.clear_caches()
-    enumerated = [(mixed_norm(spec, x, use_cache=False),
+    enumerated = [(mixed_norm(spec, x),
                    [rho_partition_upper(spec, x, n) for n in range(4)],
                    sigma_ell1_variant(spec, x)) for spec, x in cases]
     tsinorm.clear_caches()
@@ -75,5 +75,5 @@ def test_interval_route_stays_on_the_enumerator():
     # the dynamic program, comparing these intervals with _improves, gives
     # the wider (still valid) [47360/20851, 331264/145395] here
     x = parse_vector("2:-1/2 3:1/2 4:1 5:-1 6:1 9:-1/2 10:-2")
-    value, _ = mixed_norm(schlumprecht_spec(), x, precision=4, use_cache=False)
+    value, _ = mixed_norm(schlumprecht_spec(), x, precision=4)
     assert value == IntervalScalar(Q(43442372608, 19110866159), Q(339392512, 149301393))

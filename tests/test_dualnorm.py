@@ -47,6 +47,7 @@ from tsinorm.dualnorm import (
 )
 from tsinorm.lp import Constraint, LinearProgram, solve as lp_solve
 from tsinorm.norming import (
+    FunctionalLeaf,
     _flip_tree,
     build_norming_set,
     export_norming_set,
@@ -55,7 +56,7 @@ from tsinorm.norming import (
 )
 from tsinorm.primal import mixed_norm
 
-from frozen_values import DUAL_GOLDENS, RHO_CHAIN_E345, SIGMA_GOLDENS
+from frozen_values import DUAL_GOLDENS, MIXED_CARD_LEVELS, RHO_CHAIN_E345, SIGMA_GOLDENS
 from oracles import (
     TSIRELSON_LEVELS,
     brute_rho_upper,
@@ -233,6 +234,14 @@ def test_mutated_document_rejected_or_sound(which, at, op, other):
         for f in vset.functionals:  # every functional lies in the dual ball
             signs = vec({i: 1 if c > 0 else -1 for i, c in f.coeffs.entries})
             assert f(signs) <= mixed_norm(TS, signs)[0]
+        assert vset.window == max(f.coeffs.support[-1] for f in vset.functionals)
+        assert vset.generation == max(tree_depth(f.tree) for f in vset.functionals)
+
+
+def tree_depth(tree) -> int:
+    if isinstance(tree, FunctionalLeaf):
+        return 0
+    return 1 + max(tree_depth(c) for c in tree.children)
 
 
 class TestNormAxioms:
@@ -484,6 +493,56 @@ class TestSigma:
         assert not converged
         full, ok = sigma_ell1_variant(TS, x)
         assert ok and full <= value
+
+
+# each space with its levels in the oracle's (kind, param, theta) form
+ORACLE_SPACES = {
+    "tsirelson": (TS, TSIRELSON_LEVELS),
+    "card-demo": (MixedSpaceSpec("card-demo", (Level(Schreier1(), Q(1, 2)),
+                                               Level(CardinalityAtMost(2), Q(1, 3)))),
+                  (("schreier", 0, Q(1, 2)), ("card", 2, Q(1, 3)))),
+    "card-mix": (MixedSpaceSpec("card-mix", tuple(Level(CardinalityAtMost(l), th)
+                                                  for _, l, th in MIXED_CARD_LEVELS)),
+                 MIXED_CARD_LEVELS),
+    "explicit": (MixedSpaceSpec("explicit", (
+        Level(ExplicitFinite(((2, 3), (3, 5, 8), (4, 6), (2, 5, 7, 9))), Q(2, 3)),
+        Level(CardinalityAtMost(2), Q(1, 2)))),
+        (("explicit", ((2, 3), (3, 5, 8), (4, 6), (2, 5, 7, 9)), Q(2, 3)),
+         ("card", 2, Q(1, 2)))),
+}
+
+
+class TestIteratesOracle:
+    """rho, its chain and sigma against the brute-force recursions, on
+    every kind of level."""
+
+    @pytest.mark.parametrize("name,seed", [("tsirelson", 111), ("card-demo", 112),
+                                           ("card-mix", 113), ("explicit", 114)])
+    def test_levels_and_fixpoint(self, name, seed):
+        spec, levels = ORACLE_SPACES[name]
+        rng = random.Random(seed)
+        for _ in range(10):
+            x = random_vector(rng, range(1, 7))
+            m = len(x.support)
+            brute = [brute_rho_upper(x.to_dict(), n, levels) for n in range(m + 1)]
+            assert [rho_partition_upper(spec, x, n) for n in range(m + 1)] == brute
+            assert [it.value for it in rho_chain(spec, x, m)] == brute
+            assert rho_chain(spec, x, -1) == ()
+            assert sigma_ell1_variant(spec, x) == (brute_sigma(x.to_dict(), levels), True)
+            for cap in range(1, m + 1):
+                assert sigma_ell1_variant(spec, x, iteration_cap=cap) == (brute[cap], False)
+
+    def test_last_level_still_improves(self):
+        # m points can improve up to level m - 1 (weight 2/3 > 1/2 lets
+        # two points beat their l1 norm), and no further
+        spec, levels = ORACLE_SPACES["explicit"]
+        for x in (e(2, 3), e(2, 4, 6), vec({1: 1, 2: Q(1, 2), 4: Q(1, 2), 6: Q(1, 2)})):
+            m = len(x.support)
+            chain = [it.value for it in rho_chain(spec, x, m + 1)]
+            assert chain == [brute_rho_upper(x.to_dict(), n, levels) for n in range(m + 2)]
+            assert chain[m - 1] < chain[m - 2]
+            assert chain[m - 1] == chain[m + 1] == sigma_ell1_variant(spec, x)[0]
+            assert sigma_ell1_variant(spec, x, iteration_cap=m - 1) == (chain[m - 1], False)
 
 
 class TestFalsifier:

@@ -426,10 +426,14 @@ class TestExportImport:
         lambda t: t.replace("space=tsirelson", "space=halves"),
         lambda t: t.replace("space=tsirelson", "space=tsirelson2"),
         lambda t: t.replace("count=10", "count=10 space=halves"),
+        lambda t: t.replace("window=3", "window=4"),
+        lambda t: t.replace("generation=1", "generation=0"),
+        lambda t: t.replace("generation=1", "generation=2"),
     ], ids=["deep-tree", "superscript-leaf-index", "zero-index-column",
             "window-not-a-number", "count-not-a-number", "stabilized-maybe",
             "header-only", "no-stabilized", "other-space-name", "space-name-prefix",
-            "second-space-name"])
+            "second-space-name", "window-above-largest-index", "generation-too-low",
+            "generation-too-high"])
     def test_malformed_export_rejected(self, mutate):
         text = export_norming_set(build_norming_set(TS, 3))
         bad = mutate(text)

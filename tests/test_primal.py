@@ -5,7 +5,8 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsinorm import primal
+import tsinorm
+from tsinorm import dualnorm, primal
 from tsinorm.core import (
     DEFAULT_THETA_PRECISION,
     PRECISION_CAP,
@@ -30,7 +31,6 @@ from tsinorm.primal import (
     Leaf,
     PrimalCertificate,
     Split,
-    clear_caches,
     fj_norm,
     fj_norm_level,
     mixed_norm,
@@ -178,13 +178,17 @@ class TestMixedTsirelson:
             verify_primal_certificate(spec, x, mx_cert)
             verify_primal_certificate(spec, x, fj_cert)
 
-    def test_memo_on_off_agree(self):
+    def test_norm_is_its_last_level(self):
+        # the fixpoint pass against the level iterates, which are stable
+        # from level |supp x| - 1
         spec = tsirelson_spec()
         rng = random.Random(5)
         for _ in range(25):
             x = random_vec(rng, max_index=5)
-            assert mixed_norm(spec, x)[0] == mixed_norm(spec, x, use_cache=False)[0]
-            assert fj_norm(x)[0] == fj_norm(x, use_cache=False)[0]
+            value = mixed_norm(spec, x)[0]
+            assert fj_norm(x)[0] == value
+            for n in range(max(len(x.support) - 1, 0), len(x.support) + 2):
+                assert fj_norm_level(x, n) == value
 
 
 class TestMixedCard:
@@ -255,7 +259,7 @@ class TestSchlumprecht:
         # branch to [80/9, 100/11] which straddles 9
         x = vec({3: Q(9), 4: Q(8), 5: Q(8)})
         with pytest.raises(PrecisionExhaustedError):
-            mixed_norm(spec, x, precision=4, precision_cap=4, use_cache=False)
+            mixed_norm(spec, x, precision=4, precision_cap=4)
         value, _ = mixed_norm(spec, x)
         assert isinstance(value, IntervalScalar)
         assert value.is_point and value.lo == 9
@@ -379,7 +383,8 @@ def test_norm_calls_leave_module_state_unchanged():
         return len(table) + sum(entries(v) for v in table.values() if isinstance(v, dict))
 
     def sizes():
-        return {name: entries(value) for name, value in vars(primal).items()
+        return {f"{module.__name__}.{name}": entries(value)
+                for module in (primal, dualnorm) for name, value in vars(module).items()
                 if isinstance(value, dict) and not name.startswith("__")}
     before = sizes()
     rng = random.Random(3)
@@ -388,6 +393,13 @@ def test_norm_calls_leave_module_state_unchanged():
         fj_norm(x)
         mixed_norm(CARD_DEMO, x)
         mixed_norm(EXPLICIT, x)
+        fj_norm_level(x, 2)
+        for spec in (tsirelson_spec(), CARD_DEMO, EXPLICIT):
+            dualnorm.rho_partition_upper(spec, x, 2)
+            dualnorm.rho_chain(spec, x, 3)
+            dualnorm.rho_with_splits_upper(spec, x, 2, dualnorm.support_bipartitions(x))
+            dualnorm.sigma_ell1_variant(spec, x)
+            dualnorm.sigma_ell1_variant(spec, x, iteration_cap=1)
     mixed_norm(schlumprecht_spec(), vec(ones(2, 3, 5)))
     assert sizes() == before
 
@@ -473,7 +485,7 @@ class TestCertificateTampering:
 def test_clear_caches_roundtrip():
     x = vec(ones(3, 4, 5))
     before, _ = fj_norm(x)
-    clear_caches()
+    tsinorm.clear_caches()
     after, _ = fj_norm(x)
     assert before == after
 
@@ -483,7 +495,6 @@ def test_package_clear_caches_empties_every_memo():
     import pkgutil
     import re
 
-    import tsinorm
     x = vec(ones(2, 3, 4))
     mixed_norm(schlumprecht_spec(), vec(ones(2, 3, 5)))
     fj_norm_level(x, 2)
