@@ -95,14 +95,13 @@ Q = Fraction
 
 _GENERATOR_CACHE: dict = {}
 _VALUE_MEMO: dict = {}
-_CERT_MEMO: dict = {}
 
 
 def clear_caches() -> None:
-    """Drop every module-level memo (patterns, values, certificates)."""
+    """Drop both module-level memos: the maximal patterns per space and
+    support, and dual_norm_value's values per space and |x|."""
     _GENERATOR_CACHE.clear()
     _VALUE_MEMO.clear()
-    _CERT_MEMO.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +149,18 @@ def _patterns(spec: MixedSpaceSpec, support: tuple, budget: int) -> tuple:
     return got
 
 
-def _solve_ball(spec: MixedSpaceSpec, xa_entries: tuple, budget: int):
+def _solve_ball(patterns: tuple, xa_entries: tuple):
     """max <|x|, z> over z >= 0 with a.z <= 1 for every nonnegative
-    maximal pattern a.  By sign completeness this equals the maximum of
-    <x, y> over the whole dual-ball polar, and |x|'s best y is sign(x)*z.
+    maximal pattern a in `patterns`, the _patterns of supp(x).  By sign
+    completeness this equals the maximum of <x, y> over the whole
+    dual-ball polar, and |x|'s best y is sign(x)*z.
 
     Returns (value, z as dict, duals), duals being the verified row
-    multipliers in _patterns order: an optimum of the dominance program.
+    multipliers in patterns order: an optimum of the dominance program.
     """
     support = tuple(i for i, _ in xa_entries)
     rows = [Constraint(tuple(dict(a).get(i, Q(0)) for i in support), "<=", Q(1))
-            for a, _ in _patterns(spec, support, budget)]
+            for a, _ in patterns]
     objective = tuple(c for _, c in xa_entries)
     sol = solve(LinearProgram(objective, tuple(rows)), "max")
     if sol.status != "optimal":
@@ -171,18 +171,17 @@ def _solve_ball(spec: MixedSpaceSpec, xa_entries: tuple, budget: int):
     return sol.value, z, sol.duals
 
 
-def _hull_terms(spec: MixedSpaceSpec, x: FinVec, budget: int,
-                weights: tuple, value: Fraction) -> tuple:
+def _hull_terms(patterns: tuple, x: FinVec, weights: tuple,
+                value: Fraction) -> tuple:
     """Signed hull terms of total weight `value` that combine to x.
 
-    weights holds one dominance weight c_a per maximal pattern a on
-    supp(x), in _patterns order.  A greedy pass over the patterns cuts
+    weights holds one dominance weight c_a per maximal pattern a in
+    `patterns`, the _patterns of supp(x).  A greedy pass over them cuts
     each term c_a * a down to the part of |x| still uncovered,
     c_a * (r * a) with r in [0, 1]; _staircase_terms writes that as signed
     terms of total weight c_a.  Weights that are not a dominance optimum
     of value `value` raise TsinormError: the build itself is broken.
     """
-    patterns = _patterns(spec, x.support, budget)
     uncovered = {i: abs(c) for i, c in x.entries}
     signs = {i: (1 if c > 0 else -1) for i, c in x.entries}
     terms = []
@@ -258,7 +257,7 @@ def dual_norm_value(spec: MixedSpaceSpec, x: FinVec,
     key = (spec.cache_key(), x.abs().entries)
     got = _VALUE_MEMO.get(key)
     if got is None:
-        got, _, _ = _solve_ball(spec, key[1], budget)
+        got, _, _ = _solve_ball(_patterns(spec, x.support, budget), key[1])
         _VALUE_MEMO[key] = got
     return got
 
@@ -278,20 +277,12 @@ def dual_norm(spec: MixedSpaceSpec, x: FinVec,
     if x.is_zero:
         value, cert = mixed_norm(spec, FinVec.zero())
         return Q(0), DualCertificate(Q(0), (), FinVec.zero(), cert)
-    key = (spec.cache_key(), x.entries)
-    got = _CERT_MEMO.get(key)
-    if got is not None:
-        return got
-
-    xa = x.abs()
-    value, z, duals = _solve_ball(spec, xa.entries, budget)
-    terms = _hull_terms(spec, x, budget, duals, value)
+    patterns = _patterns(spec, x.support, budget)
+    value, z, duals = _solve_ball(patterns, x.abs().entries)
+    terms = _hull_terms(patterns, x, duals, value)
     signs = {i: (1 if c > 0 else -1) for i, c in x.entries}
     y = FinVec.from_items({i: signs[i] * v for i, v in z.items()})
-    cert = DualCertificate(value, terms, y, _ball_certificate(spec, x, y, value))
-    _VALUE_MEMO.setdefault((spec.cache_key(), xa.entries), value)
-    _CERT_MEMO[key] = (value, cert)
-    return value, cert
+    return value, DualCertificate(value, terms, y, _ball_certificate(spec, x, y, value))
 
 
 def verify_dual_certificate(spec: MixedSpaceSpec, x: FinVec,
@@ -554,9 +545,12 @@ def sigma_ell1_variant(spec: MixedSpaceSpec, x: FinVec,
     return next(itertools.islice(iterates(levels, entries, False), iteration_cap, None)), False
 
 
+# the search visits (|G| + 1)^N vectors and every pair of them
+_FALSIFIER_SUPPORT_CAP = 8
+
+
 def falsify_ell1_variant(spec: MixedSpaceSpec, N: int, G: Sequence,
-                         iteration_cap: int = 32,
-                         support_cap: int = 8) -> FalsifierResult:
+                         iteration_cap: int = 32) -> FalsifierResult:
     """Search for a triangle-inequality failure of the l1 variant.
 
     Enumerates every nonzero vector with support in [1, N] and entries
@@ -572,8 +566,8 @@ def falsify_ell1_variant(spec: MixedSpaceSpec, N: int, G: Sequence,
     loop) and unscaled for every sigma evaluation and in the witness.
     """
     _require_rational(spec, "falsify_ell1_variant")
-    if not 1 <= N <= support_cap:
-        raise ValueError(f"support bound {N} outside [1, {support_cap}]")
+    if not 1 <= N <= _FALSIFIER_SUPPORT_CAP:
+        raise ValueError(f"support bound {N} outside [1, {_FALSIFIER_SUPPORT_CAP}]")
     values = sorted({Q(g) for g in G} - {Q(0)})
     if not values:
         raise ValueError("entry grid is empty")

@@ -47,12 +47,15 @@ class CardinalityAtMost:
 
 @dataclass(frozen=True)
 class ExplicitFinite:
-    """A finite list of finite index sets, used verbatim.
+    """A finite list of finite index sets, read hereditarily.
 
-    The singletons {1}..{_top}, _top the largest listed index, belong to
-    it implicitly, so single-block tuples are always admissible, matching
-    the structural families.  `sets` keeps the larger listed sets, as
-    given otherwise (no heredity or spreading is assumed).
+    The family is every subset of a listed set, so a k-block tuple is
+    admissible when some listed set has a k-element subset that
+    interleaves it; like the structural families it is then closed under
+    subsets.  The singletons {1}..{_top}, _top the largest listed index,
+    belong to it too, so single-block tuples are always admissible.
+    `sets` keeps the listed sets of two or more members (no spreading is
+    assumed).
     """
     sets: tuple = ()
     _top: int = field(default=1, init=False, repr=False)
@@ -99,7 +102,9 @@ def is_admissible(family: AdmissibilityFamily, P: BlockPartition) -> bool:
 
     For Schreier1 this reduces to k <= min E_1 (take m_i = min E_i), for
     CardinalityAtMost(n) to k <= n (take the same m_i, any k minima work).
-    ExplicitFinite runs the interleaving test against each listed set.
+    ExplicitFinite asks whether a listed set meets every gap
+    (max E_(i-1), min E_i], with max E_0 = 0: one member per gap is a
+    k-element subset that interleaves the blocks.
     """
     k = P.k
     cap = max_blocks(family, P.blocks[0][0])
@@ -107,14 +112,19 @@ def is_admissible(family: AdmissibilityFamily, P: BlockPartition) -> bool:
         return k <= cap
     if k == 1:  # through the implicit singleton {1}
         return True
-    minima = P.block_minima()
-    maxima = tuple(b[-1] for b in P.blocks)
+    gaps = tuple(zip((0,) + tuple(b[-1] for b in P.blocks[:-1]), P.block_minima()))
     for M in family.sets:
-        if len(M) != k:
+        if len(M) < k:
             continue
-        if M[0] > minima[0]:
-            continue
-        if all(maxima[i - 1] < M[i] <= minima[i] for i in range(1, k)):
+        pos = 0
+        for lo, hi in gaps:
+            # the least member past lo; the gaps ascend, so the scan of M
+            # goes on where the previous gap left it
+            while pos < len(M) and M[pos] <= lo:
+                pos += 1
+            if pos == len(M) or M[pos] > hi:
+                break
+        else:
             return True
     return False
 
@@ -397,8 +407,8 @@ def spec_to_config(spec: MixedSpaceSpec) -> dict:
         elif isinstance(fam, CardinalityAtMost):
             fdoc = {"card_at_most": fam.n}
         else:
-            fdoc = {"explicit": [[m] for m in range(1, fam._top + 1)]
-                    + [list(s) for s in fam.sets]}
+            # the singleton [top] keeps _top when no larger set reaches it
+            fdoc = {"explicit": [list(s) for s in fam.sets] + [[fam._top]]}
         if isinstance(lv.theta, Fraction):
             tdoc = format_scalar(lv.theta)
         else:

@@ -1,9 +1,11 @@
-"""Exact rational linear programming.
+"""Exact rational linear programming over x >= 0.
 
-Two-phase primal simplex with Bland's rule, so termination is guaranteed
-and every optimum is exact.  Dual multipliers are read off the final
-tableau from each row's initial unit column, and every optimal result is
-KKT-verified in Fraction arithmetic before being returned.
+Rows are <=, = or >= constraints with any rational right-hand side; every
+variable is nonnegative and has no upper bound.  Two-phase primal simplex
+with Bland's rule, so termination is guaranteed and every optimum is
+exact.  Dual multipliers are read off the final tableau from each row's
+initial unit column, and every optimal result is KKT-verified in
+Fraction arithmetic before being returned.
 
 The tableau is fraction-free (Edmonds 1967; Bareiss 1968; as in exact LP
 solvers such as QSopt_ex): each row is scaled to integers, and every
@@ -50,15 +52,9 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max/min objective . x subject to rows and per-variable bounds.
-
-    Bounds default to 0 <= x_j (no upper).  A lower bound of None makes
-    the variable free.
-    """
+    """max/min objective . x subject to rows, over x >= 0."""
     objective: Tuple[Fraction, ...]
     constraints: Tuple[Constraint, ...]
-    lower: Optional[Tuple[Optional[Fraction], ...]] = None
-    upper: Optional[Tuple[Optional[Fraction], ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "objective", tuple(as_scalar(c) for c in self.objective))
@@ -67,15 +63,6 @@ class LinearProgram:
         for row in self.constraints:
             if len(row.coeffs) != n:
                 raise ValueError(f"constraint has {len(row.coeffs)} coeffs, expected {n}")
-        for bounds in (self.lower, self.upper):
-            if bounds is not None and len(bounds) != n:
-                raise ValueError("bounds length must match variable count")
-
-    def bounds(self):
-        n = len(self.objective)
-        lo = self.lower if self.lower is not None else tuple(Fraction(0) for _ in range(n))
-        hi = self.upper if self.upper is not None else (None,) * n
-        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -102,7 +89,7 @@ def solve(lp: LinearProgram, sense: str = "max") -> LpSolution:
 
 
 def _flip_objective(lp: LinearProgram) -> LinearProgram:
-    return LinearProgram(tuple(-c for c in lp.objective), lp.constraints, lp.lower, lp.upper)
+    return LinearProgram(tuple(-c for c in lp.objective), lp.constraints)
 
 
 def _negate(sol: LpSolution) -> LpSolution:
@@ -114,64 +101,15 @@ def _negate(sol: LpSolution) -> LpSolution:
 
 def _solve_max(lp: LinearProgram):
     n = len(lp.objective)
-    lower, upper = lp.bounds()
-
-    # Variable transform to x' >= 0: shift finite lower bounds, split free
-    # variables into positive and negative parts.  cols holds, per tableau
-    # column, (variable index, sign); shift holds the additive constant.
-    cols = []
-    shift = list(lower)
-    for j in range(n):
-        if lower[j] is None:
-            shift[j] = Fraction(0)
-            cols.append((j, 1))
-            cols.append((j, -1))
-        else:
-            cols.append((j, 1))
-    ncols = len(cols)
-    split = ncols > n
-    shifted = [j for j in range(n) if shift[j]]
-
-    def transformed_row(coeffs):
-        if not split:
-            return list(coeffs)
-        return [coeffs[j] if s > 0 else -coeffs[j] for j, s in cols]
-
-    rows = []          # (coeff list, relation, rhs) over transformed columns
-    row_origin = []    # original constraint index, or None for bound rows
-    for i, con in enumerate(lp.constraints):
-        rhs = con.rhs - sum(con.coeffs[j] * shift[j] for j in shifted)
-        rows.append([transformed_row(con.coeffs), con.relation, rhs])
-        row_origin.append(i)
-    for j in range(n):
-        if upper[j] is not None:
-            if lower[j] is not None and upper[j] < lower[j]:
-                return LpSolution(INFEASIBLE)
-            unit = [Fraction(0)] * n
-            unit[j] = Fraction(1)
-            rows.append([transformed_row(unit), "<=", upper[j] - shift[j]])
-            row_origin.append(None)
-
-    obj = transformed_row(lp.objective)
-
-    tab = _Tableau(ncols, rows)
+    tab = _Tableau(n, [(con.coeffs, con.relation, con.rhs) for con in lp.constraints])
     if not tab.phase1():
         return LpSolution(INFEASIBLE)
-    status = tab.phase2(obj)
-    if status == UNBOUNDED:
+    if tab.phase2(lp.objective) == UNBOUNDED:
         return LpSolution(UNBOUNDED)
-
-    xt = tab.column_values()
-    assignment = list(shift)
-    for col, (j, s) in enumerate(cols):
-        if xt[col]:
-            assignment[j] += xt[col] if s > 0 else -xt[col]
-    duals = [Fraction(0)] * len(lp.constraints)
-    for r, origin in enumerate(row_origin):
-        if origin is not None:
-            duals[origin] = tab.row_dual(r)
+    assignment = tuple(tab.column_values()[:n])
+    duals = tuple(tab.row_dual(r) for r in range(len(lp.constraints)))
     value = sum((c * x for c, x in zip(lp.objective, assignment) if c and x), Fraction(0))
-    return LpSolution(OPTIMAL, value, tuple(assignment), tuple(duals))
+    return LpSolution(OPTIMAL, value, assignment, duals)
 
 
 class _Tableau:
@@ -389,15 +327,11 @@ def verify_solution(lp: LinearProgram, sense: str, sol: LpSolution) -> None:
         raise LpError("verify_solution needs an optimal solution")
     x = sol.assignment
     y = sol.duals
-    n = len(lp.objective)
-    lower, upper = lp.bounds()
     sgn = 1 if sense == "max" else -1
 
-    for j in range(n):
-        if lower[j] is not None and x[j] < lower[j]:
-            raise LpError(f"x[{j}] = {x[j]} below lower bound {lower[j]}")
-        if upper[j] is not None and x[j] > upper[j]:
-            raise LpError(f"x[{j}] = {x[j]} above upper bound {upper[j]}")
+    for j, v in enumerate(x):
+        if v < 0:
+            raise LpError(f"x[{j}] = {v} is negative")
     support = [(j, v) for j, v in enumerate(x) if v]
     for i, con in enumerate(lp.constraints):
         coeffs = con.coeffs
@@ -425,18 +359,12 @@ def verify_solution(lp: LinearProgram, sense: str, sol: LpSolution) -> None:
 
     active = [(yi, con) for yi, con in zip(y, lp.constraints) if yi]
     dual_value = sum(yi * con.rhs for yi, con in active if con.rhs)
-    for j in range(n):
-        d = lp.objective[j] - sum(yi * con.coeffs[j] for yi, con in active
-                                  if con.coeffs[j])
-        at_lower = lower[j] is not None and x[j] == lower[j]
-        at_upper = upper[j] is not None and x[j] == upper[j]
+    # a reduced cost may only keep its variable at zero, never push it up
+    for j, cj in enumerate(lp.objective):
+        d = cj - sum(yi * con.coeffs[j] for yi, con in active if con.coeffs[j])
         if sgn * d > 0:
-            if not at_upper:
-                raise LpError(f"reduced cost {d} on variable {j} needs it at its upper bound")
-            dual_value += d * upper[j]
-        elif sgn * d < 0:
-            if not at_lower:
-                raise LpError(f"reduced cost {d} on variable {j} needs it at its lower bound")
-            dual_value += d * lower[j]
+            raise LpError(f"reduced cost {d} on variable {j} has no upper bound to hold it")
+        if sgn * d < 0 and x[j]:
+            raise LpError(f"reduced cost {d} on variable {j} needs it at zero")
     if dual_value != sol.value:
         raise LpError(f"strong duality broken: dual value {dual_value} != {sol.value}")

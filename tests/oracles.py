@@ -8,9 +8,9 @@ Conventions: vectors are plain dicts {index: Fraction} with no zero values,
 indices >= 1.  A "level" is a tuple (kind, param, theta) where kind is
 "schreier" (param ignored, blocks k admissible iff k <= first index of the
 first block), "card" (admissible iff k <= param) or "explicit" (param a
-tuple of sorted index sets, admissible iff one of them interleaves with
-the blocks) and theta is a Fraction, or for interval evaluation a (lo, hi)
-pair of Fractions.
+tuple of sorted index sets, read hereditarily: admissible iff a k-element
+subset of one of them interleaves with the blocks) and theta is a
+Fraction, or for interval evaluation a (lo, hi) pair of Fractions.
 """
 from __future__ import annotations
 
@@ -53,11 +53,14 @@ def _admissible(kind: str, param: int, chunks: list[tuple[int, ...]]) -> bool:
     if kind == "card":
         return k <= param
     if kind == "explicit":
-        # param lists the sets M; M interleaves with the chunks when
-        # m_1 <= min E_1 and max E_(i-1) < m_i <= min E_i
-        return any(len(M) == k and M[0] <= chunks[0][0]
-                   and all(chunks[i - 1][-1] < M[i] <= chunks[i][0] for i in range(1, k))
-                   for M in param)
+        # param lists the sets M, read hereditarily (every subset of a
+        # listed set belongs, singletons up to the largest index too); a
+        # subset m interleaves with the chunks when m_1 <= min E_1 and
+        # max E_(i-1) < m_i <= min E_i
+        return k == 1 or any(
+            m[0] <= chunks[0][0]
+            and all(chunks[i - 1][-1] < m[i] <= chunks[i][0] for i in range(1, k))
+            for M in param for m in itertools.combinations(sorted(M), k))
     raise ValueError(kind)
 
 

@@ -446,6 +446,45 @@ class TestCertify:
         assert code == 1
         assert out.startswith("certificate rejected:")
 
+    def test_explicit_certificate_stays_small(self, capsys, tmp_path):
+        space = tmp_path / "wide.json"
+        space.write_text(json.dumps(
+            {"name": "wide", "levels": [{"family": {"explicit": [[1, 1000000]]},
+                                         "theta": "2/3"}]}))
+        path = tmp_path / "cert.txt"
+        code, _, _ = run(capsys, ["certify", "1:1 1000000:1", "--space", str(space),
+                                  "--out", str(path)])
+        assert code == 0
+        assert len(path.read_bytes()) < 1024
+        code, out, _ = run(capsys, ["certify", "--check", str(path)])
+        assert code == 0 and out.startswith("certificate ok:")
+
+    def test_padded_hull_with_an_outside_ball_vector_rejected(self, capsys, tmp_path):
+        # 18 is the dual norm.  The padding f and -f at 3/4 each cancels in
+        # the sum but adds 3/2 to the weights, and the ball vector pairs to
+        # 39/2 only because (2/3)(e3 + e6 + e8), through the subset
+        # {1, 4, 8} of the listed {1, 4, 7, 8}, is a norming functional
+        # that puts it outside the unit ball.
+        path = tmp_path / "forged.txt"
+        path.write_text(
+            "tsinorm-certificate\n"
+            'space: {"name": "explicit-forge", "levels": [{"family": {"explicit": '
+            '[[2, 3], [3, 5, 6], [1, 4, 7, 8], [2, 5]]}, "theta": "2/3"}, '
+            '{"family": "schreier1", "theta": "1/2"}]}\n'
+            "vector: 1:-1 3:3 6:12 7:-1 8:12\n"
+            "value: 39/2\n"
+            "hull 6: (2/3 e1 e6 e7 e8)\n"
+            "hull 15/2: (2/3 -e1 e6 -e7 e8)\n"
+            "hull 9/4: (2/3 e3 e6 e7 e8)\n"
+            "hull 9/4: (2/3 e3 e6 -e7 e8)\n"
+            "hull 3/4: (2/3 e3 e6 e7 e8)\n"
+            "hull 3/4: (2/3 -e3 -e6 -e7 -e8)\n"
+            "ball-vector: 3:1/2 6:1/2 8:1\n"
+            "ball-witness: (leaf 8)\n")
+        code, out, _ = run(capsys, ["certify", "--check", str(path)])
+        assert code == 1 and out.startswith("certificate rejected:")
+        assert "outside the unit ball" in out
+
     def test_tampered_witness(self, capsys, tmp_path):
         path = tmp_path / "cert.txt"
         run(capsys, ["certify", "3:1 4:1 5:1", "--out", str(path)])

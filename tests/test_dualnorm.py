@@ -545,6 +545,21 @@ class TestIteratesOracle:
             assert sigma_ell1_variant(spec, x, iteration_cap=m - 1) == (chain[m - 1], False)
 
 
+class TestExplicitHeredity:
+    def test_generators_norm_like_the_primal(self):
+        # the index set reaches the tops 8 and 9 of the listed sets, so the
+        # closure may bundle on points where a vector is zero; read
+        # hereditarily, the primal recursion covers what it bundles
+        spec, _ = ORACLE_SPACES["explicit"]
+        support = (2, 3, 5, 7, 8, 9)
+        generators = norming_generators(spec, support)
+        rng = random.Random(115)
+        for _ in range(150):
+            z = random_vector(rng, support, density=0.6)
+            assert max(pairing(f.coeffs, z) for f in generators) == \
+                mixed_norm(spec, z)[0], z.to_dict()
+
+
 class TestFalsifier:
     def test_small_grid_exhausts(self):
         result = falsify_ell1_variant(TS, 4, [Q(1), Q(-1)])
@@ -579,7 +594,7 @@ class TestFalsifier:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             falsify_ell1_variant(TS, 0, [Q(1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"support bound 9 outside \[1, 8\]"):
             falsify_ell1_variant(TS, 9, [Q(1)])
         with pytest.raises(ValueError):
             falsify_ell1_variant(TS, 3, [Q(0)])
@@ -687,9 +702,9 @@ class TestPatternHull:
     def test_agrees_with_signed_hull_and_oracle(self):
         oracle_checked = 0
         for spec, x in self.vectors():
-            value, _, duals = dualnorm._solve_ball(spec, x.abs().entries,
-                                                   DEFAULT_NORMING_BUDGET)
-            terms = dualnorm._hull_terms(spec, x, DEFAULT_NORMING_BUDGET, duals, value)
+            patterns = dualnorm._patterns(spec, x.support, DEFAULT_NORMING_BUDGET)
+            value, _, duals = dualnorm._solve_ball(patterns, x.abs().entries)
+            terms = dualnorm._hull_terms(patterns, x, duals, value)
             assert value == self.signed_hull_optimum(spec, x)
             assert value == dual_norm_value(spec, x)
             levels = self.ORACLE_LEVELS.get(spec.name)
@@ -735,13 +750,14 @@ class TestPatternHull:
     def test_bad_weights_are_internal_failures(self, monkeypatch):
         x = vec({3: Q(1), 4: Q(-1, 2), 5: Q(3, 4)})
         budget = DEFAULT_NORMING_BUDGET
-        value, _, duals = dualnorm._solve_ball(TS, x.abs().entries, budget)
+        patterns = dualnorm._patterns(TS, x.support, budget)
+        value, _, duals = dualnorm._solve_ball(patterns, x.abs().entries)
         with pytest.raises(TsinormError, match="uncovered"):
-            dualnorm._hull_terms(TS, x, budget, (Q(0),) * len(duals), value)
+            dualnorm._hull_terms(patterns, x, (Q(0),) * len(duals), value)
         # still dominating |x|, but heavier than the optimum
         heavier = (duals[0] + 1,) + duals[1:]
         with pytest.raises(TsinormError, match="sum to"):
-            dualnorm._hull_terms(TS, x, budget, heavier, value)
+            dualnorm._hull_terms(patterns, x, heavier, value)
         # right weights, every term on the all-plus sign pattern
         staircase = dualnorm._staircase_terms
         monkeypatch.setattr(
@@ -749,7 +765,7 @@ class TestPatternHull:
             lambda w, a, tree, shrink, signs: staircase(
                 w, a, tree, shrink, {i: 1 for i in signs}))
         with pytest.raises(TsinormError, match="does not reproduce x"):
-            dualnorm._hull_terms(TS, x, budget, duals, value)
+            dualnorm._hull_terms(patterns, x, duals, value)
 
     def test_one_ball_program_per_dual_norm(self, monkeypatch):
         senses = []
@@ -766,4 +782,35 @@ class TestPatternHull:
             value, cert = dual_norm(spec, x)
             assert senses == ["max"]
             verify_dual_certificate(spec, x, cert)
+            senses.clear()
             assert dual_norm(spec, x)[0] == value and senses == ["max"]
+
+    def test_one_pattern_lookup_per_dual_norm(self, monkeypatch):
+        supports = []
+        lookup = dualnorm._patterns
+
+        def counting(spec, support, budget):
+            supports.append(support)
+            return lookup(spec, support, budget)
+
+        monkeypatch.setattr(dualnorm, "_patterns", counting)
+        for spec, x in self.vectors()[::6]:
+            supports.clear()
+            dual_norm(spec, x)
+            assert supports == [x.support]
+
+    def test_only_the_two_memos_hold_state(self):
+        def module_dicts():
+            return {name: dict(value) for name, value in vars(dualnorm).items()
+                    if isinstance(value, dict) and not name.startswith("__")}
+
+        for call, written in ((dual_norm, {"_GENERATOR_CACHE"}),
+                              (dual_norm_value, {"_GENERATOR_CACHE", "_VALUE_MEMO"})):
+            dualnorm.clear_caches()
+            before = module_dicts()
+            for spec, x in self.vectors()[::6]:
+                call(spec, x)
+            after = module_dicts()
+            assert after.keys() == before.keys()
+            assert {name for name in before if after[name] != before[name]} == written
+        dualnorm.clear_caches()

@@ -138,11 +138,21 @@ class TestSpecs:
                      MixedSpaceSpec("custom", (
                          Level(CardinalityAtMost(2), Q(2, 3)),
                          Level(ExplicitFinite(((2, 5), (3, 6))), Q(1, 4)),
+                         Level(ExplicitFinite(((2, 5), (9,), (1, 4))), Q(1, 3)),
                      ))):
             doc = spec_to_config(spec)
             back = spec_from_config(doc)
             assert back.cache_key() == spec.cache_key()
             assert back.name == spec.name
+            assert back == spec
+
+    def test_explicit_config_lists_one_singleton(self):
+        spec = MixedSpaceSpec("custom", (
+            Level(ExplicitFinite(((2, 5), (3, 6))), Q(1, 4)),
+            Level(ExplicitFinite(((2, 5), (9,), (1,), (1, 4))), Q(1, 3))))
+        assert [lv["family"] for lv in spec_to_config(spec)["levels"]] == [
+            {"explicit": [[2, 5], [3, 6], [6]]},
+            {"explicit": [[1, 4], [2, 5], [9]]}]
 
     def test_config_rejects_garbage(self):
         with pytest.raises(TsinormError):

@@ -18,10 +18,9 @@ from tsinorm.lp import (
 )
 
 
-def lp(obj, rows, lower=None, upper=None):
+def lp(obj, rows):
     return LinearProgram(tuple(obj),
-                         tuple(Constraint(tuple(c), rel, rhs) for c, rel, rhs in rows),
-                         lower, upper)
+                         tuple(Constraint(tuple(c), rel, rhs) for c, rel, rhs in rows))
 
 
 class TestBasics:
@@ -67,24 +66,6 @@ class TestBasics:
         assert s.status == "optimal" and s.value == Q(1, 20)
 
 
-class TestBounds:
-    def test_free_variable(self):
-        s = solve(lp([-1], [([1], ">=", -5)], lower=(None,)), "max")
-        assert s.status == "optimal" and s.assignment == (-5,) and s.value == 5
-
-    def test_shifted_lower(self):
-        s = solve(lp([1], [([1], "<=", 10)], lower=(Q(2),)), "min")
-        assert s.value == 2
-
-    def test_upper_bounds(self):
-        s = solve(lp([1, 1], [], upper=(Q(3), Q(1, 2))), "max")
-        assert s.value == Q(7, 2)
-
-    def test_crossed_bounds_infeasible(self):
-        s = solve(lp([1], [], lower=(Q(2),), upper=(Q(1),)), "max")
-        assert s.status == "infeasible"
-
-
 class TestVerification:
     def test_forged_value_caught(self):
         good = solve(lp([1], [([1], "<=", 1)]), "max")
@@ -102,12 +83,13 @@ class TestVerification:
     # max x0 + x1 with x0 <= 2, x1 <= 3: x = (2, 3), y = (1, 1), value 5
     @pytest.mark.parametrize("value, assignment, duals, message", [
         (Q(5), (Q(2), Q(4)), (Q(1), Q(1)), "row 1 violated"),
+        (Q(1), (Q(2), Q(-1)), (Q(1), Q(1)), r"x\[1\] = -1 is negative"),
         (Q(4), (Q(2), Q(2)), (Q(1), Q(1)), "complementary slackness broken on row 1"),
         (Q(5), (Q(2), Q(3)), (Q(1), Q(-1)), "dual sign wrong on <= row 1"),
         (Q(5), (Q(2), Q(3)), (Q(1), Q(0)), "reduced cost 1 on variable 1"),
         (Q(6), (Q(2), Q(3)), (Q(1), Q(1)), "reported value 6"),
-    ], ids=["infeasible-assignment", "suboptimal-assignment", "wrong-sign-dual",
-            "missing-dual", "wrong-value"])
+    ], ids=["infeasible-assignment", "negative-assignment", "suboptimal-assignment",
+            "wrong-sign-dual", "missing-dual", "wrong-value"])
     def test_corrupted_solution_caught(self, value, assignment, duals, message):
         prog = lp([1, 1], [([1, 0], "<=", 2), ([0, 1], "<=", 3)])
         assert solve(prog, "max") == LpSolution("optimal", Q(5), (Q(2), Q(3)), (Q(1), Q(1)))
@@ -162,7 +144,7 @@ class TestAgainstOracle:
 
     def test_strong_duality_identity(self):
         # verify_solution already runs inside solve; this re-checks the
-        # headline identity on default-bound problems explicitly
+        # headline identity explicitly
         rng = random.Random(4242)
         seen = 0
         for _ in range(80):
@@ -210,19 +192,16 @@ def assert_same_run(prog, sense):
 
 
 def random_general_lp(rng):
-    """A small LP with every row relation, negative right-hand sides,
-    free, shifted and upper-bounded variables, and some rows repeated as
-    multiples of another (redundant, so phase 1 deletes one of them)."""
+    """A small LP with every row relation, negative right-hand sides, and
+    some rows repeated as multiples of another (redundant, so phase 1
+    deletes one of them)."""
     obj, rows = random_lp(rng, max_vars=5, max_rows=6)
-    n = len(obj)
     if rows and rng.random() < 0.3:
         coeffs, rel, rhs = rng.choice(rows)
         k = rng.choice([Q(2), Q(-1, 3), Q(3, 2)])
         rel = {"<=": ">=", ">=": "<=", "=": "="}[rel] if k < 0 else rel
         rows.append(([k * c for c in coeffs], rel, k * rhs))
-    lower = tuple(rng.choice([Q(0), Q(0), None, Q(-1), Q(1, 2)]) for _ in range(n))
-    upper = tuple(rng.choice([None, None, Q(3), Q(1, 2), Q(5, 3)]) for _ in range(n))
-    return lp(obj, rows, lower, upper)
+    return lp(obj, rows)
 
 
 class TestFractionFreeKernel:

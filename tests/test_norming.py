@@ -306,6 +306,19 @@ class TestInvariantsAndStructure:
             build_norming_set(TS, 6, budget=100)
 
 
+class TestExplicitHeredity:
+    def test_tau_equals_mixed_norm(self):
+        # a bundle under a listed set may leave some of its points out of
+        # a vector's support; the primal recursion reaches it only when
+        # the family holds the subsets of its listed sets
+        vset = build_norming_set(EXPLICIT, 6)
+        rng = random.Random(33)
+        grid = (1, -1, Q(1, 2), Q(-1, 2), 2, -2)
+        for _ in range(400):
+            z = vec({i: rng.choice(grid) for i in range(1, 7) if rng.random() < 0.6})
+            assert tau(vset, z) == mixed_norm(EXPLICIT, z)[0], z.to_dict()
+
+
 class TestGeneration:
     @pytest.mark.parametrize("spec, top", [(CARD_DEMO, 4), (EXPLICIT, 4), (TS, 5)],
                              ids=["card-demo", "explicit", "tsirelson"])
