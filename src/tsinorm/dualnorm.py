@@ -564,8 +564,12 @@ def falsify_ell1_variant(spec: MixedSpaceSpec, N: int, G: Sequence,
     Entries are scaled to integers internally (sigma is positively
     homogeneous, so this is only a representation choice for the pair
     loop) and unscaled for every sigma evaluation and in the witness.
+    Every sigma is kept as an integer in one unit, D * Q^(N - 1) with D
+    the grid's common denominator and Q the lcm of the 1/theta
+    denominators, which any sigma on [1, N] is a multiple of by the
+    argument of covers.integer_units; the pair loop compares integers.
     """
-    _require_rational(spec, "falsify_ell1_variant")
+    levels = _require_rational(spec, "falsify_ell1_variant")
     if not 1 <= N <= _FALSIFIER_SUPPORT_CAP:
         raise ValueError(f"support bound {N} outside [1, {_FALSIFIER_SUPPORT_CAP}]")
     values = sorted({Q(g) for g in G} - {Q(0)})
@@ -575,6 +579,7 @@ def falsify_ell1_variant(spec: MixedSpaceSpec, N: int, G: Sequence,
     for v in values:
         denom = denom * v.denominator // math.gcd(denom, v.denominator)
     scaled = tuple(sorted(int(v * denom) for v in values))
+    unit = denom * math.lcm(*(theta.numerator for _, _, theta in levels)) ** (N - 1)
 
     def to_vec(dense):
         return FinVec.from_items(
@@ -590,8 +595,10 @@ def falsify_ell1_variant(spec: MixedSpaceSpec, N: int, G: Sequence,
         key = tuple(abs(c) for c in dense)
         got = sigma_of.get(key)
         if got is None:
-            got = sigma_ell1_variant(spec, to_vec(dense), iteration_cap)
-            sigma_of[key] = got
+            value, converged = sigma_ell1_variant(spec, to_vec(dense), iteration_cap)
+            if unit % value.denominator:
+                raise TsinormError(f"internal: sigma {value} is not a multiple of 1/{unit}")
+            got = sigma_of[key] = value.numerator * (unit // value.denominator), converged
         return got
 
     usable = []
@@ -614,6 +621,7 @@ def falsify_ell1_variant(spec: MixedSpaceSpec, N: int, G: Sequence,
             pairs_checked += 1
             if ssum > sx + sy:
                 xv, yv = to_vec(xa), to_vec(yb)
+                sx, sy, ssum = (Q(v, unit) for v in (sx, sy, ssum))
                 again, converged = sigma_ell1_variant(spec, xv + yv, iteration_cap)
                 if not (converged and again == ssum and again - sx - sy > 0):
                     raise TsinormError(

@@ -14,16 +14,20 @@ One call evaluates every window entries[a:b] of |x| once, bottom-up
 (covers.best_windows): right ends in increasing order, starts in
 decreasing order, so each window reads only windows already valued.  The
 inner max reads a suffix-cover table shared by all windows with the same
-right end for Schreier and cardinality levels with rational weights, and
-the enumerator for explicit families and for symbolic weights, whose
-precision-doubling schedule follows the enumerator's order of certified
-comparisons.  Both routes give the same certificates.  fj_norm is
-mixed_norm on tsirelson_spec(), and fj_norm_level reads level n of the
-same recursion from covers.iterates, one window pass per level.
+right end for Schreier and cardinality levels with rational weights.
+Under symbolic weights every level is compared cover by cover in the
+enumeration order, which the precision-doubling schedule follows; its
+Schreier and cardinality levels walk cut positions, and explicit
+families enumerate their partitions.  Both routes give the same
+certificates.  fj_norm is mixed_norm on tsirelson_spec(), and
+fj_norm_level reads level n of the same recursion from covers.iterates,
+one window pass per level.
 
-With rational weights the window values are Python integers, in the
-units of covers.integer_units; Fractions are built only when the
-certificate is assembled.
+Window values are Python integers in the units of covers.integer_units:
+one per window with rational weights, and a covers.Span of two (the
+ends of a certified enclosure) with symbolic ones.  Fractions and
+IntervalScalars are built only when the certificate is assembled, and
+for the text of an undecided comparison.
 
 Norms here are 1-unconditional: every value depends only on |x|, so
 certificates describe |x|; they verify against any sign pattern because
@@ -52,7 +56,7 @@ from .core import (
     restrict,
     sup_norm,
 )
-from .covers import best_windows, integer_units, iterates
+from .covers import Span, best_windows, integer_units, iterates
 from .families import (
     Level,
     MixedSpaceSpec,
@@ -116,16 +120,20 @@ def fj_norm_level(x: FinVec, n: int) -> Fraction:
     return next(itertools.islice(iterates(_FJ_LEVELS, _abs_entries(x), True), n, None))
 
 
-def _certificate(entries: tuple, levels: tuple, point, settle, scalar) -> PrimalCertificate:
+def _certificate(entries: tuple, kept: tuple) -> PrimalCertificate:
     """Certificate of the norm of the positive entries from one bottom-up
-    pass over their windows; levels are (index, family, weight, theta)
-    with theta the weight the certificate records, and scalar(v) turns a
-    window value into the certificate's."""
-    value, choice = best_windows(entries, tuple(lv[:3] for lv in levels), point, settle)
+    pass over their windows, in the units of covers.integer_units; kept
+    are (index, family, theta) with theta the weight the certificate
+    records, a Fraction or an IntervalScalar enclosure."""
+    scaled, weights, point, settle, improves, unit = integer_units(entries, kept, True)
+    value, choice = best_windows(scaled, weights, point, settle, improves)
     root = value[0][len(entries)]
     if isinstance(root, IndeterminateComparisonError):
         raise root.with_traceback(None)
-    thetas = {lv[0]: lv[3] for lv in levels}
+    thetas = {i: theta for i, _, theta in kept}
+
+    def scalar(v):
+        return v.enclosure(unit) if isinstance(v, Span) else Fraction(v, unit)
 
     def build(a: int, b: int) -> PrimalCertificate:
         c = choice[a][b]
@@ -139,13 +147,6 @@ def _certificate(entries: tuple, levels: tuple, point, settle, scalar) -> Primal
             tuple(build(s, t) for s, t in spans)))
 
     return build(0, len(entries))
-
-
-def _exact_certificate(entries: tuple, kept: tuple) -> PrimalCertificate:
-    """The exact path, in the integer units of covers.integer_units."""
-    scaled, weights, point, settle, unit = integer_units(entries, kept, True)
-    levels = tuple(w + (theta,) for w, (_, _, theta) in zip(weights, kept))
-    return _certificate(scaled, levels, point, settle, lambda v: Fraction(v, unit))
 
 
 def _kept_levels(spec: MixedSpaceSpec, support) -> tuple:
@@ -163,8 +164,13 @@ def mixed_norm(spec: MixedSpaceSpec, x: FinVec, *,
     Exact Fraction when every level relevant to supp(x) has a rational
     weight; otherwise a certified IntervalScalar enclosure, produced with
     the working precision doubled until every branch comparison is
-    decided (or the cap is hit, raising PrecisionExhaustedError).
+    decided (or the cap is hit, raising PrecisionExhaustedError).  A
+    precision or precision_cap above PRECISION_CAP is refused with
+    PrecisionExhaustedError.
     """
+    for bits in (precision, precision_cap):
+        if bits is not None and bits > PRECISION_CAP:
+            raise PrecisionExhaustedError(f"precision {bits} exceeds the cap {PRECISION_CAP}")
     kept = _kept_levels(spec, x.support)
     entries = _abs_entries(x)
     exact = all(theta_is_rational(theta) for _, _, theta in kept)
@@ -172,7 +178,7 @@ def mixed_norm(spec: MixedSpaceSpec, x: FinVec, *,
         zero = Fraction(0) if exact else IntervalScalar.point(0)
         return zero, PrimalCertificate(zero, Leaf(None))
     if exact:
-        cert = _exact_certificate(entries, kept)
+        cert = _certificate(entries, kept)
         return cert.value, cert
 
     p = precision if precision is not None else DEFAULT_THETA_PRECISION
@@ -180,11 +186,9 @@ def mixed_norm(spec: MixedSpaceSpec, x: FinVec, *,
     if p > cap:
         cap = p
     while True:
-        weights = [resolve_theta(theta, p) for _, _, theta in kept]
-        rlevels = tuple((i, family, w, w) for (i, family, _), w in zip(kept, weights))
         try:
-            cert = _certificate(entries, rlevels, IntervalScalar.point, lambda c: c,
-                                lambda v: v)
+            cert = _certificate(entries, tuple((i, family, resolve_theta(theta, p))
+                                               for i, family, theta in kept))
             return cert.value, cert
         except IndeterminateComparisonError as exc:
             if p >= cap:

@@ -138,6 +138,18 @@ class TestNormErrors:
                                     "schlumprecht", "1:1", "--precision", "0"])
         assert code == 2
 
+    def test_undecided_comparison(self, capsys):
+        assert run(capsys, ["norm", "mixed", "--space", "schlumprecht", "1:2 2:1 3:1",
+                            "--precision", "4", "--precision-cap", "4"]) == (
+            3, "", "error: branch comparison undecided at precision cap 4: "
+                   "cannot order branch values [2, 2] and [336/169, 1312/625]\n")
+
+    @pytest.mark.parametrize("flags,bits", [(["--precision", "16000"], 16000),
+                                            (["--precision-cap", "257"], 257)])
+    def test_precision_above_the_cap(self, capsys, flags, bits):
+        assert run(capsys, ["norm", "mixed", "--space", "schlumprecht", "1:1 2:1/2 3:2"]
+                   + flags) == (3, "", f"error: precision {bits} exceeds the cap 256\n")
+
     def test_budget_exhaustion(self, capsys):
         tsinorm.clear_caches()
         code, _, err = run(capsys, ["norm", "dual", "1:1 2:1", "--budget", "2"])

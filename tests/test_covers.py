@@ -7,11 +7,12 @@ from fractions import Fraction as Q
 import pytest
 
 import tsinorm
-from tsinorm import covers, families
+from tsinorm import core, covers, families
 from tsinorm.core import FinVec, IntervalScalar, parse_vector
 from tsinorm.dualnorm import rho_partition_upper, sigma_ell1_variant
 from tsinorm.families import (
     CardinalityAtMost,
+    ExplicitFinite,
     Level,
     MixedSpaceSpec,
     Schreier1,
@@ -26,6 +27,10 @@ CARD_DEMO = MixedSpaceSpec("card-demo", (Level(Schreier1(), Q(1, 2)),
                                          Level(CardinalityAtMost(2), Q(1, 3))))
 CARD_MIX = MixedSpaceSpec("card-mix", tuple(Level(CardinalityAtMost(l), th)
                                             for _, l, th in MIXED_CARD_LEVELS))
+EXPLICIT = MixedSpaceSpec("explicit-mix", (
+    Level(ExplicitFinite(((2, 3), (3, 5, 8), (4, 6), (2, 5, 7, 9))), Q(2, 3)),
+    Level(CardinalityAtMost(2), Q(1, 2)),
+    Level(Schreier1(), Q(1, 3))))
 SPACES = (tsirelson_spec(), CARD_DEMO, CARD_MIX)
 GRID = (Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(2), Q(-2), Q(3, 4))
 
@@ -69,6 +74,38 @@ def test_dp_matches_enumerator(enumerator_only):
     assert dp == enumerated
     assert fj == [e[0] for (spec, _), e in zip(cases, enumerated)
                   if spec.name == "tsirelson"]
+
+
+def test_bounded_cover_walk_matches_enumerator(enumerator_only, monkeypatch):
+    # the cut positions walked under a block-count bound give exactly the
+    # is_admissible-filtered partitions, in the same order; only the
+    # explicit space enumerates partitions
+    rng = random.Random(43)
+    cases = [(spec, random_vector(rng, 9, 7)) for spec in SPACES + (EXPLICIT,)
+             for _ in range(20)]
+    cases += [(spec, FinVec(())) for spec in SPACES + (EXPLICIT,)]
+    enumerated = []
+    partitions = core.enumerate_partitions
+    monkeypatch.setattr(core, "enumerate_partitions",
+                        lambda S, k: enumerated.append(S) or partitions(S, k))
+
+    def branches():
+        out = []
+        for spec, x in cases:
+            entries = x.abs().entries
+            levels = tuple((i, lv.family, lv.theta) for i, lv in enumerate(spec.levels))
+            before = len(enumerated)
+            got = list(covers.cover_branches(
+                entries, levels, lambda a, b: sum(c for _, c in entries[a:b])))
+            out.append((spec is EXPLICIT, len(enumerated) - before, got))
+        return out
+
+    walked = branches()
+    assert [n for explicit, n, _ in walked if not explicit] == [0] * (3 * 21)
+    assert sum(n for explicit, n, _ in walked if explicit) > 0
+    enumerator_only()
+    assert [b for _, _, b in walked] == [b for _, _, b in branches()]
+    assert sum(len(b) for _, _, b in walked) > 400
 
 
 def test_interval_route_stays_on_the_enumerator():

@@ -26,7 +26,7 @@ from tsinorm.families import (
     schlumprecht_spec,
     tsirelson_spec,
 )
-from tsinorm.covers import _improves
+from tsinorm.covers import Span, _improves
 from tsinorm.primal import (
     Leaf,
     PrimalCertificate,
@@ -264,12 +264,28 @@ class TestSchlumprecht:
         assert isinstance(value, IntervalScalar)
         assert value.is_point and value.lo == 9
 
+    @pytest.mark.parametrize("kwargs", [{"precision": 257}, {"precision_cap": 300},
+                                        {"precision": 16000, "precision_cap": 4}])
+    def test_precision_above_the_cap_refused(self, kwargs):
+        bits = max(kwargs.values())
+        for spec in (schlumprecht_spec(), tsirelson_spec()):
+            with pytest.raises(PrecisionExhaustedError) as exc:
+                mixed_norm(spec, vec({1: Q(1), 2: Q(1, 2), 3: Q(2)}), **kwargs)
+            assert str(exc.value) == f"precision {bits} exceeds the cap {PRECISION_CAP}"
+        value, _ = mixed_norm(schlumprecht_spec(), vec({1: Q(1), 2: Q(1, 2), 3: Q(2)}),
+                              precision=PRECISION_CAP)
+        assert value.width <= Q(1, 2 ** 200)
+
     def test_improves_raises_on_overlap(self):
         from tsinorm.core import IndeterminateComparisonError
-        a = IntervalScalar(Q(1), Q(3))
-        b = IntervalScalar(Q(2), Q(4))
-        with pytest.raises(IndeterminateComparisonError):
-            _improves(b, a)
+        # spans in units of 1/2: [1, 3] and [2, 4] overlap
+        a = Span(2, 6)
+        with pytest.raises(IndeterminateComparisonError) as exc:
+            _improves(Span(4, 8), a, 2)
+        assert str(exc.value) == "cannot order branch values [1, 3] and [2, 4]"
+        assert _improves(Span(7, 9), a, 2)
+        assert not _improves(a, Span(6, 7), 2)
+        assert not _improves(Span(2, 6), a, 2)  # identical spans tie
 
 
 CARD_DEMO = MixedSpaceSpec("card-demo", (Level(Schreier1(), Q(1, 2)),
@@ -280,6 +296,10 @@ EXPLICIT = MixedSpaceSpec("explicit-mix", (
     Level(ExplicitFinite(((2, 3), (3, 5, 8), (4, 6), (2, 5, 7, 9), (5, 6, 7))), Q(2, 3)),
     Level(CardinalityAtMost(2), Q(1, 2)),
     Level(ExplicitFinite(((1, 4), (2, 4, 6))), Q(3, 4))))
+MIXED_INTERVAL = MixedSpaceSpec("mixed-interval", (
+    Level(Schreier1(), SchlumprechtWeight(5)),
+    Level(CardinalityAtMost(2), SchlumprechtWeight(2)),
+    Level(ExplicitFinite(((2, 3), (3, 5, 8), (4, 6), (2, 5, 7, 9))), SchlumprechtWeight(3))))
 ORACLE_GRID = (Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(2), Q(-2), Q(3, 4), Q(5, 3))
 
 
@@ -349,10 +369,26 @@ class TestWindowPassOracle:
     @pytest.mark.parametrize("precision,cap", [
         (DEFAULT_THETA_PRECISION, PRECISION_CAP), (4, PRECISION_CAP), (4, 4)])
     def test_schlumprecht(self, precision, cap):
-        rng = random.Random(precision + cap)
-        spec = schlumprecht_spec()
+        exhausted = self._interval_oracle(schlumprecht_spec(), precision, cap,
+                                          random.Random(precision + cap))
+        assert exhausted == 0 or cap == 4
+
+    @pytest.mark.parametrize("precision,cap", [
+        (DEFAULT_THETA_PRECISION, PRECISION_CAP), (4, PRECISION_CAP), (4, 4)])
+    def test_mixed_interval(self, precision, cap):
+        # a start-dependent Schreier cap, a card cap and an explicit level,
+        # all at symbolic weights; each level wins some split at precision 64
+        exhausted = self._interval_oracle(MIXED_INTERVAL, precision, cap,
+                                          random.Random(7 * precision + cap))
+        assert exhausted == 0 or cap == 4
+
+    @staticmethod
+    def _interval_oracle(spec, precision, cap, rng) -> int:
+        """Seeded vectors of 1 to 7 points, the benchmark's largest, against
+        the oracle under the same precision schedule; returns how many ran
+        out of precision on both sides."""
         exhausted = 0
-        for n in range(1, 7):
+        for n in range(1, 8):
             for _ in range(3):
                 idx = rng.sample(range(1, 11), n)
                 x = vec({i: rng.choice(ORACLE_GRID) for i in idx})
@@ -365,14 +401,16 @@ class TestWindowPassOracle:
                     continue
                 _, cert = mixed_norm(spec, x, precision=precision, precision_cap=cap)
                 assert _as_oracle(cert, indices) == want, str(x)
-        assert exhausted == 0 or cap == 4
+        return exhausted
 
     def test_precision_exhaustion_vector(self):
         spec = MixedSpaceSpec("coarse", (Level(Schreier1(), SchlumprechtWeight(6)),))
         x = vec({3: Q(9), 4: Q(8), 5: Q(8)})
         assert _oracle_interval(spec, x, 4, 4) is None
-        with pytest.raises(PrecisionExhaustedError):
+        with pytest.raises(PrecisionExhaustedError) as exc:
             mixed_norm(spec, x, precision=4, precision_cap=4)
+        assert str(exc.value) == ("branch comparison undecided at precision cap 4: "
+                                  "cannot order branch values [9, 9] and [80/9, 100/11]")
         _, indices = _oracle_levels(spec, x)
         _, cert = mixed_norm(spec, x, precision=4, precision_cap=8)
         assert _as_oracle(cert, indices) == _oracle_interval(spec, x, 4, 8)
