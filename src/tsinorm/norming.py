@@ -23,13 +23,24 @@ Three structural facts shape the construction:
   latest round that built a kept key: once all final maximal keys exist,
   every other key is dominated by one, so that round's maximal set is
   already final, and no earlier round's is.
+
+Everything from the closure to the export runs in integers.  Closure
+keys hold int coefficients in one unit den**depth (_closure), the sign
+variants of a tree are built from its children's variants so that they
+share every subtree (_expand_signs), and the export writes each shared
+subtree and each scalar once (_tree_sexpr).  Fractions are made only for
+public objects: one per distinct coefficient and its negation in the
+expanded functionals, the coefficients of the kept patterns that the
+dual-norm programs read, and the group representatives tau pairs with.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Tuple, Union
 
 from .core import (
@@ -187,12 +198,19 @@ class NormingSet:
         # Group by absolute coefficient pattern.  When every group holds all
         # 2^s sign flips, evaluation may pair |x| with the nonnegative
         # representatives only (the best sign pattern always exists).
+        # Groups are keyed on ints; only their representatives are sorted
+        # as Fractions.
         groups: dict = {}
         for f in self.functionals:
-            key = f.coeffs.abs().entries
-            groups.setdefault(key, set()).add(f.coeffs.entries)
-        complete = all(len(v) == 2 ** len(k) for k, v in groups.items())
-        reps = tuple(FinVec.from_items(dict(k)) for k in sorted(groups))
+            entries = f.coeffs.entries
+            key = tuple([(i, abs(c.numerator), c.denominator) for i, c in entries])
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = (f.coeffs, set())
+            group[1].add(tuple([c.numerator > 0 for _, c in entries]))
+        complete = all(len(signs) == 2 ** len(k) for k, (_, signs) in groups.items())
+        reps = tuple(sorted((v.abs() for v, _ in groups.values()),
+                            key=lambda v: v.entries))
         object.__setattr__(self, "_abs_reps", reps)
         object.__setattr__(self, "_sign_complete", complete)
 
@@ -231,27 +249,46 @@ def _k_cap(levels: tuple, first_min: int) -> int:
 
 def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
              include_singletons: bool, max_rounds: Optional[int]):
-    """Bundling closure over nonnegative representatives.
+    """Bundling closure over nonnegative representatives, in integer units.
 
     `indices` is the strictly increasing tuple of coordinates to seed
     from; admissibility only ever looks at actual supports, so closing
     over a sub-index-set gives exactly the functionals of the full-window
     closure whose support lies inside it.
 
-    Returns (F, born, reached_fixpoint): F maps coefficient entry tuples
-    to their first-constructed tree, born maps them to the round that
-    built them (0 for the seeds).  A kept set's generation is the latest
-    birth among its keys; for the maximal keys that is the first round
-    whose maximal set is final, as every other key is dominated by one.
-    Rounds are semi-naive: a tuple is only combined when at least one
-    part is new since the previous round.
+    A key is a tuple of (index, c) with c an int standing for c / unit.
+    With den the lcm of the weights' denominators, a tree d bundles deep
+    has coefficients in multiples of 1/den**d, so unit = den**depth holds
+    every tree up to `depth` deep; a bundle's coefficient is
+    c * theta.numerator // theta.denominator, and an inexact division
+    raises TsinormError (an internal failure).  Without one-part bundles
+    every node has two or more children, so depth = len(indices) - 1 is
+    fixed before the first round.  One-part chains nest one level deeper
+    per round without bound, so with them depth starts at 0 and, each
+    time the rounds run reach it, every key is rescaled to a unit that
+    holds twice as deep (1, 2, 4, ...): depth stays at most one more than
+    twice the rounds actually run, never max_rounds, and the rescaling
+    takes a logarithmic number of passes.  A positive unit keeps the
+    order of the keys, so the enumeration, the first-built trees and the
+    pruning are those of the rational coefficients.
+
+    Returns (F, born, reached_fixpoint, unit): F maps keys to their
+    first-constructed tree, born maps them to the round that built them
+    (0 for the seeds).  A kept set's generation is the latest birth among
+    its keys; for the maximal keys that is the first round whose maximal
+    set is final, as every other key is dominated by one.  Rounds are
+    semi-naive: a tuple is only combined when at least one part is new
+    since the previous round.
     """
     levels = rational_levels(spec, "norming sets need")
     if not indices:
         raise ValueError("need at least one index to seed from")
+    den = math.lcm(*(theta.denominator for _, _, theta in levels))
+    depth = 0 if include_singletons else len(indices) - 1
+    unit = den ** depth
     F: dict = {}
     for i in indices:
-        F[((i, Q(1)),)] = FunctionalLeaf(i, 1)
+        F[((i, unit),)] = FunctionalLeaf(i, 1)
     if len(F) > budget:
         raise BudgetExceededError(
             f"seeding {len(F)} unit functionals already exceeds budget {budget}")
@@ -262,6 +299,18 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     min_emit = 1 if include_singletons else 2
 
     while frontier and (max_rounds is None or rounds < max_rounds):
+        if include_singletons and rounds == depth:
+            step = max(depth, 1)
+            factor = den ** step
+
+            def scaled(key):
+                return tuple((i, c * factor) for i, c in key)
+
+            F = {scaled(key): tree for key, tree in F.items()}
+            born = {scaled(key): r for key, r in born.items()}
+            frontier = frozenset(map(scaled, frontier))
+            depth += step
+            unit *= factor
         listing = sorted(F)
         minima = [key[0][0] for key in listing]
         new: dict = {}
@@ -274,7 +323,11 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
             for level_index, family, theta in levels:
                 if not is_admissible(family, P):
                     continue
-                ckey = tuple((i, theta * c) for key in parts for i, c in key)
+                num, div = theta.numerator, theta.denominator
+                if any(c % div for key in parts for _, c in key):
+                    raise TsinormError(
+                        f"internal: a level-{level_index} bundle leaves the unit 1/{unit}")
+                ckey = tuple((i, c // div * num) for key in parts for i, c in key)
                 if ckey in F or ckey in new:
                     continue
                 new[ckey] = FunctionalNode(
@@ -309,7 +362,7 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
         born.update(dict.fromkeys(new, rounds))
         frontier = frozenset(new)
 
-    return F, born, not frontier
+    return F, born, not frontier, unit
 
 
 def _maximal_keys(keys) -> frozenset:
@@ -335,18 +388,45 @@ def _check_sign_budget(keys, budget: int, context: str) -> None:
             f"{context}: sign expansion needs {total} functionals, budget {budget}")
 
 
-def _expand_signs(patterns) -> tuple:
+def _expand_signs(patterns, unit: int) -> tuple:
     """Every sign variant of the (key, tree) pairs, sorted by coefficients.
-    Callers check the budget first with _check_sign_budget."""
+
+    Keys are in the integer units of _closure.  A tree's variants are
+    built from its children's variants, in the itertools.product order of
+    the leaf signs, so every subtree object is shared by all the variants
+    that contain it, across patterns too.  Each distinct coefficient and
+    its negation become a Fraction once; the variants are sorted on their
+    integer keys.  Callers check the budget first with _check_sign_budget.
+    """
+    variants: dict = {}
+    scalars: dict = {}
+
+    def signed(tree):
+        got = variants.get(id(tree))
+        if got is None:
+            if isinstance(tree, FunctionalLeaf):
+                got = (tree, FunctionalLeaf(tree.index, -1))
+            else:
+                got = tuple(FunctionalNode(tree.level_index, tree.theta, children)
+                            for children in itertools.product(*map(signed, tree.children)))
+            variants[id(tree)] = got
+        return got
+
+    def pair(c):
+        got = scalars.get(c)
+        if got is None:
+            q = Q(c, unit)
+            got = scalars[c] = (q, -q)
+        return got
+
     funcs = []
     for key, tree in patterns:
-        indices = [i for i, _ in key]
-        for pattern in itertools.product((1, -1), repeat=len(indices)):
-            signs = dict(zip(indices, pattern))
-            coeffs = FinVec.from_items({i: s * c for (i, c), s in zip(key, pattern)})
-            funcs.append(NormingFunctional(coeffs, _flip_tree(tree, signs)))
-    funcs.sort(key=lambda f: f.coeffs.entries)
-    return tuple(funcs)
+        ints = itertools.product(*[((i, c), (i, -c)) for i, c in key])
+        coeffs = itertools.product(*[tuple((i, q) for q in pair(c)) for i, c in key])
+        funcs.extend((k, NormingFunctional(FinVec(entries), t))
+                     for k, entries, t in zip(ints, coeffs, signed(tree)))
+    funcs.sort(key=itemgetter(0))
+    return tuple(f for _, f in funcs)
 
 
 def build_norming_set(spec: MixedSpaceSpec, N: int,
@@ -361,18 +441,18 @@ def build_norming_set(spec: MixedSpaceSpec, N: int,
     """
     if N < 1:
         raise ValueError(f"window bound must be >= 1, got {N}")
-    F, born, _ = _closure(spec, tuple(range(1, N + 1)), budget,
-                          include_singletons=False, max_rounds=None)
+    F, born, _, unit = _closure(spec, tuple(range(1, N + 1)), budget,
+                                include_singletons=False, max_rounds=None)
     maximal = _maximal_keys(F)
     _check_sign_budget(maximal, budget, f"norming set on window [1, {N}]")
-    funcs = _expand_signs((key, F[key]) for key in maximal)
+    funcs = _expand_signs(((key, F[key]) for key in maximal), unit)
     return NormingSet(spec, N, funcs, max(born[key] for key in maximal),
                       stabilized=True)
 
 
-def _maximal_patterns(spec: MixedSpaceSpec, indices, budget: int) -> tuple:
-    """Maximal nonnegative patterns supported inside `indices`, as
-    (coefficient entries, first-built tree) pairs sorted by entries.
+def _maximal(spec: MixedSpaceSpec, indices, budget: int) -> tuple:
+    """(pairs, unit): the maximal keys of the closure over `indices`, in
+    its integer units and sorted, each paired with its first-built tree.
 
     Their sign variants are counted against `budget` as if expanded, so
     a caller working on the patterns alone keeps norming_generators'
@@ -381,11 +461,19 @@ def _maximal_patterns(spec: MixedSpaceSpec, indices, budget: int) -> tuple:
     indices = tuple(indices)
     if any(indices[i] >= indices[i + 1] for i in range(len(indices) - 1)):
         raise ValueError("indices must be strictly increasing")
-    F, _, _ = _closure(spec, indices, budget, include_singletons=False,
-                       max_rounds=None)
+    F, _, _, unit = _closure(spec, indices, budget, include_singletons=False,
+                             max_rounds=None)
     keys = sorted(_maximal_keys(F))
     _check_sign_budget(keys, budget, f"norming generators on {list(indices)}")
-    return tuple((key, F[key]) for key in keys)
+    return tuple((key, F[key]) for key in keys), unit
+
+
+def _maximal_patterns(spec: MixedSpaceSpec, indices, budget: int) -> tuple:
+    """Maximal nonnegative patterns supported inside `indices`, as
+    (coefficient entries, first-built tree) pairs sorted by entries; only
+    these kept keys become Fractions."""
+    pairs, unit = _maximal(spec, indices, budget)
+    return tuple((tuple((i, Q(c, unit)) for i, c in key), tree) for key, tree in pairs)
 
 
 def norming_generators(spec: MixedSpaceSpec, indices,
@@ -398,7 +486,7 @@ def norming_generators(spec: MixedSpaceSpec, indices,
     it, and filtering them is the same as closing over the support
     directly.  The dual-norm programs use the nonnegative patterns alone.
     """
-    return _expand_signs(_maximal_patterns(spec, indices, budget))
+    return _expand_signs(*_maximal(spec, indices, budget))
 
 
 def raw_norming_generation(spec: MixedSpaceSpec, N: int, generations: int,
@@ -414,25 +502,45 @@ def raw_norming_generation(spec: MixedSpaceSpec, N: int, generations: int,
         raise ValueError(f"generation count must be >= 0, got {generations}")
     if N < 1:
         raise ValueError(f"window bound must be >= 1, got {N}")
-    F, born, fixpoint = _closure(spec, tuple(range(1, N + 1)), budget,
-                                 include_singletons=True, max_rounds=generations)
+    F, born, fixpoint, unit = _closure(spec, tuple(range(1, N + 1)), budget,
+                                       include_singletons=True, max_rounds=generations)
     _check_sign_budget(F, budget, f"raw generation {generations} on window [1, {N}]")
-    return NormingSet(spec, N, _expand_signs(F.items()),
+    return NormingSet(spec, N, _expand_signs(F.items(), unit),
                       generation=max(born.values()), stabilized=fixpoint)
 
 
 # ---------------------------------------------------------------------------
 # export / import
 
-def _tree_sexpr(tree: FunctionalTree, depth: int = 1) -> str:
+def _tree_sexpr(tree: FunctionalTree, depth: int = 1,
+                memo: Optional[dict] = None) -> str:
     """The tree as text; nesting deeper than parse_sexpr reads back raises
-    TsinormError, so no export writes a tree its import refuses."""
+    TsinormError, so no export writes a tree its import refuses.
+
+    `memo`, kept for one export, holds the text of every scalar by id and
+    of every subtree by (id, depth): the subtrees that sign variants
+    share are written once per depth they sit at, so the guard still
+    sees every depth a text lands at.
+    """
     if isinstance(tree, FunctionalLeaf):
         return f"e{tree.index}" if tree.sign > 0 else f"-e{tree.index}"
     if depth > SEXPR_MAX_DEPTH:
         raise TsinormError(f"functional tree nested deeper than {SEXPR_MAX_DEPTH}")
-    inner = " ".join(_tree_sexpr(c, depth + 1) for c in tree.children)
-    return f"({format_scalar(tree.theta)} {inner})"
+    if memo is None:
+        memo = {}
+    key = (id(tree), depth)
+    text = memo.get(key)
+    if text is None:
+        inner = " ".join(_tree_sexpr(c, depth + 1, memo) for c in tree.children)
+        text = memo[key] = f"({_scalar_text(tree.theta, memo)} {inner})"
+    return text
+
+
+def _scalar_text(q: Fraction, memo: dict) -> str:
+    text = memo.get(id(q))
+    if text is None:
+        text = memo[id(q)] = format_scalar(q)
+    return text
 
 
 def export_norming_set(vset: NormingSet) -> str:
@@ -445,8 +553,10 @@ def export_norming_set(vset: NormingSet) -> str:
     ]
     for i, lev in enumerate(vset.spec.levels):
         lines.append(f"# level {i}: {lev.family} theta={format_theta(lev.theta)}")
+    memo: dict = {}
     for f in vset.functionals:
-        lines.append(f"{_tree_sexpr(f.tree)}\t{format_vector(f.coeffs)}")
+        vector = " ".join([f"{i}:{_scalar_text(c, memo)}" for i, c in f.coeffs.entries])
+        lines.append(f"{_tree_sexpr(f.tree, 1, memo)}\t{vector}")
     return "\n".join(lines) + "\n"
 
 

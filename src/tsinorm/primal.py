@@ -164,12 +164,16 @@ def mixed_norm(spec: MixedSpaceSpec, x: FinVec, *,
     Exact Fraction when every level relevant to supp(x) has a rational
     weight; otherwise a certified IntervalScalar enclosure, produced with
     the working precision doubled until every branch comparison is
-    decided (or the cap is hit, raising PrecisionExhaustedError).  A
-    precision or precision_cap above PRECISION_CAP is refused with
-    PrecisionExhaustedError.
+    decided (or the cap is hit, raising PrecisionExhaustedError).  On
+    every space, a precision or precision_cap below 1 is refused with
+    ValueError and one above PRECISION_CAP with PrecisionExhaustedError.
     """
     for bits in (precision, precision_cap):
-        if bits is not None and bits > PRECISION_CAP:
+        if bits is None:
+            continue
+        if bits < 1:
+            raise ValueError(f"precision must be >= 1, got {bits}")
+        if bits > PRECISION_CAP:
             raise PrecisionExhaustedError(f"precision {bits} exceeds the cap {PRECISION_CAP}")
     kept = _kept_levels(spec, x.support)
     entries = _abs_entries(x)

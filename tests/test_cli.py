@@ -138,6 +138,14 @@ class TestNormErrors:
                                     "schlumprecht", "1:1", "--precision", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("space", ["schlumprecht", "tsirelson"])
+    @pytest.mark.parametrize("flags,bits", [(["--precision", "0"], 0),
+                                            (["--precision", "-5"], -5),
+                                            (["--precision-cap", "-3"], -3)])
+    def test_precision_below_one(self, capsys, space, flags, bits):
+        assert run(capsys, ["norm", "mixed", "--space", space, "1:1 2:1"] + flags) == (
+            2, "", f"error: precision must be >= 1, got {bits}\n")
+
     def test_undecided_comparison(self, capsys):
         assert run(capsys, ["norm", "mixed", "--space", "schlumprecht", "1:2 2:1 3:1",
                             "--precision", "4", "--precision-cap", "4"]) == (
@@ -565,6 +573,13 @@ class TestCertify:
         code, out, _ = run(capsys, ["certify", "--check", str(path)])
         assert code == 0
         assert out.startswith("certificate ok:") and out.endswith(" value=4\n")
+        # all ones on {2..9}: 503 maximal patterns
+        code, out, _ = run(capsys, ["certify", "2:1 3:1 4:1 5:1 6:1 7:1 8:1 9:1",
+                                    "--out", str(path)])
+        assert (code, out) == (0, "certificate written: value=4\n")
+        code, out, _ = run(capsys, ["certify", "--check", str(path)])
+        assert code == 0
+        assert out.startswith("certificate ok:") and out.endswith(" value=4\n")
 
         ts = tsirelson_spec()
         support = tuple(range(2, 9))
@@ -677,13 +692,14 @@ def test_console_script():
 
 
 def test_module_entry_point():
-    def run_module(*argv):
-        return subprocess.run([sys.executable, "-m", "tsinorm.cli", *argv],
+    def run_module(module, *argv):
+        return subprocess.run([sys.executable, "-m", module, *argv],
                               capture_output=True, text=True, env=CHECKOUT_ENV)
 
-    result = run_module("norm", "fj", "3:1 4:1 5:1")
-    assert (result.returncode, result.stdout) == (0, "3/2\n")
-    assert run_module("norm", "fj", "3:x").returncode == 2
+    for module in ("tsinorm.cli", "tsinorm"):
+        result = run_module(module, "norm", "fj", "3:1 4:1 5:1")
+        assert (result.returncode, result.stdout) == (0, "3/2\n")
+        assert run_module(module, "norm", "fj", "3:x").returncode == 2
 
 
 @pytest.mark.skipif(shutil.which("tsinorm") is None,

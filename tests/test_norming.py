@@ -1,4 +1,6 @@
 """Norming set construction, evaluation, pruning, and serialization."""
+import hashlib
+import itertools
 import random
 import re
 from fractions import Fraction as Q
@@ -29,6 +31,7 @@ from tsinorm.norming import (
     build_norming_set,
     export_norming_set,
     import_norming_set,
+    norming_generators,
     raw_norming_generation,
     tau,
     verify_norming_functional,
@@ -74,7 +77,6 @@ def reference_maximal(keys):
 
 def grid_vectors(indices, grid):
     """All nonzero vectors over the index tuple with coefficients in grid."""
-    import itertools
     out = []
     for combo in itertools.product(grid, repeat=len(indices)):
         d = {i: c for i, c in zip(indices, combo) if c != 0}
@@ -288,6 +290,25 @@ class TestInvariantsAndStructure:
         assert entries == sorted(entries)
         assert len(entries) == len(set(entries))
 
+    def test_sign_variants_share_subtrees(self):
+        def signs(tree):
+            if isinstance(tree, FunctionalLeaf):
+                return (tree.sign,)
+            return tuple(s for c in tree.children for s in signs(c))
+
+        groups = {}
+        for f in build_norming_set(TS, 6).functionals:
+            groups.setdefault(f.coeffs.abs().entries, []).append(f.tree)
+        shared = 0
+        for trees in groups.values():
+            for a, b in itertools.combinations(trees, 2):
+                if isinstance(a, FunctionalLeaf):
+                    continue
+                for ca, cb in zip(a.children, b.children):
+                    assert (ca is cb) == (signs(ca) == signs(cb))
+                    shared += ca is cb
+        assert shared
+
     def test_symbolic_theta_rejected(self):
         with pytest.raises(TsinormError, match="rational"):
             build_norming_set(schlumprecht_spec(), 3)
@@ -470,6 +491,18 @@ class TestExportImport:
         with pytest.raises(TsinormError, match="nested deeper than 256"):
             export_norming_set(self.one_part_chain(257))
 
+    def test_depth_guard_sees_shared_subtrees(self):
+        # the export writes a shared subtree once per depth it sits at;
+        # reusing the text of its shallow copy would hide the deep one
+        shallow = self.one_part_chain(200).functionals[0]
+        tree = shallow.tree
+        for _ in range(57):
+            tree = FunctionalNode(0, Q(1, 2), (tree,))
+        deep = NormingFunctional(FinVec.from_items({1: Q(1, 2 ** 257)}), tree)
+        vset = NormingSet(TS, 1, (shallow, deep), generation=257, stabilized=False)
+        with pytest.raises(TsinormError, match="nested deeper than 256"):
+            export_norming_set(vset)
+
     def test_space_name_with_blanks_round_trips(self):
         spec = MixedSpaceSpec("two words", TS.levels)
         text = export_norming_set(build_norming_set(spec, 3))
@@ -518,3 +551,75 @@ class TestVerifier:
         f = NormingFunctional(vec({4: Q(1)}), FunctionalLeaf(4, 1))
         with pytest.raises(TsinormError, match="window"):
             verify_norming_functional(TS, f, window=3)
+
+
+TWO_LEVEL = MixedSpaceSpec("two-level", (Level(Schreier1(), Q(3, 7)),
+                                         Level(CardinalityAtMost(3), Q(2, 3))))
+PIN_GRID = (Q(-2), Q(-1), Q(-1, 2), Q(0), Q(0), Q(1, 3), Q(1), Q(3, 2))
+
+
+def set_digest(vset):
+    """sha1 of the export, repr(functionals) and tau on 20 seeded vectors."""
+    rng = random.Random(vset.window)
+    xs = [FinVec.from_items({i: rng.choice(PIN_GRID) for i in range(1, vset.window + 1)})
+          for _ in range(20)]
+    h = hashlib.sha1(export_norming_set(vset).encode())
+    h.update(repr(vset.functionals).encode())
+    h.update(repr([tau(vset, x) for x in xs]).encode())
+    return h.hexdigest()
+
+
+class TestIdentityPins:
+    """Digests recorded from the construction over Fraction keys; the
+    integer-unit closure, the shared-subtree sign expansion and the
+    memoised export must reproduce every byte."""
+
+    @pytest.mark.parametrize("spec, N, digest", [
+        (TS, 1, "0a22eb4f3d081f77a1a4d16b224e562971fbf5ed"),
+        (TS, 2, "ac3cdea5e2846140e891e9f2e330dbf1a6a73931"),
+        (TS, 3, "7caaa32c5a7454744adb2de0f37e4829812cd04f"),
+        (TS, 4, "a7986f1b8247854c7e94910638f23e792438f2ac"),
+        (TS, 5, "72a92b268aacecfae4f9a4787e77ff2d8832acda"),
+        (TS, 6, "0d271ce582b9594a266f1e2ed13b6667c033dbe5"),
+        (TS, 7, "ce64fa6b84034cf0a9a59b102869697cc3266c59"),
+        (CARD_DEMO, 1, "6126eb3dcf8b2efd2ccf451d001eaa643ea7590a"),
+        (CARD_DEMO, 2, "d2ffef74a25f3361e703e729c002a3f00cadbdf4"),
+        (CARD_DEMO, 3, "a6f56cba16a200661ffdec13e3cb87d4b173c321"),
+        (CARD_DEMO, 4, "143f929982132e7a4a2db47beb01f82721aaff7f"),
+        (CARD_DEMO, 5, "102454c209cfa1174506d86dee5b51033d4af460"),
+        (TWO_LEVEL, 1, "75d0fa527bb8260fb799ae54e6d2b9cdad00ae8c"),
+        (TWO_LEVEL, 2, "b04dbc7ce52151c05202187c7d1bfe6ab183fcd7"),
+        (TWO_LEVEL, 3, "0c50215b05c83d4369a8af345cf416910a4765fa"),
+        (TWO_LEVEL, 4, "f918cc287fb78837853af7a827f4e348d3d291f9"),
+        (TWO_LEVEL, 5, "0fb9c93d78006376df37f2f80c8d110d1b37c53b"),
+    ], ids=lambda v: v.name if isinstance(v, MixedSpaceSpec) else None)
+    def test_built_sets(self, spec, N, digest):
+        assert set_digest(build_norming_set(spec, N)) == digest
+
+    @pytest.mark.parametrize("spec, indices, digest", [
+        (TS, (2, 3, 5, 7, 8), "161c2cb7b62a7f2b0b8eacff9f9460f9dc6a2202"),
+        (CARD_DEMO, (1, 3, 4, 6), "04ae28afef7e4db33c5158bd399c647dfdf19856"),
+        (TWO_LEVEL, (2, 3, 4, 6, 7), "654cee44d9842c678ad4388b01ce73da9b92eeac"),
+    ], ids=["tsirelson", "card-demo", "two-level"])
+    def test_generators(self, spec, indices, digest):
+        got = norming_generators(spec, indices)
+        assert hashlib.sha1(repr(got).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("N, rounds, digest", [
+        (4, 0, "388e2747a23e63196ff6051c34bde8a0531b2980"),
+        (4, 1, "fae1e9dbdf558f59079002fe6fd1954f44b748e3"),
+        (4, 2, "132fe1fe0bcb8f0c32fce9e1128a378b6f91fdb6"),
+        (4, 3, "bd17dd16f4705d6d36d46d82dddbc88193ef98f1"),
+        (2, 5, "913e42df3609bc786d3dc837c3f39b18d1e09045"),
+    ])
+    def test_raw_generations(self, N, rounds, digest):
+        # window 2 over 5 rounds nests one-part chains deeper than N - 1
+        assert set_digest(raw_norming_generation(TS, N, rounds)) == digest
+
+    def test_raw_unit_follows_the_rounds_run(self):
+        # one-part chains never reach a fixpoint, so only the budget ends
+        # this run; a unit sized from the requested rounds would never
+        # finish
+        with pytest.raises(BudgetExceededError,
+                           match=r"^norming closure exceeds the budget of 2000 functionals$"):
+            raw_norming_generation(TS, 2, 10 ** 9, budget=2000)

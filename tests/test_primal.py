@@ -276,6 +276,16 @@ class TestSchlumprecht:
                               precision=PRECISION_CAP)
         assert value.width <= Q(1, 2 ** 200)
 
+    @pytest.mark.parametrize("kwargs", [{"precision": 0}, {"precision": -5},
+                                        {"precision_cap": -3},
+                                        {"precision": 8, "precision_cap": 0}])
+    def test_precision_below_one_refused(self, kwargs):
+        bits = min(kwargs.values())
+        for spec in (schlumprecht_spec(), tsirelson_spec()):
+            with pytest.raises(ValueError) as exc:
+                mixed_norm(spec, vec({1: Q(1), 2: Q(1, 2), 3: Q(2)}), **kwargs)
+            assert str(exc.value) == f"precision must be >= 1, got {bits}"
+
     def test_improves_raises_on_overlap(self):
         from tsinorm.core import IndeterminateComparisonError
         # spans in units of 1/2: [1, 3] and [2, 4] overlap
