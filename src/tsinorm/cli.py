@@ -384,6 +384,10 @@ def cmd_check(args) -> int:
         # the search reports what it finds; either outcome is a completed run
         return EXIT_OK
 
+    for flag, got, least in (("support", args.support, 1), ("sample", args.sample, 0),
+                             ("pairs", args.pairs, 0)):
+        if got < least:
+            raise UsageError(f"--{flag} must be >= {least}, got {got}")
     if spec.has_symbolic_theta:
         raise UsageError(f"{args.suite} needs rational weights at every level")
 

@@ -8,16 +8,20 @@ family, theta) triples, tried in order.  Maximising starts from the sup
 norm and adds theta * sum over covers of a suffix; minimising starts
 from the l1 norm and takes max / theta over covers of the whole support.
 
-best_windows is the one driver: it values every window of one support
-bottom-up, right ends in increasing order and starts in decreasing
-order, so each window reads only windows already valued, from a list,
-with no memo.  Without a previous table that pass is the fixpoint
-(mixed_norm, and fixpoint for sigma); with one it is a single level
-step, and iterates yields levels 0, 1, 2, ... of a support
-(fj_norm_level, rho) from one step per level.  Every caller values
-windows in integer units (integer_units): rational weights give one
-integer per window, interval weights (certified enclosures of symbolic
-weights) a Span of two.
+One column step (_Pass.column) values every window of a support that
+ends at one right end, bottom-up, starts in decreasing order, so each
+window reads only windows already valued, from a list, with no memo.
+best_windows runs it for right ends in increasing order over one
+support.  Without a previous table that pass is the fixpoint
+(mixed_norm); with one it is a single level step, and iterates yields
+levels 0, 1, 2, ... of a support (fj_norm_level, rho) from one step per
+level.  A column depends on the entries up to its right end only, so
+fixpoints values many supports (sigma: fixpoint is the batch of one,
+the l1-variant falsifier its main caller) on one table, in sorted
+order, each from the column past the prefix it shares with the one
+before.  Every caller values windows in integer units (integer_units,
+_route): rational weights give one integer per window, interval
+weights (certified enclosures of symbolic weights) a Span of two.
 
 Where admissibility depends only on the block count and the first index
 (families.max_blocks is not None), a suffix-cover table serves a level
@@ -25,7 +29,8 @@ with rational weights: _fill computes, for one start s, the best cover
 of entries[s:end] by exactly j slices for every j it needs, from the
 columns of later starts.  The table depends on the right end only, so
 every window ending there shares one.  Interval values are instead
-compared cover by cover (_walk_spans), since an interval caller's
+compared cover by cover (_walk_spans, which sums a cover's blocks
+once per right end), since an interval caller's
 precision-doubling schedule follows its sequence of certified
 comparisons.  Covers are walked by _admissible_covers: for a bounded
 family it walks the cut positions of at most max_blocks slices
@@ -92,15 +97,12 @@ def best_windows(entries: tuple, levels, point, settle, improves, maximise: bool
     With prev a table from an earlier pass, the blocks and the incumbent
     are read from it: one level step, whose leaf is prev's own value.
 
-    Right ends b are visited in increasing order and starts a in
-    decreasing order.  The suffix-cover table of entries[:b] depends on
-    the right end only, so every window ending at b reads the same table;
-    its row 1 at a start is the block value there, filled before the next
-    start.  Levels are (index, family, weight) triples; point(v) is a
-    leaf value v on the candidate scale, improves(cand, incumbent) says
-    whether a candidate strictly beats the incumbent, and settle(c) turns
-    a winning candidate back into a window value.  Span values (point
-    returns a Span) walk every cover of every level one by one.
+    Right ends b are visited in increasing order, one _Pass.column each.
+    Levels are (index, family, weight) triples; point(v) is a leaf value
+    v on the candidate scale, improves(cand, incumbent) says whether a
+    candidate strictly beats the incumbent, and settle(c) turns a winning
+    candidate back into a window value.  Span values (point returns a
+    Span) walk every cover of every level one by one.
 
     Returns (value, choice): value[a][b] is the window's value, or the
     IndeterminateComparisonError that left it undecided, raised again
@@ -108,60 +110,123 @@ def best_windows(entries: tuple, levels, point, settle, improves, maximise: bool
     the leaf (after a level step: prev's value was kept) or the (level,
     bounds) of the winning cover.
     """
-    m = len(entries)
-    value = [[None] * (m + 1) for _ in range(m)]
-    choice = [[None] * (m + 1) for _ in range(m)]
-    blocks = value if prev is None else prev
+    walk = isinstance(point(entries[0][1]), Span)
+    table = _Pass(len(entries), levels, point, settle, improves, maximise, walk, prev)
+    for b in range(1, len(entries) + 1):
+        table.column(entries[:b])
+    return table.value, table.choice
 
-    def val(a: int, b: int):
-        v = blocks[a][b]
+
+class _Pass:
+    """The value and choice tables of one bottom-up pass, filled one right
+    end at a time.
+
+    Column b (the windows entries[a:b], a < b) reads entries[:b], earlier
+    columns, and the caps and rows at positions below b; a position's
+    caps read its own index only, and its row the caps at and before it.
+    So column b depends on entries[:b] alone, and a pass over a support
+    that shares its first p entries with the support last filled keeps
+    columns 1..p with their caps and rows (keep(p)) and fills the rest."""
+
+    def __init__(self, size: int, levels, point, settle, improves, maximise: bool,
+                 walk: bool, prev=None):
+        self.value = [[None] * (size + 1) for _ in range(size)]
+        self.choice = [[None] * (size + 1) for _ in range(size)]
+        self.blocks = self.value if prev is None else prev
+        self.levels, self.point, self.settle = levels, point, settle
+        self.improves, self.maximise, self.walk, self.prev = improves, maximise, walk, prev
+        # per level, the most blocks a cover starting at each position may
+        # have (families.max_blocks), or None when the family has no such
+        # bound (or values are spans): such levels walk their covers
+        self.caps = [None if walk else [] for _ in levels]
+        # rows[s]: the most slices the suffix table holds at s, the largest
+        # cap there or one less than any cap at an earlier start, whose
+        # rows read the later columns; always used as min(b - s, rows[s]).
+        # reach[s]: the largest cap at or before s.
+        self.rows = []
+        self.reach = []
+
+    def keep(self, p: int) -> None:
+        """Forget the caps and rows past position p, before columns p + 1
+        on are filled for a support sharing only its first p entries."""
+        del self.rows[p:], self.reach[p:]
+        for cs in self.caps:
+            if cs is not None:
+                del cs[p:]
+
+    def _grow(self, index: int) -> None:
+        """Caps and rows at the next position, whose entry has index."""
+        here = 0
+        for n, ((_, family, _), cs) in enumerate(zip(self.levels, self.caps)):
+            if cs is not None:
+                cap = families.max_blocks(family, index)
+                if cap is None:  # unbounded at every index, so at the first one
+                    self.caps[n] = None
+                else:
+                    cs.append(cap)
+                    here = max(here, cap)
+        reach = self.reach[-1] if self.reach else 0
+        self.rows.append(max(here, reach - 1))
+        self.reach.append(max(here, reach))
+
+    def _val(self, a: int, b: int):
+        v = self.blocks[a][b]
         if isinstance(v, IndeterminateComparisonError):
             raise v.with_traceback(None)
         return v
 
-    walk = isinstance(point(entries[0][1]), Span)
-    caps = [None if walk else _start_caps(family, entries) for _, family, _ in levels]
-    rows = _rows(caps, m)
-    for b in range(1, m + 1):
-        head = entries[:b]
+    def column(self, head: tuple) -> None:
+        """Fill column b = len(head), with caps and rows for its last entry.
+
+        Starts a are visited in decreasing order.  The suffix-cover table
+        of head depends on the right end only, so every window ending at b
+        reads the same table; its row 1 at a start is the block value
+        there, filled before the next start."""
+        b = len(head)
+        self._grow(head[-1][0])
+        value, choice, blocks, prev = self.value, self.choice, self.blocks, self.prev
+        point, maximise, rows = self.point, self.maximise, self.rows
         cols = [[None, None] for _ in range(b)]
         cuts = [[None, None] for _ in range(b)]
-        leaf, pos = entries[b - 1][1], b - 1  # a one-point window is its leaf
-        value[pos][b] = cols[pos][1] = settle(point(leaf))
+        sums = {} if self.walk else None
+        leaf, pos = head[b - 1][1], b - 1  # a one-point window is its leaf
+        value[pos][b] = cols[pos][1] = self.settle(point(leaf))
         choice[pos][b] = pos
         for a in range(b - 2, -1, -1):
             _fill(cols, cuts, a, b, min(b - a, rows[a]), blocks[a], maximise)
             if not maximise:
-                leaf += entries[a][1]
-            elif entries[a][1] >= leaf:
-                leaf, pos = entries[a][1], a
+                leaf += head[a][1]
+            elif head[a][1] >= leaf:
+                leaf, pos = head[a][1], a
             try:
                 cand, level, bounds = _choose(
-                    head, range(a, b) if maximise else (a,), levels, caps, cols, cuts, val,
-                    point(leaf if prev is None else prev[a][b]), improves, maximise, walk)
-                value[a][b] = settle(cand)
+                    head, range(a, b) if maximise else (a,), self.levels, self.caps, cols,
+                    cuts, self._val, point(leaf if prev is None else prev[a][b]),
+                    self.improves, maximise, sums)
+                value[a][b] = self.settle(cand)
                 cols[a][1] = blocks[a][b]
                 choice[a][b] = pos if level is None else (level, bounds)
             except IndeterminateComparisonError as exc:
                 value[a][b] = exc
-    return value, choice
 
 
 def _choose(entries: tuple, starts, levels, caps, cols, cuts, val, incumbent, improves,
-            maximise: bool, walk: bool):
+            maximise: bool, sums):
     """The first optimum strictly better than incumbent over covers of
     entries[s:] for s in starts, in the order level, start, block count,
     cut positions: (value, level, bounds), or (incumbent, None, None).
     A cover's value is its level's weight times the sum (maximise) or the
     max of its block values.  Levels with caps read the suffix table
     (cols, cuts); the others are walked cover by cover
-    (_admissible_covers), on spans when walk is set (_walk_spans)."""
+    (_admissible_covers).  On spans sums is a dict of the block sums of
+    the covers already walked with this right end (_walk_spans), and
+    None otherwise."""
     end = len(entries)
     best = (incumbent, None, None)
     for level, cs in zip(levels, caps):
         weight = level[2]
-        if walk:
-            best = _walk_spans(entries, starts, level, val, best, improves)
+        if sums is not None:
+            best = _walk_spans(entries, starts, level, val, best, improves, sums)
             continue
         if cs is None:
             for s in starts:
@@ -183,7 +248,7 @@ def _choose(entries: tuple, starts, levels, caps, cols, cuts, val, incumbent, im
     return best
 
 
-def _walk_spans(entries: tuple, starts, level, val, best, improves):
+def _walk_spans(entries: tuple, starts, level, val, best, improves, sums: dict):
     """_choose's walk of one level on spans: best, or the first cover of
     entries[s:] (s in starts) whose value strictly beats it.
 
@@ -191,16 +256,23 @@ def _walk_spans(entries: tuple, starts, level, val, best, improves):
     candidate [w_lo * lo, w_hi * hi] cannot beat the incumbent when
     w_hi * hi <= incumbent.lo, that is when hi <= incumbent.lo // w_hi.
     That bound is taken once per incumbent, so only the other covers are
-    multiplied out and compared (improves)."""
+    multiplied out and compared (improves).  A cover's block sum is the
+    same for every window and level that walks it, so it is kept in sums
+    by its bounds; only sums whose blocks were all decided are kept, and
+    a cover reading an undecided block raises wherever it is walked."""
     weight = level[2]
     keep = best[0].lo // weight.hi
     for s in starts:
         for _, bounds in _admissible_covers(entries, (level,), s):
-            lo = hi = 0
-            for a, b in zip(bounds, bounds[1:]):
-                v = val(a, b)
-                lo += v.lo
-                hi += v.hi
+            got = sums.get(bounds)
+            if got is None:
+                lo = hi = 0
+                for a, b in zip(bounds, bounds[1:]):
+                    v = val(a, b)
+                    lo += v.lo
+                    hi += v.hi
+                got = sums[bounds] = lo, hi
+            lo, hi = got
             if hi <= keep:
                 continue
             cand = Span(weight.lo * lo, weight.hi * hi)
@@ -214,23 +286,29 @@ def integer_units(entries: tuple, levels, maximise: bool):
     """The route of best_windows: (entries, levels, point, settle,
     improves, unit) with every window value an integer in units of
     1/unit or, when the weights are IntervalScalar enclosures (maximise
-    only), a Span of two such integers.
+    only), a Span of two such integers (_route)."""
+    weights, point, settle, improves, unit = _route(
+        levels, maximise, math.lcm(*(c.denominator for _, c in entries)), len(entries))
+    scaled = tuple((i, c.numerator * (unit // c.denominator)) for i, c in entries)
+    return scaled, weights, point, settle, improves, unit
+
+
+def _route(levels, maximise: bool, den: int, size: int):
+    """(levels, point, settle, improves, unit) of best_windows for supports
+    of at most size points whose entries are multiples of 1/den.
 
     A cover multiplies its combined block value by theta (maximise) or
-    1/theta (minimise).  With D the lcm of the entries' denominators, Q
-    that of the factors' (of both ends of every enclosure) and m the
-    support size, unit = D * Q^(m - 1): a window of l points is its leaf
-    or one factor times windows of at most l - 1 points, so each end of
-    its value is a multiple of 1/(D * Q^(l - 1)).  The scaled weights are
-    factor * Q, so a candidate is in units of 1/(unit * Q), and only the
-    winner is divided by Q (settle).
+    1/theta (minimise).  With Q the lcm of the factors' denominators (of
+    both ends of every enclosure), unit = den * Q^(size - 1): a window of
+    l points is its leaf or one factor times windows of at most l - 1
+    points, so each end of its value is a multiple of 1/(den * Q^(l - 1)).
+    The scaled weights are factor * Q, so a candidate is in units of
+    1/(unit * Q), and only the winner is divided by Q (settle).
     """
     spans = any(isinstance(t, IntervalScalar) for _, _, t in levels)
     factors = [(t.lo, t.hi) if spans else (t if maximise else 1 / t,) for _, _, t in levels]
-    d = math.lcm(*(c.denominator for _, c in entries))
     q = math.lcm(*(f.denominator for ends in factors for f in ends))
-    unit = d * q ** (len(entries) - 1)
-    scaled = tuple((i, c.numerator * (unit // c.denominator)) for i, c in entries)
+    unit = den * q ** (size - 1)
 
     def settle(cand: int) -> int:
         v, r = divmod(cand, q)
@@ -241,22 +319,56 @@ def integer_units(entries: tuple, levels, maximise: bool):
     ends = [[f.numerator * (q // f.denominator) for f in fs] for fs in factors]
     if not spans:
         weights = tuple((i, family, w) for (i, family, _), (w,) in zip(levels, ends))
-        return (scaled, weights, lambda v: v * q, settle,
+        return (weights, lambda v: v * q, settle,
                 operator.gt if maximise else operator.lt, unit)
     weights = tuple((i, family, Span(*w)) for (i, family, _), w in zip(levels, ends))
-    return (scaled, weights, lambda v: Span(v * q, v * q),
+    return (weights, lambda v: Span(v * q, v * q),
             lambda c: Span(settle(c.lo), settle(c.hi)),
             functools.partial(_improves, unit=unit * q), unit)
 
 
-def fixpoint(levels, entries: tuple, maximise: bool) -> Fraction:
-    """The recursion's value at a support with rational weights, from
-    one fixpoint pass of best_windows; the limit of iterates."""
+def fixpoint(levels, entries: tuple) -> Fraction:
+    """The minimising recursion's value at one support with rational
+    weights: the batch of one (fixpoints); the limit of iterates."""
     if not entries:
         return Fraction(0)
-    scaled, weights, point, settle, improves, unit = integer_units(entries, levels, maximise)
-    value, _ = best_windows(scaled, weights, point, settle, improves, maximise)
-    return Fraction(value[0][-1], unit)
+    den = math.lcm(*(c.denominator for _, c in entries))
+    (value,), unit = fixpoints(
+        levels, (tuple((i, c.numerator * (den // c.denominator)) for i, c in entries),),
+        den, len(entries))
+    return Fraction(value, unit)
+
+
+def fixpoints(levels, supports, den: int, size: int):
+    """The minimising recursion's values at many supports with rational
+    weights, from one shared fixpoint pass: (values, unit), values[n]
+    the value at supports[n] in units of 1/unit (_route).
+
+    A support is a sorted tuple of (index, c) pairs, each entry being
+    c / den for a positive int c, and has at most size points; the empty
+    support has value 0.  The supports are filled in sorted order on one
+    _Pass, each from the column past the prefix it shares with the one
+    before, so a support that extends or repeats an earlier one costs
+    only its new columns."""
+    weights, point, settle, improves, unit = _route(levels, False, den, size)
+    scale = unit // den
+    table = _Pass(size, weights, point, settle, improves, False, False)
+    values = [0] * len(supports)
+    last = ()
+    for n in sorted(range(len(supports)), key=supports.__getitem__):
+        entries = tuple((i, c * scale) for i, c in supports[n])
+        shared = 0
+        for p, q in zip(last, entries):
+            if p != q:
+                break
+            shared += 1
+        table.keep(shared)
+        for b in range(shared + 1, len(entries) + 1):
+            table.column(entries[:b])
+        if entries:
+            values[n] = table.value[0][len(entries)]
+        last = entries
+    return values, unit
 
 
 def iterates(levels, entries: tuple, maximise: bool):
@@ -274,28 +386,6 @@ def iterates(levels, entries: tuple, maximise: bool):
         yield Fraction(table[0][-1], unit)
         table, _ = best_windows(scaled, weights, point, settle, improves, maximise, table)
     yield from itertools.repeat(Fraction(table[0][-1], unit))
-
-
-def _start_caps(family, entries: tuple):
-    """Per start s, the most blocks an admissible cover starting at s can
-    have, however many points follow; None when the family has no such
-    bound."""
-    caps = [families.max_blocks(family, i) for i, _ in entries]
-    return None if caps[0] is None else caps
-
-
-def _rows(caps, end: int) -> list:
-    """Per position s < end, the most slices the suffix table must hold at
-    s: the largest cap there, and one less than any cap at an earlier
-    start, whose rows read the later columns; never more than the end - s
-    points left.  For a shorter end b, min(b - s, rows[s]) is the bound."""
-    bounded = [cs for cs in caps if cs is not None]
-    rows = []
-    carry = 0
-    for s, here in enumerate(map(max, zip(*bounded)) if bounded else [0] * end):
-        rows.append(min(end - s, max(here, carry)))
-        carry = max(carry, here - 1)
-    return rows
 
 
 def _fill(cols, cuts, s: int, end: int, rows: int, starting, maximise: bool) -> None:

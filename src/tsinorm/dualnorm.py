@@ -26,7 +26,9 @@ The rho upper iterates need no LP, and keep no state between calls.
 rho_partition_upper, rho_chain and the parts of rho_with_splits_upper
 read levels from covers.iterates, one bottom-up window pass per level,
 minimising from the l1 norm; sigma_ell1_variant, their limit, is one
-fixpoint pass (covers.fixpoint).
+fixpoint pass (covers.fixpoint).  falsify_ell1_variant values the limit
+at all its vectors, and then at each row of pair sums, in one shared
+pass each (covers.fixpoints), and runs its pair loop on integer codes.
 verify_implicit_equation walks covers.cover_branches, the enumerator,
 because it reports the partition count and every violating branch.
 
@@ -43,6 +45,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
@@ -64,7 +67,7 @@ from .core import (
     parse_vector,
     restrict,
 )
-from .covers import cover_branches, fixpoint, iterates
+from .covers import cover_branches, fixpoint, fixpoints, iterates
 from .families import (
     Level,
     MixedSpaceSpec,
@@ -541,7 +544,7 @@ def sigma_ell1_variant(spec: MixedSpaceSpec, x: FinVec,
         raise ValueError(f"iteration cap must be >= 1, got {iteration_cap}")
     entries = x.abs().entries
     if iteration_cap > len(entries):
-        return fixpoint(levels, entries, False), True
+        return fixpoint(levels, entries), True
     return next(itertools.islice(iterates(levels, entries, False), iteration_cap, None)), False
 
 
@@ -557,17 +560,20 @@ def falsify_ell1_variant(spec: MixedSpaceSpec, N: int, G: Sequence,
     from G, then every unordered pair; addition commutes, so this covers
     the full ordered search and pairs_checked counts each unordered pair
     once.  The first pair with sigma(x + y) > sigma(x) + sigma(y) comes
-    back as a witness, re-verified from scratch.  A vector (or pair sum)
-    whose sigma iteration hits the cap is skipped and counted as a cap
-    hit, never silently trusted.
+    back as a witness, re-verified from scratch by sigma_ell1_variant.  A
+    vector (or pair sum) of at least iteration_cap points, whose sigma
+    iteration hits the cap, is skipped and counted as a cap hit, never
+    silently trusted; its capped level is never computed.
 
-    Entries are scaled to integers internally (sigma is positively
-    homogeneous, so this is only a representation choice for the pair
-    loop) and unscaled for every sigma evaluation and in the witness.
-    Every sigma is kept as an integer in one unit, D * Q^(N - 1) with D
-    the grid's common denominator and Q the lcm of the 1/theta
-    denominators, which any sigma on [1, N] is a multiple of by the
-    argument of covers.integer_units; the pair loop compares integers.
+    Entries are scaled to integers c / D, D the grid's common denominator
+    (sigma is positively homogeneous), and a vector is coded as the
+    signed-digit integer sum c_i * B^(i - 1) with B > 4 max |c|, so the
+    code of x + y is code(x) + code(y) and a pair costs one addition and
+    one dict read.  Sigma depends on |x| only; the sigmas of all vectors
+    are valued in one covers.fixpoints pass, and each outer row of the
+    pair loop values its sums not yet seen in one more, so an early
+    counterexample never pays for later rows.  Every sigma is an integer
+    in the one unit of those passes, D * Q^(N - 1) (covers._route).
     """
     levels = _require_rational(spec, "falsify_ell1_variant")
     if not 1 <= N <= _FALSIFIER_SUPPORT_CAP:
@@ -575,47 +581,57 @@ def falsify_ell1_variant(spec: MixedSpaceSpec, N: int, G: Sequence,
     values = sorted({Q(g) for g in G} - {Q(0)})
     if not values:
         raise ValueError("entry grid is empty")
-    denom = 1
-    for v in values:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
+    if iteration_cap < 1:
+        raise ValueError(f"iteration cap must be >= 1, got {iteration_cap}")
+    denom = math.lcm(*(v.denominator for v in values))
     scaled = tuple(sorted(int(v * denom) for v in values))
-    unit = denom * math.lcm(*(theta.numerator for _, _, theta in levels)) ** (N - 1)
+    base = 4 * max(abs(c) for c in scaled) + 1
+    vectors = sorted(
+        combo for combo in itertools.product((0,) + scaled, repeat=N)
+        if any(combo))
+
+    def code(dense) -> int:
+        return sum(c * base ** i for i, c in enumerate(dense))
 
     def to_vec(dense):
         return FinVec.from_items(
             {i + 1: Q(c, denom) for i, c in enumerate(dense) if c})
 
-    vectors = sorted(
-        combo for combo in itertools.product((0,) + scaled, repeat=N)
-        if any(combo))
+    sigma: dict = {}  # code -> sigma in units of 1/unit, None when capped
+    by_support: dict = {}  # |x| as sorted (index, |c|) pairs -> sigma
 
-    sigma_of: dict = {}
+    def value(fresh: dict) -> int:
+        """Fill sigma for every (code, dense vector) in fresh; the unit."""
+        supports = {n: tuple((i + 1, abs(c)) for i, c in enumerate(dense) if c)
+                    for n, dense in fresh.items()}
+        new = [s for s in dict.fromkeys(supports.values())
+               if len(s) < iteration_cap and s not in by_support]
+        got, unit = fixpoints(levels, new, denom, N)
+        by_support.update(zip(new, got))
+        for n, s in supports.items():
+            sigma[n] = by_support.get(s)
+        return unit
 
-    def sigma_dense(dense):
-        key = tuple(abs(c) for c in dense)
-        got = sigma_of.get(key)
-        if got is None:
-            value, converged = sigma_ell1_variant(spec, to_vec(dense), iteration_cap)
-            if unit % value.denominator:
-                raise TsinormError(f"internal: sigma {value} is not a multiple of 1/{unit}")
-            got = sigma_of[key] = value.numerator * (unit // value.denominator), converged
-        return got
-
+    codes = {code(combo): combo for combo in vectors}
+    unit = value(codes)
     usable = []
     cap_hits = 0
-    for combo in vectors:
-        value, converged = sigma_dense(combo)
-        if converged:
-            usable.append((combo, value))
-        else:
+    for n, combo in codes.items():
+        if sigma[n] is None:
             cap_hits += 1
+        else:
+            usable.append((combo, n, sigma[n]))
 
     pairs_checked = 0
-    for a, (xa, sx) in enumerate(usable):
-        for yb, sy in usable[a:]:
-            total = tuple(p + q for p, q in zip(xa, yb))
-            ssum, oks = sigma_dense(total)
-            if not oks:
+    for a, (xa, cx, sx) in enumerate(usable):
+        row = usable[a:]
+        fresh = {cx + cy: tuple(map(operator.add, xa, yb))
+                 for yb, cy, _ in row if cx + cy not in sigma}
+        if fresh:
+            value(fresh)
+        for yb, cy, sy in row:
+            ssum = sigma[cx + cy]
+            if ssum is None:
                 cap_hits += 1
                 continue
             pairs_checked += 1

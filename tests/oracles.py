@@ -15,6 +15,7 @@ Fraction, or for interval evaluation a (lo, hi) pair of Fractions.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -140,6 +141,54 @@ def brute_sigma(x: Vec, levels=TSIRELSON_LEVELS) -> Q:
                     if cand < best:
                         best = cand
     return best
+
+
+def reference_falsify(sigma, N: int, G: Sequence, cap: int) -> tuple:
+    """The l1-variant falsifier's search, one sigma call per distinct |x|
+    of a vector or pair sum: sigma(x, cap) -> (value, converged) for a
+    vector dict x.  Vectors with support in [1, N] and entries from G are
+    visited in sorted order of their integer-scaled dense tuples, then
+    every unordered pair (x, y), y not before x; a capped vector or sum
+    is a cap hit, and the first sum with sigma(x + y) > sigma(x) +
+    sigma(y) ends the search.
+
+    Returns (status, pairs checked, cap hits, witness), the witness None
+    or (x, y, sigma x, sigma y, sigma x + y)."""
+    values = sorted({Q(g) for g in G} - {Q(0)})
+    denom = math.lcm(*(v.denominator for v in values))
+    scaled = sorted(int(v * denom) for v in values)
+    vectors = sorted(c for c in itertools.product([0] + scaled, repeat=N) if any(c))
+
+    def to_dict(dense):
+        return {i + 1: Q(c, denom) for i, c in enumerate(dense) if c}
+
+    memo = {}
+
+    def sigma_dense(dense):
+        key = tuple(abs(c) for c in dense)
+        if key not in memo:
+            memo[key] = sigma(to_dict(dense), cap)
+        return memo[key]
+
+    usable = []
+    cap_hits = 0
+    for dense in vectors:
+        value, converged = sigma_dense(dense)
+        if converged:
+            usable.append((dense, value))
+        else:
+            cap_hits += 1
+    pairs = 0
+    for a, (x, sx) in enumerate(usable):
+        for y, sy in usable[a:]:
+            ssum, converged = sigma_dense(tuple(p + q for p, q in zip(x, y)))
+            if not converged:
+                cap_hits += 1
+                continue
+            pairs += 1
+            if ssum > sx + sy:
+                return "counterexample", pairs, cap_hits, (to_dict(x), to_dict(y), sx, sy, ssum)
+    return "exhausted", pairs, cap_hits, None
 
 
 # ---------------------------------------------------------------------------

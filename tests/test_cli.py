@@ -399,6 +399,30 @@ class TestCheck:
         code, _, err = run(capsys, ["check", "ell1-falsify", "--support", "0"])
         assert code == 2
 
+    def test_falsify_cap_hits(self, capsys):
+        # cap 2: the 20 vectors of 2 or 3 points are capped, the 6
+        # singletons are usable, and 12 of their 21 pair sums are capped
+        code, out, _ = run(capsys, ["check", "ell1-falsify", "--support", "3",
+                                    "--entries", "1,-1", "--cap", "2"])
+        assert (code, out) == (0, "exhausted after 9 pairs (cap hits: 32)\n")
+
+    def test_falsify_bad_cap(self, capsys):
+        code, out, err = run(capsys, ["check", "ell1-falsify", "--support", "3",
+                                      "--entries", "1,-1", "--cap", "0"])
+        assert (code, out) == (2, "")
+        assert "iteration cap must be >= 1, got 0" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["lemmas", "--pairs", "-3"], "--pairs must be >= 0, got -3"),
+        (["implicit-eq", "--support", "0"], "--support must be >= 1, got 0"),
+        (["implicit-eq", "--support", "-2"], "--support must be >= 1, got -2"),
+        (["lemmas", "--sample", "-1"], "--sample must be >= 0, got -1"),
+    ])
+    def test_bad_counts_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, ["check"] + argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_symbolic_space_rejected(self, capsys):
         code, _, err = run(capsys, ["check", "lemmas", "--space",
                                     "schlumprecht", "--sample", "2"])

@@ -114,3 +114,23 @@ def test_interval_route_stays_on_the_enumerator():
     x = parse_vector("2:-1/2 3:1/2 4:1 5:-1 6:1 9:-1/2 10:-2")
     value, _ = mixed_norm(schlumprecht_spec(), x, precision=4)
     assert value == IntervalScalar(Q(43442372608, 19110866159), Q(339392512, 149301393))
+
+
+@pytest.mark.parametrize("spec", SPACES + (EXPLICIT,), ids=lambda s: s.name)
+def test_batched_fixpoints_match_fixpoint(spec):
+    # supports sharing prefixes, repeated and shuffled, valued in one pass
+    rng = random.Random(47)
+    levels = tuple((i, lv.family, lv.theta) for i, lv in enumerate(spec.levels))
+    supports = [()]
+    for _ in range(12):
+        base = tuple(sorted((i, rng.randint(1, 6))
+                            for i in rng.sample(range(1, 10), rng.randint(1, 7))))
+        cut = rng.randint(0, len(base))
+        tail = tuple((i, rng.randint(1, 6)) for i in range(base[cut - 1][0] + 1 if cut else 1, 10)
+                     if rng.random() < 0.3)
+        supports += [base, base[:cut], base[:cut] + tail[:7 - cut], base]
+    rng.shuffle(supports)
+    values, unit = covers.fixpoints(levels, supports, 4, 7)
+    assert [Q(v, unit) for v in values] == \
+        [covers.fixpoint(levels, tuple((i, Q(c, 4)) for i, c in s)) for s in supports]
+    assert len(set(supports)) < len(supports) and max(map(len, supports)) == 7

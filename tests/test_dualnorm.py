@@ -62,6 +62,7 @@ from oracles import (
     brute_rho_upper,
     brute_sigma,
     oracle_dual_norm,
+    reference_falsify,
 )
 
 TS = tsirelson_spec()
@@ -590,6 +591,32 @@ class TestFalsifier:
         result = falsify_ell1_variant(TS, 1, [Q(1)])
         assert result.status == "exhausted"
         assert result.pairs_checked == 1  # only e1 paired with itself
+
+    @pytest.mark.parametrize("name,seed", [("tsirelson", 121), ("card-demo", 122),
+                                           ("explicit", 123)])
+    def test_matches_reference_loop(self, name, seed):
+        # the batched sigmas and coded pair loop against the per-vector
+        # loop, on grids with fractions and mixed signs, caps 1 to N + 1
+        spec, _ = ORACLE_SPACES[name]
+        rng = random.Random(seed)
+        entries = (Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(2), Q(3, 4), Q(-3, 2))
+
+        def sigma(x, cap):
+            return sigma_ell1_variant(spec, vec(x), cap)
+
+        statuses = set()
+        for N in range(1, 6):
+            for _ in range(3):
+                grid = rng.sample(entries, rng.randint(1, {1: 5, 2: 4, 3: 3}.get(N, 2)))
+                cap = rng.randint(1, N + 1)
+                result = falsify_ell1_variant(spec, N, grid, iteration_cap=cap)
+                witness = result.witness and (
+                    result.witness.x.to_dict(), result.witness.y.to_dict(),
+                    result.witness.sigma_x, result.witness.sigma_y, result.witness.sigma_sum)
+                assert (result.status, result.pairs_checked, result.cap_hits, witness) == \
+                    reference_falsify(sigma, N, grid, cap), (N, grid, cap)
+                statuses.add((result.status, result.cap_hits > 0))
+        assert len(statuses) >= 2
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
