@@ -85,12 +85,17 @@ from .dualnorm import (
 )
 from . import dualnorm as _dualnorm
 from . import families as _families
+from . import norming as _norming
 
 
 def clear_caches() -> None:
-    """Drop every internal memo, weight enclosures included."""
-    _dualnorm.clear_caches()
-    _families._LOG2_CACHE.clear()
+    """Empty the package's three bounded caches: the maximal patterns per
+    (space, support, budget), the dual values per (space, |x|, budget)
+    and the weight enclosures per (m, precision).  No other state
+    outlives a call."""
+    _norming._maximal_patterns.cache_clear()
+    _dualnorm._ball_value.cache_clear()
+    _families._log2_enclosure.cache_clear()
 
 
 __all__ = [

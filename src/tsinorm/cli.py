@@ -42,7 +42,7 @@ from .families import (
     MixedSpaceSpec,
     spec_from_config,
 )
-from .norming import build_norming_set, export_norming_set
+from .norming import _maximal_patterns, build_norming_set, export_norming_set
 from .primal import fj_norm, mixed_norm
 from . import dualnorm
 from .dualnorm import (
@@ -112,12 +112,6 @@ def _value_json(value):
     if isinstance(value, IntervalScalar):
         return {"lo": format_scalar(value.lo), "hi": format_scalar(value.hi),
                 "lo_decimal": _decimal(value.lo), "hi_decimal": _decimal(value.hi)}
-    return format_scalar(value)
-
-
-def _value_human(value) -> str:
-    if isinstance(value, IntervalScalar):
-        return f"[{format_scalar(value.lo)}, {format_scalar(value.hi)}]"
     return format_scalar(value)
 
 
@@ -192,7 +186,7 @@ def cmd_norm(args) -> int:
             doc["certificate"] = cert_fields
         _write_out(args, json.dumps(doc, indent=2) + "\n")
     else:
-        lines = [_value_human(value)]
+        lines = [str(value)]
         if cert_fields is not None:
             if "witness" in cert_fields:
                 lines.append(f"witness: {cert_fields['witness']}")
@@ -316,7 +310,7 @@ def _suite_duality(spec, args, rng, budget):
             continue
         # one hull column and one ball row per maximal pattern
         max_patterns = max(max_patterns,
-                           len(dualnorm._patterns(spec, x.support, budget)))
+                           len(_maximal_patterns(spec, x.support, budget)))
     extras = {"max_hull_columns": max_patterns, "max_ball_rows": max_patterns}
     return [("lp-duality-and-certificates", len(vectors), violations)], extras
 
@@ -343,6 +337,8 @@ def cmd_check(args) -> int:
     spec = _load_space(args.space)
     budget = _budget(args)
     rng = random.Random(args.seed)
+    if spec.has_symbolic_theta:
+        raise UsageError(f"{args.suite} needs rational weights at every level")
 
     if args.suite == "ell1-falsify":
         try:
@@ -388,8 +384,6 @@ def cmd_check(args) -> int:
                              ("pairs", args.pairs, 0)):
         if got < least:
             raise UsageError(f"--{flag} must be >= {least}, got {got}")
-    if spec.has_symbolic_theta:
-        raise UsageError(f"{args.suite} needs rational weights at every level")
 
     suite_fn = {"lemmas": _suite_lemmas, "duality": _suite_duality,
                 "implicit-eq": _suite_implicit_eq}[args.suite]
@@ -424,6 +418,8 @@ def cmd_check(args) -> int:
 
 def cmd_norming_set(args) -> int:
     spec = _load_space(args.space)
+    if spec.has_symbolic_theta:
+        raise UsageError("norming-set needs rational weights at every level")
     if args.window < 1:
         raise UsageError(f"window must be >= 1, got {args.window}")
     vset = build_norming_set(spec, args.window, budget=_budget(args))

@@ -45,6 +45,15 @@ class IndeterminateComparisonError(TsinormError):
     """A certified comparison was forced to a decision it cannot make."""
 
 
+def check_precision(bits: int) -> None:
+    """Refuse a working precision below 1 with ValueError and one above
+    PRECISION_CAP with PrecisionExhaustedError."""
+    if bits < 1:
+        raise ValueError(f"precision must be >= 1, got {bits}")
+    if bits > PRECISION_CAP:
+        raise PrecisionExhaustedError(f"precision {bits} exceeds the cap {PRECISION_CAP}")
+
+
 def _read_rational(token) -> Fraction:
     """Fraction(token), refused when its numerator or denominator has
     more digits than int-to-str conversion allows

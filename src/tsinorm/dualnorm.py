@@ -42,6 +42,7 @@ every vector it dominates, so the convex hull is unchanged.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -53,12 +54,12 @@ from typing import Iterable, Optional, Sequence, Tuple
 from .core import (
     DEFAULT_NORMING_BUDGET,
     DEFAULT_THETA_PRECISION,
-    PRECISION_CAP,
     BlockPartition,
     FinVec,
     IntervalScalar,
     PrecisionExhaustedError,
     TsinormError,
+    check_precision,
     format_scalar,
     format_vector,
     pairing,
@@ -96,15 +97,11 @@ from .primal import (
 
 Q = Fraction
 
-_GENERATOR_CACHE: dict = {}
-_VALUE_MEMO: dict = {}
-
-
-def clear_caches() -> None:
-    """Drop both module-level memos: the maximal patterns per space and
-    support, and dual_norm_value's values per space and |x|."""
-    _GENERATOR_CACHE.clear()
-    _VALUE_MEMO.clear()
+# The implicit-equation and lemma checks revisit the sub-vectors and
+# splits of x.  A sweep over all 4095 nonzero |x| with entries in
+# {0, 1/2, 1, 2} on [1, 6] re-reads every one of them, so the cache holds
+# twice that; an entry takes about 1 KB.
+_VALUES_KEPT = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -137,25 +134,18 @@ class RhoIterate:
     mode: str = "partition-only"
 
 
-def _require_rational(spec: MixedSpaceSpec, what: str) -> tuple:
-    return rational_levels(spec, f"{what} needs", " (use dual_norm_bounds for enclosures)")
+# Only the dual norm has an enclosure variant; the enumerators have none.
+_BOUNDS_HINT = " (use dual_norm_bounds for enclosures)"
 
 
-def _patterns(spec: MixedSpaceSpec, support: tuple, budget: int) -> tuple:
-    """The maximal nonnegative patterns on `support` as (entries, tree)
-    pairs sorted by entries, memoised per space and support."""
-    key = (spec.cache_key(), support)
-    got = _GENERATOR_CACHE.get(key)
-    if got is None:
-        got = _maximal_patterns(spec, support, budget)
-        _GENERATOR_CACHE[key] = got
-    return got
+def _require_rational(spec: MixedSpaceSpec, what: str, hint: str = "") -> tuple:
+    return rational_levels(spec, f"{what} needs", hint)
 
 
 def _solve_ball(patterns: tuple, xa_entries: tuple):
     """max <|x|, z> over z >= 0 with a.z <= 1 for every nonnegative
-    maximal pattern a in `patterns`, the _patterns of supp(x).  By sign
-    completeness this equals the maximum of <x, y> over the whole
+    maximal pattern a in `patterns`, the _maximal_patterns of supp(x).
+    By sign completeness this equals the maximum of <x, y> over the whole
     dual-ball polar, and |x|'s best y is sign(x)*z.
 
     Returns (value, z as dict, duals), duals being the verified row
@@ -179,11 +169,12 @@ def _hull_terms(patterns: tuple, x: FinVec, weights: tuple,
     """Signed hull terms of total weight `value` that combine to x.
 
     weights holds one dominance weight c_a per maximal pattern a in
-    `patterns`, the _patterns of supp(x).  A greedy pass over them cuts
-    each term c_a * a down to the part of |x| still uncovered,
-    c_a * (r * a) with r in [0, 1]; _staircase_terms writes that as signed
-    terms of total weight c_a.  Weights that are not a dominance optimum
-    of value `value` raise TsinormError: the build itself is broken.
+    `patterns`, the _maximal_patterns of supp(x).  A greedy pass over
+    them cuts each term c_a * a down to the part of |x| still uncovered,
+    c_a * (r * a) with r in [0, 1]; _staircase_terms writes that as
+    signed terms of total weight c_a.  Weights that are not a dominance
+    optimum of value `value` raise TsinormError: the build itself is
+    broken.
     """
     uncovered = {i: abs(c) for i, c in x.entries}
     signs = {i: (1 if c > 0 else -1) for i, c in x.entries}
@@ -251,18 +242,22 @@ def dual_norm_value(spec: MixedSpaceSpec, x: FinVec,
 
     The fast path for the iterators and checkers that need many values;
     dual_norm solves the same program and also rebuilds the hull terms
-    from its duals.  The norm only depends on absolute values, so the
-    memo is shared across sign patterns.
+    from its duals.  The norm only depends on absolute values, so values
+    are kept in a bounded LRU cache keyed by (spec, |x|, budget), shared
+    across sign patterns; a budget too small for the closure raises
+    BudgetExceededError whatever was computed before.
     """
-    _require_rational(spec, "dual_norm")
+    _require_rational(spec, "dual_norm", _BOUNDS_HINT)
     if x.is_zero:
         return Q(0)
-    key = (spec.cache_key(), x.abs().entries)
-    got = _VALUE_MEMO.get(key)
-    if got is None:
-        got, _, _ = _solve_ball(_patterns(spec, x.support, budget), key[1])
-        _VALUE_MEMO[key] = got
-    return got
+    return _ball_value(spec, x.abs().entries, budget)
+
+
+@functools.lru_cache(maxsize=_VALUES_KEPT)
+def _ball_value(spec: MixedSpaceSpec, xa_entries: tuple, budget: int) -> Fraction:
+    """The ball program's value at |x|, given as its entries."""
+    support = tuple(i for i, _ in xa_entries)
+    return _solve_ball(_maximal_patterns(spec, support, budget), xa_entries)[0]
 
 
 def dual_norm(spec: MixedSpaceSpec, x: FinVec,
@@ -276,11 +271,11 @@ def dual_norm(spec: MixedSpaceSpec, x: FinVec,
     back through the primal recursion to certify it really lies in the
     unit ball.
     """
-    _require_rational(spec, "dual_norm")
+    _require_rational(spec, "dual_norm", _BOUNDS_HINT)
     if x.is_zero:
         value, cert = mixed_norm(spec, FinVec.zero())
         return Q(0), DualCertificate(Q(0), (), FinVec.zero(), cert)
-    patterns = _patterns(spec, x.support, budget)
+    patterns = _maximal_patterns(spec, x.support, budget)
     value, z, duals = _solve_ball(patterns, x.abs().entries)
     terms = _hull_terms(patterns, x, duals, value)
     signs = {i: (1 if c > 0 else -1) for i, c in x.entries}
@@ -334,11 +329,7 @@ def dual_norm_bounds(spec: MixedSpaceSpec, x: FinVec,
     """
     if precision is None:
         precision = DEFAULT_THETA_PRECISION
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
-    if precision > PRECISION_CAP:
-        raise PrecisionExhaustedError(
-            f"precision {precision} exceeds the cap {PRECISION_CAP}")
+    check_precision(precision)
     if x.is_zero:
         return IntervalScalar.point(0)
     if not spec.has_symbolic_theta:

@@ -8,6 +8,7 @@ weights 1/log2(l+1), handled as certified intervals).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
@@ -148,9 +149,12 @@ class SchlumprechtWeight:
 
 Theta = Union[Fraction, SchlumprechtWeight]
 
-_LOG2_CACHE: dict = {}
+# A call resolves one enclosure per symbolic level and precision step,
+# so a few distinct (m, precision) pairs serve a whole session.
+_ENCLOSURES_KEPT = 256
 
 
+@functools.lru_cache(maxsize=_ENCLOSURES_KEPT)
 def _log2_enclosure(m: int, precision: int) -> IntervalScalar:
     """Certified enclosure of log2(m), width <= 2^-precision.
 
@@ -159,6 +163,9 @@ def _log2_enclosure(m: int, precision: int) -> IntervalScalar:
     when it stays below.  A straddle means the working precision cannot
     certify the bit; retry wider.  Every emitted bit is a true bit of the
     binary expansion, so the final enclosure has exact dyadic endpoints.
+
+    Results are kept in a bounded LRU cache keyed by (m, precision);
+    tsinorm.clear_caches() empties it.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -166,10 +173,6 @@ def _log2_enclosure(m: int, precision: int) -> IntervalScalar:
     if m == 1 << e:
         q = Fraction(e)
         return IntervalScalar(q, q)
-    key = (m, precision)
-    hit = _LOG2_CACHE.get(key)
-    if hit is not None:
-        return hit
     work = max(2 * precision, precision + 32)
     for _attempt in range(16):
         lo = hi = m << (work - e)
@@ -190,9 +193,7 @@ def _log2_enclosure(m: int, precision: int) -> IntervalScalar:
                 break
         if ok:
             scale = 1 << precision
-            enc = IntervalScalar(e + Fraction(bits, scale), e + Fraction(bits + 1, scale))
-            _LOG2_CACHE[key] = enc
-            return enc
+            return IntervalScalar(e + Fraction(bits, scale), e + Fraction(bits + 1, scale))
         work *= 2
     raise PrecisionExhaustedError(f"log2({m}) bit extraction stalled at working width {work}")
 
@@ -270,23 +271,6 @@ class MixedSpaceSpec:
     @property
     def has_symbolic_theta(self) -> bool:
         return any(not theta_is_rational(lv.theta) for lv in self.levels)
-
-    def cache_key(self) -> tuple:
-        return tuple((_family_key(lv.family), _theta_key(lv.theta)) for lv in self.levels)
-
-
-def _family_key(fam: AdmissibilityFamily) -> tuple:
-    if isinstance(fam, Schreier1):
-        return ("schreier1",)
-    if isinstance(fam, CardinalityAtMost):
-        return ("card", fam.n)
-    return ("explicit", fam.sets, fam._top)
-
-
-def _theta_key(theta: Theta):
-    if isinstance(theta, Fraction):
-        return ("q", theta)
-    return ("schlumprecht", theta.level)
 
 
 def tsirelson_spec() -> MixedSpaceSpec:

@@ -35,6 +35,7 @@ dual-norm programs read, and the group representatives tau pairs with.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_right
@@ -272,13 +273,14 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     order of the keys, so the enumeration, the first-built trees and the
     pruning are those of the rational coefficients.
 
-    Returns (F, born, reached_fixpoint, unit): F maps keys to their
-    first-constructed tree, born maps them to the round that built them
-    (0 for the seeds).  A kept set's generation is the latest birth among
-    its keys; for the maximal keys that is the first round whose maximal
-    set is final, as every other key is dominated by one.  Rounds are
-    semi-naive: a tuple is only combined when at least one part is new
-    since the previous round.
+    Returns (F, rounds, reached_fixpoint, unit): F maps keys to their
+    first-constructed tree, and rounds counts the rounds that built a
+    key.  Rounds are semi-naive: a tuple is only combined when at least
+    one part is new since the previous round, so a key built in round r
+    has a first-built tree of depth exactly r.  A kept set's generation
+    is therefore the depth of its deepest tree; for the maximal keys that
+    is the first round whose maximal set is final, as every other key is
+    dominated by one.
     """
     levels = rational_levels(spec, "norming sets need")
     if not indices:
@@ -292,7 +294,6 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     if len(F) > budget:
         raise BudgetExceededError(
             f"seeding {len(F)} unit functionals already exceeds budget {budget}")
-    born = dict.fromkeys(F, 0)
     frontier = frozenset(F)
     cap_cache: dict = {}
     rounds = 0
@@ -307,7 +308,6 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
                 return tuple((i, c * factor) for i, c in key)
 
             F = {scaled(key): tree for key, tree in F.items()}
-            born = {scaled(key): r for key, r in born.items()}
             frontier = frozenset(map(scaled, frontier))
             depth += step
             unit *= factor
@@ -359,10 +359,9 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
             break
         F.update(new)
         rounds += 1
-        born.update(dict.fromkeys(new, rounds))
         frontier = frozenset(new)
 
-    return F, born, not frontier, unit
+    return F, rounds, not frontier, unit
 
 
 def _maximal_keys(keys) -> frozenset:
@@ -441,22 +440,21 @@ def build_norming_set(spec: MixedSpaceSpec, N: int,
     """
     if N < 1:
         raise ValueError(f"window bound must be >= 1, got {N}")
-    F, born, _, unit = _closure(spec, tuple(range(1, N + 1)), budget,
-                                include_singletons=False, max_rounds=None)
-    maximal = _maximal_keys(F)
-    _check_sign_budget(maximal, budget, f"norming set on window [1, {N}]")
-    funcs = _expand_signs(((key, F[key]) for key in maximal), unit)
-    return NormingSet(spec, N, funcs, max(born[key] for key in maximal),
-                      stabilized=True)
+    pairs, unit = _maximal(spec, range(1, N + 1), budget,
+                           f"norming set on window [1, {N}]")
+    return NormingSet(spec, N, _expand_signs(pairs, unit),
+                      max(_depth(tree) for _, tree in pairs), stabilized=True)
 
 
-def _maximal(spec: MixedSpaceSpec, indices, budget: int) -> tuple:
+def _maximal(spec: MixedSpaceSpec, indices, budget: int,
+             context: Optional[str] = None) -> tuple:
     """(pairs, unit): the maximal keys of the closure over `indices`, in
     its integer units and sorted, each paired with its first-built tree.
 
     Their sign variants are counted against `budget` as if expanded, so
     a caller working on the patterns alone keeps norming_generators'
-    budget without building the variants.
+    budget without building the variants; `context` opens the message of
+    a budget overrun.
     """
     indices = tuple(indices)
     if any(indices[i] >= indices[i + 1] for i in range(len(indices) - 1)):
@@ -464,14 +462,25 @@ def _maximal(spec: MixedSpaceSpec, indices, budget: int) -> tuple:
     F, _, _, unit = _closure(spec, indices, budget, include_singletons=False,
                              max_rounds=None)
     keys = sorted(_maximal_keys(F))
-    _check_sign_budget(keys, budget, f"norming generators on {list(indices)}")
+    _check_sign_budget(keys, budget, context or f"norming generators on {list(indices)}")
     return tuple((key, F[key]) for key in keys), unit
 
 
-def _maximal_patterns(spec: MixedSpaceSpec, indices, budget: int) -> tuple:
+# The dual-norm programs revisit the supports of a few dozen vectors and
+# their sub-vectors; about 60 supports make up their largest working set.
+_PATTERNS_KEPT = 128
+
+
+@functools.lru_cache(maxsize=_PATTERNS_KEPT)
+def _maximal_patterns(spec: MixedSpaceSpec, indices: tuple, budget: int) -> tuple:
     """Maximal nonnegative patterns supported inside `indices`, as
     (coefficient entries, first-built tree) pairs sorted by entries; only
-    these kept keys become Fractions."""
+    these kept keys become Fractions.
+
+    Results are kept in a bounded LRU cache keyed by (spec, indices,
+    budget), so a repeated support returns the same tuple, and a budget
+    too small for the closure raises BudgetExceededError whatever was
+    computed before.  tsinorm.clear_caches() empties it."""
     pairs, unit = _maximal(spec, indices, budget)
     return tuple((tuple((i, Q(c, unit)) for i, c in key), tree) for key, tree in pairs)
 
@@ -502,11 +511,11 @@ def raw_norming_generation(spec: MixedSpaceSpec, N: int, generations: int,
         raise ValueError(f"generation count must be >= 0, got {generations}")
     if N < 1:
         raise ValueError(f"window bound must be >= 1, got {N}")
-    F, born, fixpoint, unit = _closure(spec, tuple(range(1, N + 1)), budget,
-                                       include_singletons=True, max_rounds=generations)
+    F, rounds, fixpoint, unit = _closure(spec, tuple(range(1, N + 1)), budget,
+                                         include_singletons=True, max_rounds=generations)
     _check_sign_budget(F, budget, f"raw generation {generations} on window [1, {N}]")
     return NormingSet(spec, N, _expand_signs(F.items(), unit),
-                      generation=max(born.values()), stabilized=fixpoint)
+                      generation=rounds, stabilized=fixpoint)
 
 
 # ---------------------------------------------------------------------------

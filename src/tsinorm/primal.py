@@ -53,6 +53,7 @@ from .core import (
     IntervalScalar,
     PrecisionExhaustedError,
     TsinormError,
+    check_precision,
     restrict,
     sup_norm,
 )
@@ -169,12 +170,8 @@ def mixed_norm(spec: MixedSpaceSpec, x: FinVec, *,
     ValueError and one above PRECISION_CAP with PrecisionExhaustedError.
     """
     for bits in (precision, precision_cap):
-        if bits is None:
-            continue
-        if bits < 1:
-            raise ValueError(f"precision must be >= 1, got {bits}")
-        if bits > PRECISION_CAP:
-            raise PrecisionExhaustedError(f"precision {bits} exceeds the cap {PRECISION_CAP}")
+        if bits is not None:
+            check_precision(bits)
     kept = _kept_levels(spec, x.support)
     entries = _abs_entries(x)
     exact = all(theta_is_rational(theta) for _, _, theta in kept)

@@ -11,11 +11,11 @@ from pathlib import Path
 import pytest
 
 import tsinorm
-from tsinorm import (dualnorm, fj_norm, import_norming_set, parse_vector, tau,
-                     tsirelson_spec)
+from tsinorm import fj_norm, import_norming_set, parse_vector, tau, tsirelson_spec
 from tsinorm import cli
 from tsinorm.cli import main
 from tsinorm.core import DEFAULT_NORMING_BUDGET
+from tsinorm.norming import _maximal_patterns
 
 
 def run(capsys, argv):
@@ -424,12 +424,19 @@ class TestCheck:
         assert message in err
 
     def test_symbolic_space_rejected(self, capsys):
-        code, _, err = run(capsys, ["check", "lemmas", "--space",
-                                    "schlumprecht", "--sample", "2"])
-        assert code == 2
+        for suite in ("lemmas", "ell1-falsify"):
+            code, out, err = run(capsys, ["check", suite, "--space",
+                                          "schlumprecht", "--sample", "2"])
+            assert (code, out) == (2, "")
+            assert err == f"error: {suite} needs rational weights at every level\n"
 
 
 class TestNormingSet:
+    def test_symbolic_space_rejected(self, capsys):
+        code, out, err = run(capsys, ["norming-set", "3", "--space", "schlumprecht"])
+        assert (code, out) == (2, "")
+        assert err == "error: norming-set needs rational weights at every level\n"
+
     def test_window_one(self, capsys):
         code, out, err = run(capsys, ["norming-set", "1"])
         assert code == 0
@@ -607,8 +614,8 @@ class TestCertify:
 
         ts = tsirelson_spec()
         support = tuple(range(2, 9))
-        patterns = dualnorm._patterns(ts, support, DEFAULT_NORMING_BUDGET)
-        assert dualnorm._GENERATOR_CACHE[(ts.cache_key(), support)] is patterns
+        patterns = _maximal_patterns(ts, support, DEFAULT_NORMING_BUDGET)
+        assert _maximal_patterns(ts, support, DEFAULT_NORMING_BUDGET) is patterns
         assert len(patterns) == 202
         # the cache holds patterns, not the 8766 signed functionals they stand for
         assert all(c > 0 for a, _ in patterns for _, c in a)

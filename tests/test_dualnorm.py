@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tsinorm
 from tsinorm import dualnorm
 from tsinorm.core import (
     DEFAULT_NORMING_BUDGET,
@@ -49,6 +50,7 @@ from tsinorm.lp import Constraint, LinearProgram, solve as lp_solve
 from tsinorm.norming import (
     FunctionalLeaf,
     _flip_tree,
+    _maximal_patterns,
     build_norming_set,
     export_norming_set,
     import_norming_set,
@@ -127,6 +129,23 @@ class TestDualGoldens:
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceededError):
             dual_norm(TS, e(2, 3, 4, 5, 6), budget=3)
+
+    @pytest.mark.parametrize("call", [
+        dual_norm_value,
+        lambda spec, x, budget: dual_norm(spec, x, budget)[0],
+        lambda spec, x, budget: dual_norm_bounds(spec, x, budget=budget).hi,
+    ], ids=["dual_norm_value", "dual_norm", "dual_norm_bounds"])
+    def test_budget_holds_after_a_warm_call(self, call):
+        # the closure on {1..5} outgrows 5 functionals; a value cached at
+        # the default budget must not answer a call with a smaller one
+        x = e(1, 2, 3, 4, 5)
+        tsinorm.clear_caches()
+        with pytest.raises(BudgetExceededError) as cold:
+            call(TS, x, 5)
+        assert call(TS, x, DEFAULT_NORMING_BUDGET) == 4
+        with pytest.raises(BudgetExceededError) as warm:
+            call(TS, x, 5)
+        assert str(warm.value) == str(cold.value)
 
 
 class TestOracleAgreement:
@@ -627,7 +646,8 @@ class TestFalsifier:
             falsify_ell1_variant(TS, 3, [Q(0)])
 
     def test_symbolic_spec_rejected(self):
-        with pytest.raises(TsinormError):
+        # no enclosure variant exists, so the message points to none
+        with pytest.raises(TsinormError, match="symbolic one$"):
             falsify_ell1_variant(SCH, 3, [Q(1)])
 
 
@@ -729,7 +749,7 @@ class TestPatternHull:
     def test_agrees_with_signed_hull_and_oracle(self):
         oracle_checked = 0
         for spec, x in self.vectors():
-            patterns = dualnorm._patterns(spec, x.support, DEFAULT_NORMING_BUDGET)
+            patterns = _maximal_patterns(spec, x.support, DEFAULT_NORMING_BUDGET)
             value, _, duals = dualnorm._solve_ball(patterns, x.abs().entries)
             terms = dualnorm._hull_terms(patterns, x, duals, value)
             assert value == self.signed_hull_optimum(spec, x)
@@ -739,7 +759,7 @@ class TestPatternHull:
                 assert value == oracle_dual_norm(x.to_dict(), levels)
                 oracle_checked += 1
 
-            patterns = dict(dualnorm._GENERATOR_CACHE[(spec.cache_key(), x.support)])
+            patterns = dict(patterns)
             per_pattern = {}
             for term in terms:
                 assert term.weight > 0
@@ -759,7 +779,7 @@ class TestPatternHull:
     def test_staircase_split(self):
         # a = (1/2, 1/2, 1/2) needed at shares (1, 0, 1/2), with x's signs (+, -, +)
         pattern = ((3, Q(1, 2)), (4, Q(1, 2)), (5, Q(1, 2)))
-        tree = dualnorm._patterns(TS, (3, 4, 5), DEFAULT_NORMING_BUDGET)[0][1]
+        tree = _maximal_patterns(TS, (3, 4, 5), DEFAULT_NORMING_BUDGET)[0][1]
         terms = dualnorm._staircase_terms(Q(2), pattern, tree,
                                           {3: Q(1), 4: Q(0), 5: Q(1, 2)},
                                           {3: 1, 4: -1, 5: 1})
@@ -777,7 +797,7 @@ class TestPatternHull:
     def test_bad_weights_are_internal_failures(self, monkeypatch):
         x = vec({3: Q(1), 4: Q(-1, 2), 5: Q(3, 4)})
         budget = DEFAULT_NORMING_BUDGET
-        patterns = dualnorm._patterns(TS, x.support, budget)
+        patterns = _maximal_patterns(TS, x.support, budget)
         value, _, duals = dualnorm._solve_ball(patterns, x.abs().entries)
         with pytest.raises(TsinormError, match="uncovered"):
             dualnorm._hull_terms(patterns, x, (Q(0),) * len(duals), value)
@@ -804,7 +824,7 @@ class TestPatternHull:
 
         monkeypatch.setattr(dualnorm, "solve", counting)
         for spec, x in self.vectors()[::6]:
-            dualnorm.clear_caches()
+            tsinorm.clear_caches()
             senses.clear()
             value, cert = dual_norm(spec, x)
             assert senses == ["max"]
@@ -812,32 +832,26 @@ class TestPatternHull:
             senses.clear()
             assert dual_norm(spec, x)[0] == value and senses == ["max"]
 
-    def test_one_pattern_lookup_per_dual_norm(self, monkeypatch):
-        supports = []
-        lookup = dualnorm._patterns
-
-        def counting(spec, support, budget):
-            supports.append(support)
-            return lookup(spec, support, budget)
-
-        monkeypatch.setattr(dualnorm, "_patterns", counting)
+    def test_one_pattern_lookup_per_dual_norm(self):
         for spec, x in self.vectors()[::6]:
-            supports.clear()
+            before = _maximal_patterns.cache_info()
             dual_norm(spec, x)
-            assert supports == [x.support]
+            after = _maximal_patterns.cache_info()
+            assert after.hits + after.misses == before.hits + before.misses + 1
 
     def test_only_the_two_memos_hold_state(self):
+        caches = {"patterns": _maximal_patterns, "values": dualnorm._ball_value}
+
         def module_dicts():
             return {name: dict(value) for name, value in vars(dualnorm).items()
                     if isinstance(value, dict) and not name.startswith("__")}
 
-        for call, written in ((dual_norm, {"_GENERATOR_CACHE"}),
-                              (dual_norm_value, {"_GENERATOR_CACHE", "_VALUE_MEMO"})):
-            dualnorm.clear_caches()
+        for call, written in ((dual_norm, {"patterns"}),
+                              (dual_norm_value, {"patterns", "values"})):
+            tsinorm.clear_caches()
             before = module_dicts()
             for spec, x in self.vectors()[::6]:
                 call(spec, x)
-            after = module_dicts()
-            assert after.keys() == before.keys()
-            assert {name for name in before if after[name] != before[name]} == written
-        dualnorm.clear_caches()
+            assert module_dicts() == before
+            assert {name for name, f in caches.items() if f.cache_info().currsize} == written
+        tsinorm.clear_caches()

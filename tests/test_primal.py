@@ -546,15 +546,20 @@ def test_package_clear_caches_empties_every_memo():
     x = vec(ones(2, 3, 4))
     mixed_norm(schlumprecht_spec(), vec(ones(2, 3, 5)))
     fj_norm_level(x, 2)
-    tsinorm.dual_norm(tsirelson_spec(), x)
+    tsinorm.dual_norm_value(tsirelson_spec(), x)
     tsinorm.sigma_ell1_variant(tsirelson_spec(), x)
     memo_name = re.compile(r"^_[A-Z0-9_]*(MEMO|CACHE)S?$")
-    tables = {}
+    caches = {}
     for info in pkgutil.iter_modules(tsinorm.__path__):
         module = importlib.import_module(f"tsinorm.{info.name}")
         for name, value in vars(module).items():
-            if memo_name.match(name) and isinstance(value, dict):
-                tables[f"{info.name}.{name}"] = value
-    assert tables["families._LOG2_CACHE"]
+            assert not (memo_name.match(name) and isinstance(value, dict)), name
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = value
+    assert set(caches) == {"norming._maximal_patterns", "dualnorm._ball_value",
+                           "families._log2_enclosure"}
+    assert all(f.cache_info().maxsize is not None for f in caches.values())
+    assert all(f.cache_info().currsize for f in caches.values())
     tsinorm.clear_caches()
-    assert {name: len(t) for name, t in tables.items() if t} == {}
+    assert {name: f.cache_info().currsize for name, f in caches.items()
+            if f.cache_info().currsize} == {}
