@@ -249,9 +249,15 @@ def _full_vectors(support_bound: int):
     return out
 
 
+def _corpus(args, rng):
+    """The suite's vectors: every grid vector with --full, else a sample."""
+    if args.full:
+        return _full_vectors(args.support)
+    return _sample_vectors(rng, args.support, args.sample)
+
+
 def _suite_lemmas(spec, args, rng, budget):
-    vectors = _full_vectors(args.support) if args.full else \
-        _sample_vectors(rng, args.support, args.sample)
+    vectors = _corpus(args, rng)
     results = []
 
     violations = []
@@ -295,8 +301,7 @@ def _suite_lemmas(spec, args, rng, budget):
 
 
 def _suite_duality(spec, args, rng, budget):
-    vectors = _full_vectors(args.support) if args.full else \
-        _sample_vectors(rng, args.support, args.sample)
+    vectors = _corpus(args, rng)
     violations = []
     max_patterns = 0
     for x in vectors:
@@ -316,8 +321,7 @@ def _suite_duality(spec, args, rng, budget):
 
 
 def _suite_implicit_eq(spec, args, rng, budget):
-    vectors = _full_vectors(args.support) if args.full else \
-        _sample_vectors(rng, args.support, args.sample)
+    vectors = _corpus(args, rng)
     violations = []
     checked = 0
     for x in vectors:
@@ -432,13 +436,9 @@ def cmd_norming_set(args) -> int:
                "generation": vset.generation, "stabilized": vset.stabilized,
                "export": text}
         _write_out(args, json.dumps(doc, indent=2) + "\n")
-    elif args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        sys.stdout.write(summary + "\n")
     else:
-        sys.stdout.write(text)
-        sys.stderr.write(summary + "\n")
+        _write_out(args, text)
+        (sys.stdout if args.out else sys.stderr).write(summary + "\n")
     return EXIT_OK
 
 
@@ -484,12 +484,9 @@ def cmd_certify(args) -> int:
         raise UsageError(str(exc)) from None
     value, cert = dual_norm(spec, x, _budget(args))
     doc = export_dual_certificate(spec, x, cert)
+    _write_out(args, doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc)
         sys.stdout.write(f"certificate written: value={format_scalar(value)}\n")
-    else:
-        sys.stdout.write(doc)
     return EXIT_OK
 
 

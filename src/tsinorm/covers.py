@@ -19,9 +19,13 @@ level.  A column depends on the entries up to its right end only, so
 fixpoints values many supports (sigma: fixpoint is the batch of one,
 the l1-variant falsifier its main caller) on one table, in sorted
 order, each from the column past the prefix it shares with the one
-before.  Every caller values windows in integer units (integer_units,
-_route): rational weights give one integer per window, interval
-weights (certified enclosures of symbolic weights) a Span of two.
+before.  A pass works out its own integer units from its levels, the
+entries' common denominator and the support size (_Pass): rational
+weights give one integer per window, interval weights (certified
+enclosures of symbolic weights) a Span of two.  best_windows takes
+Fraction entries, and a window's value is read back as a Fraction or
+an IntervalScalar (_Pass.scalar); fixpoints takes and returns ints in
+its pass's unit.
 
 Where admissibility depends only on the block count and the first index
 (families.max_blocks is not None), a suffix-cover table serves a level
@@ -29,19 +33,19 @@ with rational weights: _fill computes, for one start s, the best cover
 of entries[s:end] by exactly j slices for every j it needs, from the
 columns of later starts.  The table depends on the right end only, so
 every window ending there shares one.  Interval values are instead
-compared cover by cover (_walk_spans, which sums a cover's blocks
-once per right end), since an interval caller's
+compared cover by cover (_Pass._walk_spans, which sums a cover's
+blocks once per right end), since an interval caller's
 precision-doubling schedule follows its sequence of certified
-comparisons.  Covers are walked by _admissible_covers: for a bounded
-family it walks the cut positions of at most max_blocks slices
-directly; only ExplicitFinite levels (and cover_branches on spaces that
-have one) enumerate BlockPartitions and ask families.is_admissible.
-Every route keeps the first optimum in enumeration order (level, start,
-block count, then cut positions lexicographically), so their witnesses
-agree; _choose walks that order for all of them.
+comparisons.  Covers are walked by _admissible_covers, one loop over
+cut positions for every family: a bounded family admits the covers of
+at most max_blocks slices, and an ExplicitFinite level asks
+families.is_admissible of each walked cover.  Every route keeps the
+first optimum in enumeration order (level, start, block count, then cut
+positions lexicographically), so their witnesses agree; _Pass._choose
+walks that order for all of them.
 
-core.enumerate_partitions and the families functions are called through
-their modules, so a wrapper bound over the module attribute sees every call.
+The families functions are called through their module, so a wrapper
+bound over the module attribute sees every call.
 """
 from __future__ import annotations
 
@@ -84,42 +88,52 @@ def _improves(cand: Span, incumbent: Span, unit: int) -> bool:
         f"cannot order branch values {incumbent.enclosure(unit)} and {cand.enclosure(unit)}")
 
 
-def best_windows(entries: tuple, levels, point, settle, improves, maximise: bool = True,
-                 prev=None):
+def best_windows(entries: tuple, levels, maximise: bool = True, prev=None) -> "_Pass":
     """Value and witness of every window entries[a:b] of a nonempty
-    support under one step of a successive-cover recursion.
+    support of (index, positive Fraction) entries under one step of a
+    successive-cover recursion.
 
     Maximising, a window's value is the best of its leaf, the sup, and
     weight * (sum of block values) over admissible covers of its suffixes
     by k >= 2 windows; minimising, the best of its leaf, the entry sum,
     and weight * (max of block values) over covers of the whole window.
     With prev None the blocks are valued in this pass: the fixpoint.
-    With prev a table from an earlier pass, the blocks and the incumbent
-    are read from it: one level step, whose leaf is prev's own value.
+    With prev the value table of an earlier pass over the same support
+    and levels, the blocks and the incumbent are read from it: one level
+    step, whose leaf is prev's own value.  Levels are (index, family,
+    weight) triples, weights Fractions or (maximise only) IntervalScalar
+    enclosures.  Right ends b are visited in increasing order, one
+    _Pass.column each.
 
-    Right ends b are visited in increasing order, one _Pass.column each.
-    Levels are (index, family, weight) triples; point(v) is a leaf value
-    v on the candidate scale, improves(cand, incumbent) says whether a
-    candidate strictly beats the incumbent, and settle(c) turns a winning
-    candidate back into a window value.  Span values (point returns a
-    Span) walk every cover of every level one by one.
-
-    Returns (value, choice): value[a][b] is the window's value, or the
-    IndeterminateComparisonError that left it undecided, raised again
-    only where another window reads it; choice[a][b] is the position of
-    the leaf (after a level step: prev's value was kept) or the (level,
-    bounds) of the winning cover.
+    Returns the filled _Pass: value[a][b] is the window's value in its
+    integer units, or the IndeterminateComparisonError that left it
+    undecided, raised again only where another window reads it, and
+    scalar(a, b) the value as a Fraction or an IntervalScalar;
+    choice[a][b] is the position of the leaf (after a level step: prev's
+    value was kept) or the (level, bounds) of the winning cover.
     """
-    walk = isinstance(point(entries[0][1]), Span)
-    table = _Pass(len(entries), levels, point, settle, improves, maximise, walk, prev)
-    for b in range(1, len(entries) + 1):
-        table.column(entries[:b])
-    return table.value, table.choice
+    table = _Pass(levels, maximise, math.lcm(*(c.denominator for _, c in entries)),
+                  len(entries), prev)
+    scaled = tuple((i, c.numerator * (table.unit // c.denominator)) for i, c in entries)
+    for b in range(1, len(scaled) + 1):
+        table.column(scaled[:b])
+    return table
 
 
 class _Pass:
-    """The value and choice tables of one bottom-up pass, filled one right
-    end at a time.
+    """The value and choice tables of one bottom-up pass over supports of
+    at most size points whose entries are multiples of 1/den, filled one
+    right end at a time, and the integer units they are kept in.
+
+    A cover multiplies its combined block value by theta (maximise) or
+    1/theta (minimise).  With q the lcm of the factors' denominators (of
+    both ends of every enclosure), unit = den * q^(size - 1): a window of
+    l points is its leaf or one factor times windows of at most l - 1
+    points, so each end of its value is a multiple of 1/(den * q^(l - 1)).
+    The scaled weights are factor * q, so a candidate is in units of
+    1/(unit * q), and only the winner is divided by q (_settle).  With
+    rational weights a window value is one int; with enclosures it is a
+    Span of two, and every level is walked cover by cover.
 
     Column b (the windows entries[a:b], a < b) reads entries[:b], earlier
     columns, and the caps and rows at positions below b; a position's
@@ -128,23 +142,57 @@ class _Pass:
     that shares its first p entries with the support last filled keeps
     columns 1..p with their caps and rows (keep(p)) and fills the rest."""
 
-    def __init__(self, size: int, levels, point, settle, improves, maximise: bool,
-                 walk: bool, prev=None):
+    def __init__(self, levels, maximise: bool, den: int, size: int, prev=None):
         self.value = [[None] * (size + 1) for _ in range(size)]
         self.choice = [[None] * (size + 1) for _ in range(size)]
         self.blocks = self.value if prev is None else prev
-        self.levels, self.point, self.settle = levels, point, settle
-        self.improves, self.maximise, self.walk, self.prev = improves, maximise, walk, prev
+        self.maximise, self.prev = maximise, prev
+        self.spans = spans = any(isinstance(t, IntervalScalar) for _, _, t in levels)
+        factors = [(t.lo, t.hi) if spans else (t if maximise else 1 / t,)
+                   for _, _, t in levels]
+        self.q = q = math.lcm(*(f.denominator for ends in factors for f in ends))
+        self.unit = den * q ** (size - 1)
+        ends = [[f.numerator * (q // f.denominator) for f in fs] for fs in factors]
+        self.levels = tuple((i, family, Span(*w) if spans else w[0])
+                            for (i, family, _), w in zip(levels, ends))
+        self.improves = (functools.partial(_improves, unit=self.unit * q) if spans
+                         else operator.gt if maximise else operator.lt)
         # per level, the most blocks a cover starting at each position may
         # have (families.max_blocks), or None when the family has no such
         # bound (or values are spans): such levels walk their covers
-        self.caps = [None if walk else [] for _ in levels]
+        self.caps = [None if spans else [] for _ in levels]
         # rows[s]: the most slices the suffix table holds at s, the largest
         # cap there or one less than any cap at an earlier start, whose
         # rows read the later columns; always used as min(b - s, rows[s]).
         # reach[s]: the largest cap at or before s.
         self.rows = []
         self.reach = []
+
+    def scalar(self, a: int, b: int):
+        """The value of window entries[a:b] as a Fraction or an
+        IntervalScalar; an undecided window raises its error."""
+        v = self.value[a][b]
+        if isinstance(v, IndeterminateComparisonError):
+            raise v.with_traceback(None)
+        return v.enclosure(self.unit) if self.spans else Fraction(v, self.unit)
+
+    def _point(self, v):
+        """Window value v on the candidate scale, units of 1/(unit * q)."""
+        v *= self.q
+        return Span(v, v) if self.spans else v
+
+    def _settle(self, cand):
+        """A winning candidate back in window units."""
+        if self.spans:
+            return Span(self._divide(cand.lo), self._divide(cand.hi))
+        return self._divide(cand)
+
+    def _divide(self, cand: int) -> int:
+        v, r = divmod(cand, self.q)
+        if r:
+            raise TsinormError(
+                f"internal: window value {cand}/{self.q} is not a multiple of 1/{self.unit}")
+        return v
 
     def keep(self, p: int) -> None:
         """Forget the caps and rows past position p, before columns p + 1
@@ -185,12 +233,12 @@ class _Pass:
         b = len(head)
         self._grow(head[-1][0])
         value, choice, blocks, prev = self.value, self.choice, self.blocks, self.prev
-        point, maximise, rows = self.point, self.maximise, self.rows
+        point, settle, maximise, rows = self._point, self._settle, self.maximise, self.rows
         cols = [[None, None] for _ in range(b)]
         cuts = [[None, None] for _ in range(b)]
-        sums = {} if self.walk else None
+        sums = {} if self.spans else None
         leaf, pos = head[b - 1][1], b - 1  # a one-point window is its leaf
-        value[pos][b] = cols[pos][1] = self.settle(point(leaf))
+        value[pos][b] = cols[pos][1] = settle(point(leaf))
         choice[pos][b] = pos
         for a in range(b - 2, -1, -1):
             _fill(cols, cuts, a, b, min(b - a, rows[a]), blocks[a], maximise)
@@ -199,132 +247,85 @@ class _Pass:
             elif head[a][1] >= leaf:
                 leaf, pos = head[a][1], a
             try:
-                cand, level, bounds = _choose(
-                    head, range(a, b) if maximise else (a,), self.levels, self.caps, cols,
-                    cuts, self._val, point(leaf if prev is None else prev[a][b]),
-                    self.improves, maximise, sums)
-                value[a][b] = self.settle(cand)
+                cand, level, bounds = self._choose(
+                    head, range(a, b) if maximise else (a,), cols, cuts,
+                    point(leaf if prev is None else prev[a][b]), sums)
+                value[a][b] = settle(cand)
                 cols[a][1] = blocks[a][b]
                 choice[a][b] = pos if level is None else (level, bounds)
             except IndeterminateComparisonError as exc:
                 value[a][b] = exc
 
-
-def _choose(entries: tuple, starts, levels, caps, cols, cuts, val, incumbent, improves,
-            maximise: bool, sums):
-    """The first optimum strictly better than incumbent over covers of
-    entries[s:] for s in starts, in the order level, start, block count,
-    cut positions: (value, level, bounds), or (incumbent, None, None).
-    A cover's value is its level's weight times the sum (maximise) or the
-    max of its block values.  Levels with caps read the suffix table
-    (cols, cuts); the others are walked cover by cover
-    (_admissible_covers).  On spans sums is a dict of the block sums of
-    the covers already walked with this right end (_walk_spans), and
-    None otherwise."""
-    end = len(entries)
-    best = (incumbent, None, None)
-    for level, cs in zip(levels, caps):
-        weight = level[2]
-        if sums is not None:
-            best = _walk_spans(entries, starts, level, val, best, improves, sums)
-            continue
-        if cs is None:
-            for s in starts:
-                for _, bounds in _admissible_covers(entries, (level,), s):
-                    values = [val(a, b) for a, b in zip(bounds, bounds[1:])]
-                    cand = weight * (sum(values[1:], values[0]) if maximise else max(values))
-                    if improves(cand, best[0]):
-                        best = (cand, level, bounds)
-            continue
-        for s in starts:
-            col = cols[s]
-            for k in range(2, min(end - s, cs[s]) + 1):
-                cand = weight * col[k]
-                if improves(cand, best[0]):
-                    bounds = [s]
-                    for j in range(k, 1, -1):
-                        bounds.append(cuts[bounds[-1]][j])
-                    best = (cand, level, tuple(bounds) + (end,))
-    return best
-
-
-def _walk_spans(entries: tuple, starts, level, val, best, improves, sums: dict):
-    """_choose's walk of one level on spans: best, or the first cover of
-    entries[s:] (s in starts) whose value strictly beats it.
-
-    With weight [w_lo, w_hi] and a cover's block sum [lo, hi], the
-    candidate [w_lo * lo, w_hi * hi] cannot beat the incumbent when
-    w_hi * hi <= incumbent.lo, that is when hi <= incumbent.lo // w_hi.
-    That bound is taken once per incumbent, so only the other covers are
-    multiplied out and compared (improves).  A cover's block sum is the
-    same for every window and level that walks it, so it is kept in sums
-    by its bounds; only sums whose blocks were all decided are kept, and
-    a cover reading an undecided block raises wherever it is walked."""
-    weight = level[2]
-    keep = best[0].lo // weight.hi
-    for s in starts:
-        for _, bounds in _admissible_covers(entries, (level,), s):
-            got = sums.get(bounds)
-            if got is None:
-                lo = hi = 0
-                for a, b in zip(bounds, bounds[1:]):
-                    v = val(a, b)
-                    lo += v.lo
-                    hi += v.hi
-                got = sums[bounds] = lo, hi
-            lo, hi = got
-            if hi <= keep:
+    def _choose(self, entries: tuple, starts, cols, cuts, incumbent, sums):
+        """The first optimum strictly better than incumbent over covers of
+        entries[s:] for s in starts, in the order level, start, block
+        count, cut positions: (value, level, bounds), or (incumbent, None,
+        None).  A cover's value is its level's weight times the sum
+        (maximise) or the max of its block values.  Levels with caps read
+        the suffix table (cols, cuts); the others are walked cover by
+        cover (_admissible_covers).  On spans sums is a dict of the block
+        sums of the covers already walked with this right end
+        (_walk_spans), and None otherwise."""
+        end = len(entries)
+        improves, maximise, val = self.improves, self.maximise, self._val
+        best = (incumbent, None, None)
+        for level, cs in zip(self.levels, self.caps):
+            weight = level[2]
+            if sums is not None:
+                best = self._walk_spans(entries, starts, level, best, sums)
                 continue
-            cand = Span(weight.lo * lo, weight.hi * hi)
-            if improves(cand, best[0]):
-                best = (cand, level, bounds)
-                keep = cand.lo // weight.hi
-    return best
+            if cs is None:
+                for s in starts:
+                    for _, bounds in _admissible_covers(entries, (level,), s):
+                        values = [val(a, b) for a, b in zip(bounds, bounds[1:])]
+                        cand = weight * (sum(values[1:], values[0]) if maximise else max(values))
+                        if improves(cand, best[0]):
+                            best = (cand, level, bounds)
+                continue
+            for s in starts:
+                col = cols[s]
+                for k in range(2, min(end - s, cs[s]) + 1):
+                    cand = weight * col[k]
+                    if improves(cand, best[0]):
+                        bounds = [s]
+                        for j in range(k, 1, -1):
+                            bounds.append(cuts[bounds[-1]][j])
+                        best = (cand, level, tuple(bounds) + (end,))
+        return best
 
+    def _walk_spans(self, entries: tuple, starts, level, best, sums: dict):
+        """_choose's walk of one level on spans: best, or the first cover
+        of entries[s:] (s in starts) whose value strictly beats it.
 
-def integer_units(entries: tuple, levels, maximise: bool):
-    """The route of best_windows: (entries, levels, point, settle,
-    improves, unit) with every window value an integer in units of
-    1/unit or, when the weights are IntervalScalar enclosures (maximise
-    only), a Span of two such integers (_route)."""
-    weights, point, settle, improves, unit = _route(
-        levels, maximise, math.lcm(*(c.denominator for _, c in entries)), len(entries))
-    scaled = tuple((i, c.numerator * (unit // c.denominator)) for i, c in entries)
-    return scaled, weights, point, settle, improves, unit
-
-
-def _route(levels, maximise: bool, den: int, size: int):
-    """(levels, point, settle, improves, unit) of best_windows for supports
-    of at most size points whose entries are multiples of 1/den.
-
-    A cover multiplies its combined block value by theta (maximise) or
-    1/theta (minimise).  With Q the lcm of the factors' denominators (of
-    both ends of every enclosure), unit = den * Q^(size - 1): a window of
-    l points is its leaf or one factor times windows of at most l - 1
-    points, so each end of its value is a multiple of 1/(den * Q^(l - 1)).
-    The scaled weights are factor * Q, so a candidate is in units of
-    1/(unit * Q), and only the winner is divided by Q (settle).
-    """
-    spans = any(isinstance(t, IntervalScalar) for _, _, t in levels)
-    factors = [(t.lo, t.hi) if spans else (t if maximise else 1 / t,) for _, _, t in levels]
-    q = math.lcm(*(f.denominator for ends in factors for f in ends))
-    unit = den * q ** (size - 1)
-
-    def settle(cand: int) -> int:
-        v, r = divmod(cand, q)
-        if r:
-            raise TsinormError(f"internal: window value {cand}/{q} is not a multiple of 1/{unit}")
-        return v
-
-    ends = [[f.numerator * (q // f.denominator) for f in fs] for fs in factors]
-    if not spans:
-        weights = tuple((i, family, w) for (i, family, _), (w,) in zip(levels, ends))
-        return (weights, lambda v: v * q, settle,
-                operator.gt if maximise else operator.lt, unit)
-    weights = tuple((i, family, Span(*w)) for (i, family, _), w in zip(levels, ends))
-    return (weights, lambda v: Span(v * q, v * q),
-            lambda c: Span(settle(c.lo), settle(c.hi)),
-            functools.partial(_improves, unit=unit * q), unit)
+        With weight [w_lo, w_hi] and a cover's block sum [lo, hi], the
+        candidate [w_lo * lo, w_hi * hi] cannot beat the incumbent when
+        w_hi * hi <= incumbent.lo, that is when hi <= incumbent.lo // w_hi.
+        That bound is taken once per incumbent, so only the other covers
+        are multiplied out and compared (improves).  A cover's block sum
+        is the same for every window and level that walks it, so it is
+        kept in sums by its bounds; only sums whose blocks were all
+        decided are kept, and a cover reading an undecided block raises
+        wherever it is walked."""
+        val, improves, weight = self._val, self.improves, level[2]
+        keep = best[0].lo // weight.hi
+        for s in starts:
+            for _, bounds in _admissible_covers(entries, (level,), s):
+                got = sums.get(bounds)
+                if got is None:
+                    lo = hi = 0
+                    for a, b in zip(bounds, bounds[1:]):
+                        v = val(a, b)
+                        lo += v.lo
+                        hi += v.hi
+                    got = sums[bounds] = lo, hi
+                lo, hi = got
+                if hi <= keep:
+                    continue
+                cand = Span(weight.lo * lo, weight.hi * hi)
+                if improves(cand, best[0]):
+                    best = (cand, level, bounds)
+                    keep = cand.lo // weight.hi
+        return best
 
 
 def fixpoint(levels, entries: tuple) -> Fraction:
@@ -342,7 +343,7 @@ def fixpoint(levels, entries: tuple) -> Fraction:
 def fixpoints(levels, supports, den: int, size: int):
     """The minimising recursion's values at many supports with rational
     weights, from one shared fixpoint pass: (values, unit), values[n]
-    the value at supports[n] in units of 1/unit (_route).
+    the value at supports[n] in units of 1/unit (_Pass).
 
     A support is a sorted tuple of (index, c) pairs, each entry being
     c / den for a positive int c, and has at most size points; the empty
@@ -350,9 +351,8 @@ def fixpoints(levels, supports, den: int, size: int):
     _Pass, each from the column past the prefix it shares with the one
     before, so a support that extends or repeats an earlier one costs
     only its new columns."""
-    weights, point, settle, improves, unit = _route(levels, False, den, size)
-    scale = unit // den
-    table = _Pass(size, weights, point, settle, improves, False, False)
+    table = _Pass(levels, False, den, size)
+    scale = table.unit // den
     values = [0] * len(supports)
     last = ()
     for n in sorted(range(len(supports)), key=supports.__getitem__):
@@ -368,7 +368,7 @@ def fixpoints(levels, supports, den: int, size: int):
         if entries:
             values[n] = table.value[0][len(entries)]
         last = entries
-    return values, unit
+    return values, table.unit
 
 
 def iterates(levels, entries: tuple, maximise: bool):
@@ -377,14 +377,19 @@ def iterates(levels, entries: tuple, maximise: bool):
     level n the better of level n - 1 and the best cover over level-(n - 1)
     window values, one best_windows step per level.  A window of l points
     is stable from level l - 1, so from level m - 1 on, m the support
-    size, the value repeats without further passes."""
+    size, the value repeats without further passes.  The level-0 table
+    holds the window maxima or sums in the unit of those passes."""
     if not entries:
         yield from itertools.repeat(Fraction(0))
-    scaled, weights, point, settle, improves, unit = integer_units(entries, levels, maximise)
-    table, _ = best_windows(scaled, (), point, settle, improves, maximise)
-    for _ in range(len(entries) - 1):
+    size = len(entries)
+    unit = _Pass(levels, maximise, math.lcm(*(c.denominator for _, c in entries)), size).unit
+    scaled = [c.numerator * (unit // c.denominator) for _, c in entries]
+    combine = max if maximise else operator.add
+    table = [[None] * (a + 1) + list(itertools.accumulate(scaled[a:], combine))
+             for a in range(size)]
+    for _ in range(size - 1):
         yield Fraction(table[0][-1], unit)
-        table, _ = best_windows(scaled, weights, point, settle, improves, maximise, table)
+        table = best_windows(entries, levels, maximise, table).value
     yield from itertools.repeat(Fraction(table[0][-1], unit))
 
 
@@ -428,27 +433,22 @@ def cover_branches(entries: tuple, levels, part):
 
 def _admissible_covers(entries: tuple, levels, start: int):
     """(level, slice bounds) for every admissible cover of entries[start:]
-    by k >= 2 blocks, in the order of cover_branches.  A family with a
-    block-count bound (families.max_blocks) admits exactly the covers of
-    at most that many blocks, so its cut positions are walked directly;
-    an ExplicitFinite level asks families.is_admissible of each
-    partition core.enumerate_partitions yields."""
+    by k >= 2 blocks, in the order of cover_branches, from one walk over
+    the cut positions.  A family with a block-count bound
+    (families.max_blocks) admits exactly the covers of at most that many
+    blocks; an ExplicitFinite level asks families.is_admissible of each
+    walked cover."""
     end = len(entries)
     if end - start < 2:
         return
     caps = [families.max_blocks(level[1], entries[start][0]) for level in levels]
-    if None not in caps:
-        for k in range(2, min(end - start, max(caps)) + 1):
-            for cuts in itertools.combinations(range(start + 1, end), k - 1):
-                bounds = (start,) + cuts + (end,)
-                for level, cap in zip(levels, caps):
-                    if k <= cap:
-                        yield level, bounds
-        return
-    tail = tuple(i for i, _ in entries[start:])
-    for k in range(2, len(tail) + 1):
-        for P in core.enumerate_partitions(tail, k):
-            bounds = tuple(itertools.accumulate((len(b) for b in P.blocks), initial=start))
+    explicit = None in caps
+    index = tuple(i for i, _ in entries) if explicit else None
+    for k in range(2, (end - start if explicit else min(end - start, max(caps))) + 1):
+        for cuts in itertools.combinations(range(start + 1, end), k - 1):
+            bounds = (start,) + cuts + (end,)
+            if explicit:
+                P = core.BlockPartition(tuple(index[a:b] for a, b in zip(bounds, bounds[1:])))
             for level, cap in zip(levels, caps):
                 if k <= cap if cap is not None else families.is_admissible(level[1], P):
                     yield level, bounds

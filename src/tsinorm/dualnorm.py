@@ -29,8 +29,9 @@ minimising from the l1 norm; sigma_ell1_variant, their limit, is one
 fixpoint pass (covers.fixpoint).  falsify_ell1_variant values the limit
 at all its vectors, and then at each row of pair sums, in one shared
 pass each (covers.fixpoints), and runs its pair loop on integer codes.
-verify_implicit_equation walks covers.cover_branches, the enumerator,
-because it reports the partition count and every violating branch.
+verify_implicit_equation walks every admissible cover one by one
+(covers.cover_branches), because it reports the partition count and
+every violating branch.
 
 Patterns are built over supp(x) rather than the whole window [1, max
 supp(x)]: admissibility only reads supports, so the closure over the
@@ -138,10 +139,6 @@ class RhoIterate:
 _BOUNDS_HINT = " (use dual_norm_bounds for enclosures)"
 
 
-def _require_rational(spec: MixedSpaceSpec, what: str, hint: str = "") -> tuple:
-    return rational_levels(spec, f"{what} needs", hint)
-
-
 def _solve_ball(patterns: tuple, xa_entries: tuple):
     """max <|x|, z> over z >= 0 with a.z <= 1 for every nonnegative
     maximal pattern a in `patterns`, the _maximal_patterns of supp(x).
@@ -247,7 +244,7 @@ def dual_norm_value(spec: MixedSpaceSpec, x: FinVec,
     across sign patterns; a budget too small for the closure raises
     BudgetExceededError whatever was computed before.
     """
-    _require_rational(spec, "dual_norm", _BOUNDS_HINT)
+    rational_levels(spec, "dual_norm needs", _BOUNDS_HINT)
     if x.is_zero:
         return Q(0)
     return _ball_value(spec, x.abs().entries, budget)
@@ -271,7 +268,7 @@ def dual_norm(spec: MixedSpaceSpec, x: FinVec,
     back through the primal recursion to certify it really lies in the
     unit ball.
     """
-    _require_rational(spec, "dual_norm", _BOUNDS_HINT)
+    rational_levels(spec, "dual_norm needs", _BOUNDS_HINT)
     if x.is_zero:
         value, cert = mixed_norm(spec, FinVec.zero())
         return Q(0), DualCertificate(Q(0), (), FinVec.zero(), cert)
@@ -368,7 +365,7 @@ def rho_partition_upper(spec: MixedSpaceSpec, x: FinVec, n: int) -> Fraction:
     the previous level.  Always >= the dual norm."""
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
-    levels = _require_rational(spec, "rho_partition_upper")
+    levels = rational_levels(spec, "rho_partition_upper needs")
     return next(itertools.islice(iterates(levels, x.abs().entries, False), n, None))
 
 
@@ -376,7 +373,7 @@ def rho_chain(spec: MixedSpaceSpec, x: FinVec, n_max: int) -> Tuple[RhoIterate, 
     """The iterates 0..n_max as a tuple; handy for tables and checks."""
     if n_max < 0:
         return ()
-    levels = _require_rational(spec, "rho_partition_upper")
+    levels = rational_levels(spec, "rho_partition_upper needs")
     return tuple(RhoIterate(n, value) for n, value in
                  zip(range(n_max + 1), iterates(levels, x.abs().entries, False)))
 
@@ -409,7 +406,7 @@ def rho_with_splits_upper(spec: MixedSpaceSpec, x: FinVec, n: int,
     rho_partition_upper."""
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
-    levels = _require_rational(spec, "rho_with_splits_upper")
+    levels = rational_levels(spec, "rho_with_splits_upper needs")
     cands = []
     for w1, w2 in candidates:
         if (w1 + w2).entries != x.entries:
@@ -465,7 +462,7 @@ def verify_implicit_equation(spec: MixedSpaceSpec, x: FinVec,
     least slack (trivial splits excluded, they are always exact) and any
     violations, which a correct build never produces.
     """
-    levels = _require_rational(spec, "verify_implicit_equation")
+    levels = rational_levels(spec, "verify_implicit_equation needs")
     norm = dual_norm_value(spec, x, budget)
     branches = []
     partition_count = 0
@@ -530,7 +527,7 @@ def sigma_ell1_variant(spec: MixedSpaceSpec, x: FinVec,
     level |supp(x)| + 1 and comes from one fixpoint pass; a cap of at
     most |supp(x)| gives level iteration_cap with converged=False.
     """
-    levels = _require_rational(spec, "sigma_ell1_variant")
+    levels = rational_levels(spec, "sigma_ell1_variant needs")
     if iteration_cap < 1:
         raise ValueError(f"iteration cap must be >= 1, got {iteration_cap}")
     entries = x.abs().entries
@@ -564,9 +561,9 @@ def falsify_ell1_variant(spec: MixedSpaceSpec, N: int, G: Sequence,
     are valued in one covers.fixpoints pass, and each outer row of the
     pair loop values its sums not yet seen in one more, so an early
     counterexample never pays for later rows.  Every sigma is an integer
-    in the one unit of those passes, D * Q^(N - 1) (covers._route).
+    in the one unit of those passes, D * Q^(N - 1) (covers._Pass).
     """
-    levels = _require_rational(spec, "falsify_ell1_variant")
+    levels = rational_levels(spec, "falsify_ell1_variant needs")
     if not 1 <= N <= _FALSIFIER_SUPPORT_CAP:
         raise ValueError(f"support bound {N} outside [1, {_FALSIFIER_SUPPORT_CAP}]")
     values = sorted({Q(g) for g in G} - {Q(0)})

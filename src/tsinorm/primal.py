@@ -15,17 +15,16 @@ One call evaluates every window entries[a:b] of |x| once, bottom-up
 decreasing order, so each window reads only windows already valued.  The
 inner max reads a suffix-cover table shared by all windows with the same
 right end for Schreier and cardinality levels with rational weights.
-Under symbolic weights every level is compared cover by cover in the
-enumeration order, which the precision-doubling schedule follows; its
-Schreier and cardinality levels walk cut positions, and explicit
-families enumerate their partitions.  Both routes give the same
+Under symbolic weights every level, and explicit levels always, are
+compared cover by cover in the order of their cut positions; the
+precision-doubling schedule follows that order.  Both routes give the same
 certificates.  fj_norm is mixed_norm on tsirelson_spec(), and
 fj_norm_level reads level n of the same recursion from covers.iterates,
 one window pass per level.
 
-Window values are Python integers in the units of covers.integer_units:
-one per window with rational weights, and a covers.Span of two (the
-ends of a certified enclosure) with symbolic ones.  Fractions and
+The window pass keeps its values as Python integers in units it works
+out itself, one per window with rational weights and two (the ends of
+a certified enclosure) with symbolic ones.  Fractions and
 IntervalScalars are built only when the certificate is assembled, and
 for the text of an undecided comparison.
 
@@ -57,7 +56,7 @@ from .core import (
     restrict,
     sup_norm,
 )
-from .covers import Span, best_windows, integer_units, iterates
+from .covers import best_windows, iterates
 from .families import (
     Level,
     MixedSpaceSpec,
@@ -123,26 +122,20 @@ def fj_norm_level(x: FinVec, n: int) -> Fraction:
 
 def _certificate(entries: tuple, kept: tuple) -> PrimalCertificate:
     """Certificate of the norm of the positive entries from one bottom-up
-    pass over their windows, in the units of covers.integer_units; kept
-    are (index, family, theta) with theta the weight the certificate
-    records, a Fraction or an IntervalScalar enclosure."""
-    scaled, weights, point, settle, improves, unit = integer_units(entries, kept, True)
-    value, choice = best_windows(scaled, weights, point, settle, improves)
-    root = value[0][len(entries)]
-    if isinstance(root, IndeterminateComparisonError):
-        raise root.with_traceback(None)
+    pass over their windows (covers.best_windows); kept are (index,
+    family, theta) with theta the weight the certificate records, a
+    Fraction or an IntervalScalar enclosure."""
+    table = best_windows(entries, kept)
     thetas = {i: theta for i, _, theta in kept}
 
-    def scalar(v):
-        return v.enclosure(unit) if isinstance(v, Span) else Fraction(v, unit)
-
     def build(a: int, b: int) -> PrimalCertificate:
-        c = choice[a][b]
+        value = table.scalar(a, b)
+        c = table.choice[a][b]
         if isinstance(c, int):
-            return PrimalCertificate(scalar(value[a][b]), Leaf(entries[c][0]))
+            return PrimalCertificate(value, Leaf(entries[c][0]))
         (index, _, _), bounds = c
         spans = tuple(zip(bounds, bounds[1:]))
-        return PrimalCertificate(scalar(value[a][b]), Split(
+        return PrimalCertificate(value, Split(
             index, thetas[index],
             BlockPartition(tuple(tuple(i for i, _ in entries[s:t]) for s, t in spans)),
             tuple(build(s, t) for s, t in spans)))

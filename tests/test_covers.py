@@ -1,5 +1,6 @@
-"""The successive-cover engine: its dynamic program against the retained
-enumerator, and the interval route that must stay on the enumerator."""
+"""The successive-cover engine: its dynamic program against the cover
+walk, the walk against the partition enumerator, and the interval route
+that must stay on the walk."""
 import random
 import types
 from fractions import Fraction as Q
@@ -42,8 +43,8 @@ def random_vector(rng, max_index, max_size):
 
 @pytest.fixture
 def enumerator_only(monkeypatch):
-    """Make every family look unbounded to the engine, so each level runs
-    on the enumerator; admissibility itself is unchanged."""
+    """Make every family look unbounded to the engine, so each level walks
+    its covers one by one; admissibility itself is unchanged."""
     def install():
         monkeypatch.setattr(covers, "families", types.SimpleNamespace(
             max_blocks=lambda family, first_index: None,
@@ -76,10 +77,10 @@ def test_dp_matches_enumerator(enumerator_only):
                   if spec.name == "tsirelson"]
 
 
-def test_bounded_cover_walk_matches_enumerator(enumerator_only, monkeypatch):
-    # the cut positions walked under a block-count bound give exactly the
-    # is_admissible-filtered partitions, in the same order; only the
-    # explicit space enumerates partitions
+def test_bounded_cover_walk_matches_enumerator(monkeypatch):
+    # the cut positions walked for every family give exactly the
+    # is_admissible-filtered partitions of the enumerator, in the order
+    # block count, cuts, level; bounded families ask is_admissible nothing
     rng = random.Random(43)
     cases = [(spec, random_vector(rng, 9, 7)) for spec in SPACES + (EXPLICIT,)
              for _ in range(20)]
@@ -89,22 +90,33 @@ def test_bounded_cover_walk_matches_enumerator(enumerator_only, monkeypatch):
     monkeypatch.setattr(core, "enumerate_partitions",
                         lambda S, k: enumerated.append(S) or partitions(S, k))
 
-    def branches():
+    def part(entries):
+        return lambda a, b: sum(c for _, c in entries[a:b])
+
+    def reference(entries, levels):
         out = []
-        for spec, x in cases:
-            entries = x.abs().entries
-            levels = tuple((i, lv.family, lv.theta) for i, lv in enumerate(spec.levels))
-            before = len(enumerated)
-            got = list(covers.cover_branches(
-                entries, levels, lambda a, b: sum(c for _, c in entries[a:b])))
-            out.append((spec is EXPLICIT, len(enumerated) - before, got))
+        support = tuple(i for i, _ in entries)
+        sums = dict(entries)
+        for k in range(2, len(support) + 1):
+            for P in partitions(support, k):
+                for index, family, theta in levels:
+                    if families.is_admissible(family, P):
+                        out.append((index, P.blocks,
+                                    max(sum(sums[i] for i in b) for b in P.blocks) / theta))
         return out
 
-    walked = branches()
+    walked = []
+    expected = []
+    for spec, x in cases:
+        entries = x.abs().entries
+        levels = tuple((i, lv.family, lv.theta) for i, lv in enumerate(spec.levels))
+        before = len(enumerated)
+        got = list(covers.cover_branches(entries, levels, part(entries)))
+        walked.append((spec is EXPLICIT, len(enumerated) - before, got))
+        expected.append(reference(entries, levels))
+
     assert [n for explicit, n, _ in walked if not explicit] == [0] * (3 * 21)
-    assert sum(n for explicit, n, _ in walked if explicit) > 0
-    enumerator_only()
-    assert [b for _, _, b in walked] == [b for _, _, b in branches()]
+    assert [b for _, _, b in walked] == expected
     assert sum(len(b) for _, _, b in walked) > 400
 
 
