@@ -32,7 +32,6 @@ from .core import (
     ell1_norm,
     format_scalar,
     format_vector,
-    pairing,
     parse_vector,
     scalar_to_decimal,
     sup_norm,
@@ -128,10 +127,7 @@ def _write_out(args, text: str) -> None:
 
 def cmd_norm(args) -> int:
     spec = _load_space(args.space)
-    try:
-        x = parse_vector(args.vector)
-    except VectorParseError as exc:
-        raise UsageError(str(exc)) from None
+    x = parse_vector(args.vector)
     certificate = None
     if args.kind == "fj":
         if args.space != "tsirelson":
@@ -478,10 +474,7 @@ def cmd_certify(args) -> int:
     spec = _load_space(args.space)
     if spec.has_symbolic_theta:
         raise UsageError("certificates need rational weights at every level")
-    try:
-        x = parse_vector(args.vector)
-    except VectorParseError as exc:
-        raise UsageError(str(exc)) from None
+    x = parse_vector(args.vector)
     value, cert = dual_norm(spec, x, _budget(args))
     doc = export_dual_certificate(spec, x, cert)
     _write_out(args, doc)

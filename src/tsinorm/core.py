@@ -11,11 +11,9 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
-from decimal import Decimal, getcontext, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
-
-ExactScalar = Fraction
 
 # Working-precision defaults for irrational weights (bits after the point).
 DEFAULT_THETA_PRECISION = 64

@@ -31,7 +31,8 @@ share every subtree (_expand_signs), and the export writes each shared
 subtree and each scalar once (_tree_sexpr).  Fractions are made only for
 public objects: one per distinct coefficient and its negation in the
 expanded functionals, the coefficients of the kept patterns that the
-dual-norm programs read, and the group representatives tau pairs with.
+dual-norm programs read, and the sign-class representatives tau pairs
+with, which are built on its first call.
 """
 from __future__ import annotations
 
@@ -196,28 +197,22 @@ class NormingSet:
             raise ValueError(f"window bound must be >= 1, got {self.window}")
         if not self.functionals:
             raise ValueError("a norming set needs at least one functional")
-        # Group by absolute coefficient pattern.  When every group holds all
-        # 2^s sign flips, evaluation may pair |x| with the nonnegative
-        # representatives only (the best sign pattern always exists).
-        # Groups are keyed on ints; only their representatives are sorted
-        # as Fractions.
-        groups: dict = {}
-        for f in self.functionals:
-            entries = f.coeffs.entries
-            key = tuple([(i, abs(c.numerator), c.denominator) for i, c in entries])
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = (f.coeffs, set())
-            group[1].add(tuple([c.numerator > 0 for _, c in entries]))
-        complete = all(len(signs) == 2 ** len(k) for k, (_, signs) in groups.items())
-        reps = tuple(sorted((v.abs() for v, _ in groups.values()),
-                            key=lambda v: v.entries))
-        object.__setattr__(self, "_abs_reps", reps)
-        object.__setattr__(self, "_sign_complete", complete)
 
     @property
     def cardinality(self) -> int:
         return len(self.functionals)
+
+    @functools.cached_property
+    def _abs_reps(self) -> Optional[tuple]:
+        """The sign classes' nonnegative representatives, sorted by entries,
+        if every class holds its 2^s distinct sign variants (tau may then
+        pair them with |x|), else None.  Built on tau's first call."""
+        classes: dict = {}
+        for f in self.functionals:
+            classes.setdefault(f.coeffs.abs(), set()).add(f.coeffs)
+        if any(len(signed) != 2 ** len(rep.entries) for rep, signed in classes.items()):
+            return None
+        return tuple(sorted(classes, key=lambda v: v.entries))
 
 
 def tau(vset: NormingSet, x: FinVec) -> Fraction:
@@ -226,9 +221,10 @@ def tau(vset: NormingSet, x: FinVec) -> Fraction:
     if support and support[-1] > vset.window:
         raise TsinormError(
             f"support {support} outside window [1, {vset.window}]")
-    if vset._sign_complete:
+    reps = vset._abs_reps
+    if reps is not None:
         xa = x.abs()
-        return max(pairing(rep, xa) for rep in vset._abs_reps)
+        return max(pairing(rep, xa) for rep in reps)
     return max(pairing(f.coeffs, x) for f in vset.functionals)
 
 

@@ -102,6 +102,22 @@ def abs_values():
             for x in abs_corpus() if not x.is_zero}
 
 
+def read_dual_values_from(abs_values, monkeypatch):
+    """Serve every tsirelson dual value whose absolute pattern is in the
+    table from it, so that a sweep reading the values of vectors and of
+    their blocks and splits takes a time that does not depend on what
+    the value cache holds."""
+    computed = dualnorm.dual_norm_value
+
+    def tabled(spec, x, budget):
+        key = x.abs().entries
+        if spec == TS and key in abs_values:
+            return abs_values[key]
+        return computed(spec, x, budget)
+
+    monkeypatch.setattr(dualnorm, "dual_norm_value", tabled)
+
+
 class TestAC01:
     """Unit vectors are normalized on both routes, across a long window."""
 
@@ -237,22 +253,13 @@ class TestAC06:
     """
 
     def test_all_abs_patterns(self, abs_values, monkeypatch):
-        # every dual value the check reads, at a pattern or at a block or
-        # split of one, comes from the module's table, so the sweep's
-        # time does not depend on what the value cache holds
-        computed = dualnorm.dual_norm_value
-
-        def tabled(spec, x, budget):
-            if spec == TS and x.entries in abs_values:
-                return abs_values[x.entries]
-            return computed(spec, x, budget)
-
-        monkeypatch.setattr(dualnorm, "dual_norm_value", tabled)
+        read_dual_values_from(abs_values, monkeypatch)
         for entries in abs_values:
             x = FinVec.from_items(dict(entries))
             assert verify_implicit_equation(TS, x).ok, x.to_dict()
 
-    def test_signed_vectors(self, abs_values):
+    def test_signed_vectors(self, abs_values, monkeypatch):
+        read_dual_values_from(abs_values, monkeypatch)
         if FULL:
             sample = (x for x in signed_corpus() if not x.is_zero)
             for x in sample:

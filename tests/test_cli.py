@@ -113,9 +113,11 @@ class TestNormErrors:
         assert code == 2
         assert "unknown space" in err
 
-    def test_bad_vector(self, capsys):
-        code, _, err = run(capsys, ["norm", "fj", "not a vector"])
-        assert code == 2
+    @pytest.mark.parametrize("command", [["norm", "fj"], ["certify"]],
+                             ids=["norm-fj", "certify"])
+    def test_bad_vector(self, capsys, command):
+        assert run(capsys, command + ["not a vector"]) == (
+            2, "", "error: bad token 'not': expected index:value\n")
 
     def test_fj_rejects_other_space(self, capsys):
         code, _, err = run(capsys, ["norm", "fj", "1:1", "--space",

@@ -12,6 +12,7 @@ from tsinorm.core import (
     BudgetExceededError,
     FinVec,
     TsinormError,
+    pairing,
 )
 from tsinorm.families import (
     CardinalityAtMost,
@@ -167,6 +168,35 @@ class TestTauGoldens:
         vs = build_norming_set(TS, 3)
         with pytest.raises(TsinormError, match="window"):
             tau(vs, FinVec.basis(4))
+
+
+class TestSignClasses:
+    @pytest.mark.parametrize("repeat", [False, True], ids=["missing", "repeated"])
+    def test_incomplete_class_scans_every_functional(self, repeat):
+        # without -e1 the class of e1 holds one of its two sign variants;
+        # repeating e1 gives it two members but still one distinct vector
+        built = build_norming_set(TS, 3)
+        funcs = [f for f in built.functionals if f.coeffs != vec({1: -1})]
+        assert len(funcs) == len(built.functionals) - 1
+        if repeat:
+            funcs += [f for f in funcs if f.coeffs == vec({1: 1})]
+        vset = NormingSet(TS, 3, tuple(funcs), built.generation, built.stabilized)
+        for x in grid_vectors((1, 2, 3), [Q(0), Q(1), Q(-1), Q(1, 2), Q(-2)]):
+            assert tau(vset, x) == max(pairing(f.coeffs, x) for f in vset.functionals)
+        assert tau(vset, vec({1: -1})) == 0
+
+    def test_class_table_waits_for_tau(self):
+        built = build_norming_set(TS, 4)
+        sets = [built, raw_norming_generation(TS, 4, 2),
+                import_norming_set(export_norming_set(built), TS)]
+        x = vec({1: -1, 3: 2})
+        for vset in sets:
+            assert "_abs_reps" not in vars(vset)
+            value = tau(vset, x)
+            table = vars(vset)["_abs_reps"]
+            assert table is not None
+            assert tau(vset, x) == value
+            assert vars(vset)["_abs_reps"] is table
 
 
 class TestDetermination:
