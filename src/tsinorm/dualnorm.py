@@ -22,6 +22,14 @@ flips of a (a staircase split).  Terms that miss x or the ball value are
 an internal failure, never an answer.  The implicit-equation checker
 reduces to these exact values.
 
+The whole path runs in the norming closure's integer unit: the patterns
+arrive as int keys over one unit, the ball program goes to
+lp.solve_integer as integer rows (key . z <= unit, cost |x| times the
+lcm of its denominators) and comes back over the tableau's denominator,
+and the cut, the staircase split and the hull-sum check are int
+operations.  Fractions are made only for what a certificate prints: the
+value, the ball vector, and each hull term's weight and coefficients.
+
 The rho upper iterates need no LP, and keep no state between calls.
 rho_partition_upper, rho_chain and the parts of rho_with_splits_upper
 read levels from covers.iterates, one bottom-up window pass per level,
@@ -79,7 +87,9 @@ from .families import (
     spec_to_config,
     theta_is_rational,
 )
-from .lp import Constraint, LinearProgram, solve
+# solve is not called here; the benchmark's tracing test reads it through
+# this module, as it reads the witness parser through _sexpr_nodes.
+from .lp import IntegerProgram, solve, solve_integer  # noqa: F401
 from .norming import (
     NormingFunctional,
     _flip_tree,
@@ -139,97 +149,140 @@ class RhoIterate:
 _BOUNDS_HINT = " (use dual_norm_bounds for enclosures)"
 
 
-def _solve_ball(patterns: tuple, xa_entries: tuple):
+def _ball_program(pairs: tuple, unit: int, xa_entries: tuple) -> IntegerProgram:
     """max <|x|, z> over z >= 0 with a.z <= 1 for every nonnegative
-    maximal pattern a in `patterns`, the _maximal_patterns of supp(x).
-    By sign completeness this equals the maximum of <x, y> over the whole
+    maximal pattern a, given as (key, tree) `pairs` in the closure's
+    integer unit (a = key / unit), the _maximal_patterns of supp(x).  By
+    sign completeness this equals the maximum of <x, y> over the whole
     dual-ball polar, and |x|'s best y is sign(x)*z.
 
-    Returns (value, z as dict, duals), duals being the verified row
-    multipliers in patterns order: an optimum of the dominance program.
+    In integers: row a is key . z <= unit divided by the gcd g of unit and
+    the key's entries, so its scale is unit / g, and the cost is |x| times
+    the lcm of its denominators.  The gcd keeps the tableau's integers as
+    small as reduced fractions would.
     """
-    support = tuple(i for i, _ in xa_entries)
-    rows = [Constraint(tuple(dict(a).get(i, Q(0)) for i in support), "<=", Q(1))
-            for a, _ in patterns]
-    objective = tuple(c for _, c in xa_entries)
-    sol = solve(LinearProgram(objective, tuple(rows)), "max")
+    position = {i: k for k, (i, _) in enumerate(xa_entries)}
+    blank = [0] * len(xa_entries)
+    rows, scales = [], []
+    for key, _ in pairs:
+        g = math.gcd(unit, *(c for _, c in key))
+        row = blank.copy()
+        for i, c in key:
+            row[position[i]] = c // g
+        rows.append((tuple(row), "<=", unit // g))
+        scales.append(unit // g)
+    scale = math.lcm(*(c.denominator for _, c in xa_entries))
+    cost = tuple(c.numerator * (scale // c.denominator) for _, c in xa_entries)
+    return IntegerProgram(cost, tuple(rows), tuple(scales), scale)
+
+
+def _solve_ball(pairs: tuple, unit: int, xa_entries: tuple):
+    """Solve _ball_program.  Returns (value, z as dict, weights, den):
+    weights[k] / den is the verified multiplier of pattern k's row
+    a . z <= 1, and the weights are an optimum of the dominance program."""
+    prog = _ball_program(pairs, unit, xa_entries)
+    sol = solve_integer(prog)
     if sol.status != "optimal":
         raise TsinormError(
             f"ball program ended {sol.status}; this cannot happen for a "
             "seeded generator set")
-    z = {i: v for i, v in zip(support, sol.assignment) if v != 0}
-    return sol.value, z, sol.duals
+    den = sol.den * prog.cost_scale
+    z = {i: Q(v, sol.den) for (i, _), v in zip(xa_entries, sol.x) if v}
+    weights = tuple(s * y for s, y in zip(prog.row_scale, sol.y))
+    return Q(sol.value, den), z, weights, den
 
 
-def _hull_terms(patterns: tuple, x: FinVec, weights: tuple,
+def _hull_terms(pairs: tuple, unit: int, x: FinVec, weights: tuple, den: int,
                 value: Fraction) -> tuple:
     """Signed hull terms of total weight `value` that combine to x.
 
-    weights holds one dominance weight c_a per maximal pattern a in
-    `patterns`, the _maximal_patterns of supp(x).  A greedy pass over
-    them cuts each term c_a * a down to the part of |x| still uncovered,
-    c_a * (r * a) with r in [0, 1]; _staircase_terms writes that as
-    signed terms of total weight c_a.  Weights that are not a dominance
-    optimum of value `value` raise TsinormError: the build itself is
-    broken.
+    weights[k] / den is the dominance weight c of pattern k in `pairs`
+    (a = key / unit), the _maximal_patterns of supp(x).  With S the lcm
+    of x's denominators, c * a_i is weights[k] * key_i * S and |x_i| is
+    |x_i| * S * den * unit in the unit 1 / (S * den * unit), so a greedy
+    pass over the patterns cuts each term c * a down to the part of |x|
+    still uncovered by int compares.  The cut term is c * (r * a) with
+    r_i = part_i / (weights[k] * key_i * S) in [0, 1]; _staircase_terms
+    writes it as signed terms, with r_i scaled to shares over the lcm K
+    of the used keys' entries.  Weights that are not a dominance optimum
+    of value `value` raise TsinormError: the build itself is broken.
+    Only the returned terms become Fractions.
     """
-    uncovered = {i: abs(c) for i, c in x.entries}
+    scale = math.lcm(*(c.denominator for _, c in x.entries))
+    uncovered = {i: abs(c.numerator) * (scale // c.denominator) * den * unit
+                 for i, c in x.entries}
     signs = {i: (1 if c > 0 else -1) for i, c in x.entries}
-    terms = []
-    for (a, tree), c in zip(patterns, weights, strict=True):
-        if c == 0:
-            continue
-        shrink = {}
-        for i, ai in a:
-            part = min(c * ai, uncovered[i])
+    used = [(key, tree, w) for (key, tree), w in zip(pairs, weights, strict=True) if w]
+    K = math.lcm(*(c for key, _, _ in used for _, c in key))
+    raw = []
+    for key, tree, w in used:
+        top = w * scale
+        shares = {}
+        for i, c in key:
+            part = min(top * c, uncovered[i])
             uncovered[i] -= part
-            shrink[i] = part / (c * ai)
-        terms.extend(_staircase_terms(c, a, tree, shrink, signs))
+            shares[i] = part * (K // c)
+        raw.extend(_staircase_terms(top * K, key, tree, shares, signs))
     if any(uncovered.values()):
         raise TsinormError(
             f"internal consistency failure: hull terms leave part of |x| "
             f"uncovered for x = {x.to_dict()}")
-    _check_hull_sum(x, value, terms)
-    return tuple(terms)
+    # a staircase weight t of pattern k stands for c * t / (2 * top * K),
+    # that is t / weight_den
+    weight_den = 2 * den * scale * K
+    _check_hull_sum(x, value, [(t, coeffs) for t, coeffs, _ in raw], weight_den, unit)
+    return tuple(HullTerm(Q(t, weight_den),
+                          NormingFunctional(FinVec(tuple((i, Q(c, unit)) for i, c in coeffs)),
+                                            tree))
+                 for t, coeffs, tree in raw)
 
 
-def _check_hull_sum(x: FinVec, value: Fraction, terms) -> None:
+def _check_hull_sum(x: FinVec, value: Fraction, terms, weight_den: int,
+                    coeff_den: int) -> None:
     """Raise TsinormError unless the weights sum to value and the
-    weighted functionals to x."""
-    total = Q(0)
+    weighted functionals to x.  terms holds (weight, coefficients) pairs
+    in integers: a weight w stands for w / weight_den and a coefficient
+    (i, c) for c / coeff_den, so every comparison is an int compare."""
+    total = 0
     combo: dict = {}
-    for term in terms:
-        total += term.weight
-        for i, c in term.functional.coeffs.entries:
-            combo[i] = combo.get(i, Q(0)) + term.weight * c
-    if total != value:
-        raise TsinormError(f"hull weights sum to {total}, certificate claims {value}")
-    if {i: c for i, c in combo.items() if c != 0} != x.to_dict():
+    for w, coeffs in terms:
+        total += w
+        for i, c in coeffs:
+            combo[i] = combo.get(i, 0) + w * c
+    if total * value.denominator != value.numerator * weight_den:
+        raise TsinormError(
+            f"hull weights sum to {Q(total, weight_den)}, certificate claims {value}")
+    unit = weight_den * coeff_den
+    combo = {i: c for i, c in combo.items() if c}
+    if combo.keys() != {i for i, _ in x.entries} or any(
+            combo[i] * q.denominator != q.numerator * unit for i, q in x.entries):
         raise TsinormError("hull combination does not reproduce x")
 
 
-def _staircase_terms(weight: Fraction, a: tuple, tree, shrink: dict,
-                     signs: dict) -> list:
-    """weight * sign(x) * (shrink * a) as hull terms on sign flips of a.
+def _staircase_terms(top: int, key: tuple, tree, shares: dict, signs: dict) -> list:
+    """sign(x) * (shares / top) * key as signed terms on sign flips of key.
 
-    Coordinate i is taken positive with probability p_i = (1 + r_i) / 2,
-    whose expected sign is r_i = shrink[i].  With the coordinates ordered
-    by p descending, vertex k is positive on the first k of them and
-    carries p_(k) - p_(k+1) (p_(0) = 1, p_(n+1) = 0), so the weights sum
-    to one and every coordinate is positive with its own probability.
-    Zero weights are dropped, leaving at most |supp a| + 1 terms.
+    Coordinate i is taken positive with probability
+    p_i = (1 + shares[i] / top) / 2, whose expected sign is
+    r_i = shares[i] / top in [0, 1].  With the coordinates ordered by p
+    descending, vertex k is positive on the first k of them and carries
+    p_(k) - p_(k+1) (p_(0) = 1, p_(n+1) = 0), so the weights sum to one and
+    every coordinate is positive with its own probability.  In integers,
+    2 * top * p_(k) is top + shares_(k), so vertex k gets the integer
+    weight shares_(k) - shares_(k+1) with shares_(0) = top and
+    shares_(n+1) = -top, of total 2 * top.  Zero weights are dropped,
+    leaving at most |supp key| + 1 (weight, signed key, flipped tree)
+    triples.
     """
-    order = sorted(shrink, key=lambda i: -shrink[i])
-    probs = [Q(1)] + [(1 + shrink[i]) / 2 for i in order] + [Q(0)]
+    order = sorted(shares, key=lambda i: -shares[i])
+    steps = [top] + [shares[i] for i in order] + [-top]
     terms = []
     for k in range(len(order) + 1):
-        w = probs[k] - probs[k + 1]
+        w = steps[k] - steps[k + 1]
         if w == 0:
             continue
         flips = {i: signs[i] if pos < k else -signs[i] for pos, i in enumerate(order)}
-        coeffs = FinVec.from_items({i: flips[i] * ai for i, ai in a})
-        terms.append(HullTerm(weight * w,
-                              NormingFunctional(coeffs, _flip_tree(tree, flips))))
+        terms.append((w, tuple((i, flips[i] * c) for i, c in key), _flip_tree(tree, flips)))
     return terms
 
 
@@ -254,7 +307,7 @@ def dual_norm_value(spec: MixedSpaceSpec, x: FinVec,
 def _ball_value(spec: MixedSpaceSpec, xa_entries: tuple, budget: int) -> Fraction:
     """The ball program's value at |x|, given as its entries."""
     support = tuple(i for i, _ in xa_entries)
-    return _solve_ball(_maximal_patterns(spec, support, budget), xa_entries)[0]
+    return _solve_ball(*_maximal_patterns(spec, support, budget), xa_entries)[0]
 
 
 def dual_norm(spec: MixedSpaceSpec, x: FinVec,
@@ -272,9 +325,9 @@ def dual_norm(spec: MixedSpaceSpec, x: FinVec,
     if x.is_zero:
         value, cert = mixed_norm(spec, FinVec.zero())
         return Q(0), DualCertificate(Q(0), (), FinVec.zero(), cert)
-    patterns = _maximal_patterns(spec, x.support, budget)
-    value, z, duals = _solve_ball(patterns, x.abs().entries)
-    terms = _hull_terms(patterns, x, duals, value)
+    pairs, unit = _maximal_patterns(spec, x.support, budget)
+    value, z, weights, den = _solve_ball(pairs, unit, x.abs().entries)
+    terms = _hull_terms(pairs, unit, x, weights, den, value)
     signs = {i: (1 if c > 0 else -1) for i, c in x.entries}
     y = FinVec.from_items({i: signs[i] * v for i, v in z.items()})
     return value, DualCertificate(value, terms, y, _ball_certificate(spec, x, y, value))
@@ -292,7 +345,14 @@ def verify_dual_certificate(spec: MixedSpaceSpec, x: FinVec,
         if term.weight <= 0:
             raise TsinormError(f"hull weight {term.weight} is not positive")
         verify_norming_functional(spec, term.functional)
-    _check_hull_sum(x, cert.value, cert.hull_terms)
+    weight_den = math.lcm(*(t.weight.denominator for t in cert.hull_terms))
+    coeff_den = math.lcm(*(c.denominator for t in cert.hull_terms
+                           for _, c in t.functional.coeffs.entries))
+    _check_hull_sum(x, cert.value, [
+        (t.weight.numerator * (weight_den // t.weight.denominator),
+         tuple((i, c.numerator * (coeff_den // c.denominator))
+               for i, c in t.functional.coeffs.entries))
+        for t in cert.hull_terms], weight_den, coeff_den)
 
     verify_primal_certificate(spec, cert.ball_vector, cert.ball_certificate)
     _ball_certificate(spec, x, cert.ball_vector, cert.value)

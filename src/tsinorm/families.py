@@ -154,21 +154,48 @@ Theta = Union[Fraction, SchlumprechtWeight]
 _ENCLOSURES_KEPT = 256
 
 
+def _prime_factors(n: int) -> list:
+    """The prime factors of n >= 1 with multiplicity, ascending."""
+    out = []
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 @functools.lru_cache(maxsize=_ENCLOSURES_KEPT)
 def _log2_enclosure(m: int, precision: int) -> IntervalScalar:
-    """Certified enclosure of log2(m), width <= 2^-precision.
+    """Certified enclosure of log2(m), width <= Omega(m) * 2^-precision,
+    Omega(m) counting m's odd prime factors with multiplicity.
 
-    Bit-by-bit extraction in integer fixed point: square the mantissa
-    interval, emit 1 and halve when the whole interval clears 2, emit 0
-    when it stays below.  A straddle means the working precision cannot
-    certify the bit; retry wider.  Every emitted bit is a true bit of the
-    binary expansion, so the final enclosure has exact dyadic endpoints.
+    For m = 2^a * p_1 * ... * p_k (odd primes, k >= 2) the enclosure is a
+    plus the sum of the p_i's own enclosures at the same precision, the
+    power of two exact.  So equal reals built from the same primes get
+    identical enclosures (that of log2 9 is exactly twice that of
+    log2 3), and a tie between them is decided as a tie.  A power of two
+    is exact.  Otherwise (k = 1) log2(m) is extracted bit by bit in
+    integer fixed point: square the mantissa interval, emit 1 and halve
+    when the whole interval clears 2, emit 0 when it stays below.  A
+    straddle means the working precision cannot certify the bit; retry
+    wider.  Every emitted bit is a true bit of the binary expansion, so
+    the enclosure has exact dyadic endpoints and width 2^-precision; its
+    mantissa is that of p_1, so it equals a plus the enclosure of p_1.
 
     Results are kept in a bounded LRU cache keyed by (m, precision);
     tsinorm.clear_caches() empties it.
     """
     if m < 2:
         raise ValueError("need m >= 2")
+    twos = (m & -m).bit_length() - 1
+    odd_primes = _prime_factors(m >> twos)
+    if len(odd_primes) > 1:
+        return sum((_log2_enclosure(p, precision) for p in odd_primes),
+                   IntervalScalar.point(twos))
     e = m.bit_length() - 1
     if m == 1 << e:
         q = Fraction(e)
@@ -201,8 +228,11 @@ def _log2_enclosure(m: int, precision: int) -> IntervalScalar:
 def schlumprecht_theta(l: int, precision: int = DEFAULT_THETA_PRECISION) -> IntervalScalar:
     """Interval of width <= 2^-precision containing 1/log2(l+1).
 
-    Exact point for l+1 a power of two.  The reciprocal of the log
-    enclosure never widens it since log2(l+1) >= 1 for l >= 1.
+    Exact point for l+1 a power of two.  The log enclosure has width at
+    most Omega * 2^-precision for Omega odd prime factors of l+1, and its
+    reciprocal divides that by lo * hi >= max(1, 1.5 * Omega)^2 (each odd
+    prime's enclosure starts at 1.5 or above), so the weight's width stays
+    within 2^-precision.
     """
     if not isinstance(l, int) or l < 1:
         raise ValueError(f"level must be a positive integer, got {l!r}")

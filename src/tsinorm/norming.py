@@ -469,16 +469,16 @@ _PATTERNS_KEPT = 128
 
 @functools.lru_cache(maxsize=_PATTERNS_KEPT)
 def _maximal_patterns(spec: MixedSpaceSpec, indices: tuple, budget: int) -> tuple:
-    """Maximal nonnegative patterns supported inside `indices`, as
-    (coefficient entries, first-built tree) pairs sorted by entries; only
-    these kept keys become Fractions.
+    """_maximal's (pairs, unit) for the maximal nonnegative patterns
+    supported inside `indices`: (int key, first-built tree) pairs sorted
+    by key, the pattern being key / unit.  No Fraction is made here; the
+    dual-norm programs run in this unit.
 
     Results are kept in a bounded LRU cache keyed by (spec, indices,
     budget), so a repeated support returns the same tuple, and a budget
     too small for the closure raises BudgetExceededError whatever was
     computed before.  tsinorm.clear_caches() empties it."""
-    pairs, unit = _maximal(spec, indices, budget)
-    return tuple((tuple((i, Q(c, unit)) for i, c in key), tree) for key, tree in pairs)
+    return _maximal(spec, indices, budget)
 
 
 def norming_generators(spec: MixedSpaceSpec, indices,

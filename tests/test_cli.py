@@ -154,6 +154,14 @@ class TestNormErrors:
             3, "", "error: branch comparison undecided at precision cap 4: "
                    "cannot order branch values [2, 2] and [336/169, 1312/625]\n")
 
+    def test_tie_of_levels_sharing_a_prime(self, capsys):
+        # theta_2 * 8 and theta_8 * 16 are equal reals, as log2 9 = 2 log2 3;
+        # log2 9's enclosure is exactly twice log2 3's, so the tie is decided
+        assert run(capsys, ["norm", "mixed", "--space", "schlumprecht",
+                            "1:2 2:1 3:2 4:2 5:2 6:1 7:2 8:4"]) == (
+            0, "[4611686018427387904/913668675538433085, "
+               "147573952589676412928/29237397617229858719]\n", "")
+
     @pytest.mark.parametrize("flags,bits", [(["--precision", "16000"], 16000),
                                             (["--precision-cap", "257"], 257)])
     def test_precision_above_the_cap(self, capsys, flags, bits):
@@ -618,10 +626,13 @@ class TestCertify:
         support = tuple(range(2, 9))
         patterns = _maximal_patterns(ts, support, DEFAULT_NORMING_BUDGET)
         assert _maximal_patterns(ts, support, DEFAULT_NORMING_BUDGET) is patterns
-        assert len(patterns) == 202
-        # the cache holds patterns, not the 8766 signed functionals they stand for
-        assert all(c > 0 for a, _ in patterns for _, c in a)
-        assert sum(2 ** len(a) for a, _ in patterns) == 8766
+        pairs, unit = patterns
+        assert len(pairs) == 202
+        # the cache holds patterns, as positive int keys in one unit, not
+        # the 8766 signed functionals they stand for
+        assert all(type(c) is int and c > 0 for key, _ in pairs for _, c in key)
+        assert type(unit) is int and unit > 0
+        assert sum(2 ** len(key) for key, _ in pairs) == 8766
 
     def test_check_json(self, capsys, tmp_path):
         path = tmp_path / "cert.txt"

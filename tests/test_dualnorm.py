@@ -749,9 +749,9 @@ class TestPatternHull:
     def test_agrees_with_signed_hull_and_oracle(self):
         oracle_checked = 0
         for spec, x in self.vectors():
-            patterns = _maximal_patterns(spec, x.support, DEFAULT_NORMING_BUDGET)
-            value, _, duals = dualnorm._solve_ball(patterns, x.abs().entries)
-            terms = dualnorm._hull_terms(patterns, x, duals, value)
+            pairs, unit = _maximal_patterns(spec, x.support, DEFAULT_NORMING_BUDGET)
+            value, _, weights, den = dualnorm._solve_ball(pairs, unit, x.abs().entries)
+            terms = dualnorm._hull_terms(pairs, unit, x, weights, den, value)
             assert value == self.signed_hull_optimum(spec, x)
             assert value == dual_norm_value(spec, x)
             levels = self.ORACLE_LEVELS.get(spec.name)
@@ -759,7 +759,7 @@ class TestPatternHull:
                 assert value == oracle_dual_norm(x.to_dict(), levels)
                 oracle_checked += 1
 
-            patterns = dict(patterns)
+            patterns = {tuple((i, Q(c, unit)) for i, c in key): tree for key, tree in pairs}
             per_pattern = {}
             for term in terms:
                 assert term.weight > 0
@@ -777,52 +777,59 @@ class TestPatternHull:
         assert oracle_checked >= 15
 
     def test_staircase_split(self):
-        # a = (1/2, 1/2, 1/2) needed at shares (1, 0, 1/2), with x's signs (+, -, +)
-        pattern = ((3, Q(1, 2)), (4, Q(1, 2)), (5, Q(1, 2)))
-        tree = _maximal_patterns(TS, (3, 4, 5), DEFAULT_NORMING_BUDGET)[0][1]
-        terms = dualnorm._staircase_terms(Q(2), pattern, tree,
-                                          {3: Q(1), 4: Q(0), 5: Q(1, 2)},
-                                          {3: 1, 4: -1, 5: 1})
-        # P(+) is 1, 3/4, 1/2 on e3, e5, e4; vertex 0 (all flipped) weighs 0
+        # a = (1/2, 1/2, 1/2) of weight 2 needed at shares (1, 0, 1/2),
+        # given over top = 2 as (2, 0, 1), with x's signs (+, -, +)
+        pairs, unit = _maximal_patterns(TS, (3, 4, 5), DEFAULT_NORMING_BUDGET)
+        key, tree = pairs[0]
         half = Q(1, 2)
-        assert [(t.weight, t.functional.coeffs.to_dict()) for t in terms] == [
+        assert {i: Q(c, unit) for i, c in key} == {3: half, 4: half, 5: half}
+        raw = dualnorm._staircase_terms(2, key, tree, {3: 2, 4: 0, 5: 1},
+                                        {3: 1, 4: -1, 5: 1})
+        # integer weights total 2 * top = 4 parts of the pattern's weight 2
+        assert sum(w for w, _, _ in raw) == 4
+        terms = [(Q(2) * w / 4, FinVec(tuple((i, Q(c, unit)) for i, c in coeffs)), flipped)
+                 for w, coeffs, flipped in raw]
+        # P(+) is 1, 3/4, 1/2 on e3, e5, e4; vertex 0 (all flipped) weighs 0
+        assert [(weight, coeffs.to_dict()) for weight, coeffs, _ in terms] == [
             (Q(1, 2), {3: half, 4: half, 5: -half}),
             (Q(1, 2), {3: half, 4: half, 5: half}),
             (Q(1), {3: half, 4: -half, 5: half}),
         ]
+        for _, coeffs, flipped in terms:
+            assert flipped == _flip_tree(tree, {i: 1 if c > 0 else -1 for i, c in coeffs.entries})
         # the combination is 2 * sign(x) * (shares * a)
-        combo = sum((t.functional.coeffs.scale(t.weight) for t in terms), FinVec.zero())
+        combo = sum((coeffs.scale(weight) for weight, coeffs, _ in terms), FinVec.zero())
         assert combo.to_dict() == {3: Q(1), 5: Q(1, 2)}
 
     def test_bad_weights_are_internal_failures(self, monkeypatch):
         x = vec({3: Q(1), 4: Q(-1, 2), 5: Q(3, 4)})
         budget = DEFAULT_NORMING_BUDGET
-        patterns = _maximal_patterns(TS, x.support, budget)
-        value, _, duals = dualnorm._solve_ball(patterns, x.abs().entries)
+        pairs, unit = _maximal_patterns(TS, x.support, budget)
+        value, _, weights, den = dualnorm._solve_ball(pairs, unit, x.abs().entries)
         with pytest.raises(TsinormError, match="uncovered"):
-            dualnorm._hull_terms(patterns, x, (Q(0),) * len(duals), value)
+            dualnorm._hull_terms(pairs, unit, x, (0,) * len(weights), den, value)
         # still dominating |x|, but heavier than the optimum
-        heavier = (duals[0] + 1,) + duals[1:]
+        heavier = (weights[0] + den,) + weights[1:]
         with pytest.raises(TsinormError, match="sum to"):
-            dualnorm._hull_terms(patterns, x, heavier, value)
+            dualnorm._hull_terms(pairs, unit, x, heavier, den, value)
         # right weights, every term on the all-plus sign pattern
         staircase = dualnorm._staircase_terms
         monkeypatch.setattr(
             dualnorm, "_staircase_terms",
-            lambda w, a, tree, shrink, signs: staircase(
-                w, a, tree, shrink, {i: 1 for i in signs}))
+            lambda top, key, tree, shares, signs: staircase(
+                top, key, tree, shares, {i: 1 for i in signs}))
         with pytest.raises(TsinormError, match="does not reproduce x"):
-            dualnorm._hull_terms(patterns, x, duals, value)
+            dualnorm._hull_terms(pairs, unit, x, weights, den, value)
 
     def test_one_ball_program_per_dual_norm(self, monkeypatch):
         senses = []
-        lp = dualnorm.solve
+        lp = dualnorm.solve_integer
 
         def counting(program, sense="max"):
             senses.append(sense)
             return lp(program, sense)
 
-        monkeypatch.setattr(dualnorm, "solve", counting)
+        monkeypatch.setattr(dualnorm, "solve_integer", counting)
         for spec, x in self.vectors()[::6]:
             tsinorm.clear_caches()
             senses.clear()

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from oracles import log2_between
-from tsinorm.core import BlockPartition, enumerate_partitions
+from tsinorm.core import BlockPartition, IntervalScalar, enumerate_partitions
 from tsinorm.families import (
     CardinalityAtMost,
     ExplicitFinite,
@@ -13,6 +13,8 @@ from tsinorm.families import (
     Schreier1,
     SchlumprechtWeight,
     TsinormError,
+    _log2_enclosure,
+    _prime_factors,
     is_admissible,
     levels_needed,
     resolve_theta,
@@ -101,6 +103,27 @@ class TestTheta:
         enc = schlumprecht_theta(l, precision)
         assert enc.width <= Q(1, 2 ** precision)
         assert log2_between(l + 1, 1 / enc.hi, 1 / enc.lo)
+
+    @pytest.mark.parametrize("precision", [8, 64, 256])
+    def test_enclosures_compose_over_odd_prime_factors(self, precision):
+        def enc(m):
+            return _log2_enclosure(m, precision)
+        three, five = enc(3), enc(5)
+        # two or more odd prime factors: the sum of the primes' enclosures
+        assert enc(9) == three + three and enc(9).width == 2 * three.width
+        assert enc(45) == three + three + five
+        assert enc(36) == three + three + 2
+        assert enc(45).width <= Q(3, 2 ** precision)
+        # one odd prime factor: extracted directly, and equal to the same sum
+        assert enc(12) == three + 2 and enc(40) == five + 3
+        assert enc(12).width == Q(1, 2 ** precision)
+        assert enc(64) == IntervalScalar.point(6)
+
+    @pytest.mark.parametrize("m", [9, 15, 27, 45, 63, 105])
+    def test_composed_enclosure_certified_by_integer_powers(self, m):
+        enc = _log2_enclosure(m, 10)
+        assert enc.width <= Q(len(_prime_factors(m)), 2 ** 10)
+        assert log2_between(m, enc.lo, enc.hi)
 
     def test_high_precision_width(self):
         enc = schlumprecht_theta(2, 128)

@@ -1,4 +1,6 @@
+import contextlib
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 from unittest import mock
 
@@ -6,14 +8,17 @@ import pytest
 
 from oracles import FractionTableau, oracle_lp_solve
 from tsinorm import clear_caches, dualnorm, lp as lp_module
-from tsinorm.core import FinVec
+from tsinorm.core import DEFAULT_NORMING_BUDGET, FinVec
 from tsinorm.families import spec_from_config, tsirelson_spec
+from tsinorm.norming import _maximal_patterns
 from tsinorm.lp import (
     Constraint,
     LinearProgram,
     LpError,
     LpSolution,
+    check_integer_solution,
     solve,
+    solve_integer,
     verify_solution,
 )
 
@@ -97,6 +102,73 @@ class TestVerification:
             verify_solution(prog, "max", LpSolution("optimal", value, assignment, duals))
 
 
+class TestIntegerKkt:
+    """check_integer_solution on a real tsirelson ball program, built from
+    the closure's integer keys as dual_norm builds it, with one KKT
+    condition broken at a time."""
+
+    @pytest.fixture(scope="class")
+    def ball(self):
+        x = FinVec.from_items({2: 1, 3: Q(-1, 2), 4: 2, 5: 1, 6: Q(1, 2)})
+        pairs, unit = _maximal_patterns(tsirelson_spec(), x.support, DEFAULT_NORMING_BUDGET)
+        prog = dualnorm._ball_program(pairs, unit, x.abs().entries)
+        sol = solve_integer(prog)
+        assert sol.status == "optimal" and len(prog.rows) > 20
+        activity = [sum(a * v for a, v in zip(coeffs, sol.x)) for coeffs, _, _ in prog.rows]
+        tight = [r for r, (lhs, (_, _, rhs)) in enumerate(zip(activity, prog.rows))
+                 if lhs == rhs * sol.den]
+        priced = [r for r, y in enumerate(sol.y) if y]
+        assert priced and set(priced) <= set(tight) and len(tight) < len(prog.rows)
+        return prog, sol, tight, priced
+
+    @staticmethod
+    def forged_duals(sol, r, y):
+        return replace(sol, y=sol.y[:r] + (y,) + sol.y[r + 1:])
+
+    def test_the_optimum_passes(self, ball):
+        prog, sol, _, priced = ball
+        check_integer_solution(prog, "max", sol)
+        # the same multipliers have the wrong sign for a minimum
+        with pytest.raises(LpError, match=rf"dual sign wrong on <= row {priced[0]}: "):
+            check_integer_solution(prog, "min", sol)
+
+    def test_violated_row(self, ball):
+        prog, sol, _, _ = ball
+        j = next(j for j, v in enumerate(sol.x) if v)
+        x = sol.x[:j] + (sol.x[j] + sol.den,) + sol.x[j + 1:]
+        first = next(r for r, (coeffs, _, rhs) in enumerate(prog.rows)
+                     if sum(a * v for a, v in zip(coeffs, x)) > rhs * sol.den)
+        with pytest.raises(LpError, match=rf"^row {first} violated: .* > 1$"):
+            check_integer_solution(prog, "max", replace(sol, x=x))
+
+    def test_negative_dual(self, ball):
+        prog, sol, _, priced = ball
+        r = priced[0]
+        with pytest.raises(LpError, match=rf"dual sign wrong on <= row {r}: -"):
+            check_integer_solution(prog, "max", self.forged_duals(sol, r, -sol.y[r]))
+
+    def test_broken_complementary_slackness(self, ball):
+        prog, sol, tight, _ = ball
+        r = next(r for r in range(len(prog.rows)) if r not in tight)
+        with pytest.raises(LpError, match=rf"complementary slackness broken on row {r}$"):
+            check_integer_solution(prog, "max", self.forged_duals(sol, r, 1))
+
+    def test_reduced_cost_of_the_wrong_sign(self, ball):
+        prog, sol, _, priced = ball
+        r = priced[0]
+        # a dual dropped leaves a positive reduced cost, one raised on a
+        # tight row a negative one on a variable in use
+        with pytest.raises(LpError, match=r"reduced cost \d+(/\d+)? on variable \d+ has no "):
+            check_integer_solution(prog, "max", self.forged_duals(sol, r, 0))
+        with pytest.raises(LpError, match=r"reduced cost -\d+(/\d+)? on variable \d+ needs it "):
+            check_integer_solution(prog, "max", self.forged_duals(sol, r, sol.y[r] + sol.den))
+
+    def test_wrong_value(self, ball):
+        prog, sol, _, _ = ball
+        with pytest.raises(LpError, match=r"^reported value .* != c\.x = "):
+            check_integer_solution(prog, "max", replace(sol, value=sol.value + 1))
+
+
 GRID = [Q(-2), Q(-1), Q(-1, 2), Q(0), Q(1, 2), Q(1), Q(2)]
 
 
@@ -161,31 +233,57 @@ class TestAgainstOracle:
 # ---------------------------------------------------------------------------
 # the fraction-free kernel against the Fraction tableau it replaced
 
-def traced_solve(prog, sense, tableau):
-    """solve() run on `tableau` standing in for lp._Tableau.  Returns the
-    solution, the (row, column) of every pivot, and per pivot whether it
-    was degenerate (zero right-hand side) and whether its entry was
-    negative (only the phase-1 drive-out takes those)."""
-    pivots, kinds, tableaus = [], [], []
+@contextlib.contextmanager
+def recorded_pivots(tableau, label):
+    """Record every pivot of `tableau`: its (row, column label), with
+    label(tableau, column) the label of the column it pivots on, and
+    whether it was degenerate (zero right-hand side) and whether its
+    entry was negative (only the phase-1 drive-out takes those).  Yields
+    (pivots, kinds)."""
+    pivots, kinds = [], []
     original = tableau._pivot
 
     def recording(self, r, j):
-        pivots.append((r, j))
+        pivots.append((r, label(self, j)))
         kinds.append((self.b[r] == 0, self.T[r][j] < 0))
-        if self not in tableaus:
-            tableaus.append(self)
         return original(self, r, j)
 
-    with mock.patch.object(tableau, "_pivot", recording), \
-            mock.patch.object(lp_module, "_Tableau", tableau):
-        sol = solve(prog, sense)
-    deleted = any(any(t.deleted) for t in tableaus)
-    return sol, pivots, kinds, deleted
+    with mock.patch.object(tableau, "_pivot", recording):
+        yield pivots, kinds
+
+
+def oracle_solve(prog, sense):
+    """The Fraction tableau driven as lp.solve drove it before the kernel
+    went to integers: phase 1, then phase 2 on the objective signed for
+    the sense, with the point and the duals read off the final tableau.
+    Returns the solution, the pivots, their kinds, and whether a row was
+    deleted as redundant."""
+    sgn = 1 if sense == "max" else -1
+    n = len(prog.objective)
+    with recorded_pivots(FractionTableau, lambda tab, j: j) as (pivots, kinds):
+        tab = FractionTableau(n, [(con.coeffs, con.relation, con.rhs)
+                                  for con in prog.constraints])
+        if not tab.phase1():
+            sol = LpSolution("infeasible")
+        elif tab.phase2([sgn * c for c in prog.objective]) == "unbounded":
+            sol = LpSolution("unbounded")
+        else:
+            x = tuple(tab.column_values()[:n])
+            sol = LpSolution("optimal", sum((c * v for c, v in zip(prog.objective, x)), Q(0)),
+                             x, tuple(sgn * tab.row_dual(r) for r in range(len(prog.constraints))))
+    return sol, pivots, kinds, any(tab.deleted)
+
+
+def condensed_pivots():
+    """recorded_pivots on lp._Tableau, whose stored column j is the
+    full-tableau column labels[j]."""
+    return recorded_pivots(lp_module._Tableau, lambda tab, j: tab.labels[j])
 
 
 def assert_same_run(prog, sense):
-    want, want_pivots, kinds, deleted = traced_solve(prog, sense, FractionTableau)
-    got, got_pivots, _, _ = traced_solve(prog, sense, lp_module._Tableau)
+    want, want_pivots, kinds, deleted = oracle_solve(prog, sense)
+    with condensed_pivots() as (got_pivots, _):
+        got = solve(prog, sense)
     assert got == want
     assert got_pivots == want_pivots
     return want.status, kinds, deleted
@@ -251,14 +349,25 @@ class TestFractionFreeKernel:
 
         def recording_solve(prog, sense="max"):
             programs.append((prog, sense))
-            return solve(prog, sense)
+            return solve_integer(prog, sense)
 
         clear_caches()
-        with mock.patch.object(dualnorm, "solve", recording_solve):
+        with mock.patch.object(dualnorm, "solve_integer", recording_solve):
             for spec, x in cases:
                 dualnorm.dual_norm(spec, FinVec.from_items(x))
         clear_caches()
         assert len(programs) == len(cases)
-        assert max(len(prog.constraints) for prog, _ in programs) == 202
+        assert max(len(prog.rows) for prog, _ in programs) == 202
         for prog, sense in programs:
-            assert assert_same_run(prog, sense)[0] == "optimal"
+            # the oracle solves the program in the caller's rationals:
+            # pattern rows a . z <= 1 and the objective |x|
+            rational = LinearProgram(
+                tuple(Q(c, prog.cost_scale) for c in prog.cost),
+                tuple(Constraint(tuple(Q(a, s) for a in coeffs), rel, Q(rhs, s))
+                      for (coeffs, rel, rhs), s in zip(prog.rows, prog.row_scale)))
+            want, want_pivots, _, _ = oracle_solve(rational, sense)
+            with condensed_pivots() as (got_pivots, _):
+                got = solve_integer(prog, sense)
+            assert want.status == "optimal"
+            assert lp_module._rational_solution(prog, got) == want
+            assert got_pivots == want_pivots
