@@ -95,7 +95,7 @@ from .norming import (
     _flip_tree,
     _maximal_patterns,
     _parse_tree as _parse_functional_tree,
-    _tree_sexpr as _functional_sexpr,
+    _tree_writer,
     verify_norming_functional,
 )
 from .primal import (
@@ -750,10 +750,11 @@ _sexpr_nodes = parse_sexpr
 def _certificate_fields(cert: DualCertificate) -> dict:
     """The certificate's value, hull terms, ball vector and ball witness
     as text fields, shared by documents and `norm dual --certify`."""
+    write = _tree_writer(flip=False)
     return {
         "value": format_scalar(cert.value),
         "hull": [{"weight": format_scalar(t.weight),
-                  "tree": _functional_sexpr(t.functional.tree)}
+                  "tree": write(t.functional.tree)[0]}
                  for t in cert.hull_terms],
         "ball_vector": format_vector(cert.ball_vector),
         "ball_witness": _witness_sexpr(cert.ball_certificate.witness),

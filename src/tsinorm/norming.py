@@ -11,7 +11,8 @@ Three structural facts shape the construction:
 
 * Signs factor out.  Flipping leaf signs commutes with bundling over
   disjoint supports, so the closure is run on nonnegative
-  representatives and the sign variants are expanded once at the end.
+  representatives, and every built set is a union of whole sign
+  classes: the flips of one representative, with one tree.
 * Single-part bundles never matter.  theta*f is dominated by f, and any
   tree using a one-part node is dominated by the tree with that node
   contracted, so skipping k = 1 leaves the maximal set unchanged (the
@@ -24,15 +25,25 @@ Three structural facts shape the construction:
   every other key is dominated by one, so that round's maximal set is
   already final, and no earlier round's is.
 
-Everything from the closure to the export runs in integers.  Closure
-keys hold int coefficients in one unit den**depth (_closure), the sign
-variants of a tree are built from its children's variants so that they
-share every subtree (_expand_signs), and the export writes each shared
-subtree and each scalar once (_tree_sexpr).  Fractions are made only for
-public objects: one per distinct coefficient and its negation in the
-expanded functionals, the coefficients of the kept patterns that the
-dual-norm programs read, and the sign-class representatives tau pairs
-with, which are built on its first call.
+Everything from the closure to the export runs in integers, and a built
+set is kept as its sign classes.  Closure keys hold int coefficients in
+one unit den**depth (_closure).  build_norming_set and
+raw_norming_generation keep each class as its (int key, first-built
+tree) pair, a key of s entries standing for its 2^s sign variants
+(NormingSet).  Other objects are made only when asked for:
+
+* export_norming_set writes every variant's line from the classes
+  (_class_lines): a tree's variant texts are joined from its children's,
+  so a shared subtree is written once, and vector texts are joined from
+  one string per (index, coefficient).  cardinality counts 2^s per
+  class, and tau pairs the int keys with |x| scaled to ints, making one
+  Fraction per value.
+* NormingSet.functionals is expanded on its first access, and
+  norming_generators expands its patterns, by _expand_signs: a tree's
+  variants are built from its children's, so they share every subtree,
+  and each distinct coefficient and its negation become a Fraction once.
+* The dual-norm programs read _maximal_patterns' int keys and trees;
+  they make Fractions only for what a certificate prints.
 """
 from __future__ import annotations
 
@@ -40,7 +51,7 @@ import functools
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Optional, Tuple, Union
@@ -177,7 +188,6 @@ def _check_column(f: NormingFunctional, vec: dict, window: Optional[int]) -> Non
 # ---------------------------------------------------------------------------
 # norming sets
 
-@dataclass(frozen=True)
 class NormingSet:
     """An immutable batch of norming functionals over the window [1, N].
 
@@ -185,47 +195,106 @@ class NormingSet:
     equals the final one; `stabilized` records whether the construction
     actually ran to that fixpoint (the literal generation-n sets exported
     by raw_norming_generation leave it False when truncated).
-    """
-    spec: MixedSpaceSpec
-    window: int
-    functionals: Tuple[NormingFunctional, ...]
-    generation: int
-    stabilized: bool
 
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError(f"window bound must be >= 1, got {self.window}")
-        if not self.functionals:
+    A set built here keeps the closure's sign classes: nonnegative int
+    keys over one unit, each with its first-built tree, a key of s
+    entries standing for its 2^s sign variants.  `functionals` expands
+    them through _expand_signs on first access; cardinality, tau and
+    export_norming_set read the classes and never expand them.  A set
+    constructed from its functionals (import, hand-built) holds them as
+    given.  Equality, hashing and repr go through `functionals`.
+    """
+
+    def __init__(self, spec: MixedSpaceSpec, window: int,
+                 functionals: Tuple[NormingFunctional, ...], generation: int,
+                 stabilized: bool):
+        self._init(spec, window, generation, stabilized, None, None)
+        if not functionals:
             raise ValueError("a norming set needs at least one functional")
+        vars(self)["functionals"] = functionals
+
+    @classmethod
+    def _of_classes(cls, spec: MixedSpaceSpec, window: int, classes: tuple,
+                    unit: int, generation: int, stabilized: bool) -> "NormingSet":
+        """A set of the (int key, tree) sign classes over `unit`."""
+        vset = cls.__new__(cls)
+        vset._init(spec, window, generation, stabilized, classes, unit)
+        return vset
+
+    def _init(self, spec, window, generation, stabilized, classes, unit) -> None:
+        if window < 1:
+            raise ValueError(f"window bound must be >= 1, got {window}")
+        vars(self).update(spec=spec, window=window, generation=generation,
+                          stabilized=stabilized, _classes=classes, _unit=unit)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @functools.cached_property
+    def functionals(self) -> Tuple[NormingFunctional, ...]:
+        return _expand_signs(self._classes, self._unit)
+
+    def _fields(self) -> tuple:
+        return (self.spec, self.window, self.functionals, self.generation, self.stabilized)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"NormingSet(spec={self.spec!r}, window={self.window!r}, "
+                f"functionals={self.functionals!r}, generation={self.generation!r}, "
+                f"stabilized={self.stabilized!r})")
 
     @property
     def cardinality(self) -> int:
-        return len(self.functionals)
+        if self._classes is None:
+            return len(self.functionals)
+        return _sign_count(key for key, _ in self._classes)
 
     @functools.cached_property
     def _abs_reps(self) -> Optional[tuple]:
-        """The sign classes' nonnegative representatives, sorted by entries,
-        if every class holds its 2^s distinct sign variants (tau may then
-        pair them with |x|), else None.  Built on tau's first call."""
+        """(keys, unit): the sign classes' nonnegative int keys over one
+        unit, if every class holds its 2^s distinct sign variants (tau
+        may then pair them with |x|), else None.  A built set's keys are
+        its classes; a set given its functionals is grouped by absolute
+        coefficients here, on tau's first call."""
+        if self._classes is not None:
+            return tuple(key for key, _ in self._classes), self._unit
         classes: dict = {}
         for f in self.functionals:
             classes.setdefault(f.coeffs.abs(), set()).add(f.coeffs)
         if any(len(signed) != 2 ** len(rep.entries) for rep, signed in classes.items()):
             return None
-        return tuple(sorted(classes, key=lambda v: v.entries))
+        unit = math.lcm(*(c.denominator for rep in classes for _, c in rep.entries))
+        return tuple(tuple((i, c.numerator * (unit // c.denominator)) for i, c in rep.entries)
+                     for rep in classes), unit
 
 
 def tau(vset: NormingSet, x: FinVec) -> Fraction:
-    """max f(x) over the stored functionals; supp(x) must fit the window."""
+    """max f(x) over the stored functionals; supp(x) must fit the window.
+
+    Over complete sign classes max f(x) is the max of key . |x|: |x| is
+    scaled to ints once and one Fraction is made for the result."""
     support = x.support
     if support and support[-1] > vset.window:
         raise TsinormError(
             f"support {support} outside window [1, {vset.window}]")
     reps = vset._abs_reps
-    if reps is not None:
-        xa = x.abs()
-        return max(pairing(rep, xa) for rep in reps)
-    return max(pairing(f.coeffs, x) for f in vset.functionals)
+    if reps is None:
+        return max(pairing(f.coeffs, x) for f in vset.functionals)
+    keys, unit = reps
+    scale = math.lcm(*(c.denominator for _, c in x.entries))
+    xs = {i: abs(c.numerator) * (scale // c.denominator) for i, c in x.entries}
+    best = max(sum(c * xs.get(i, 0) for i, c in key) for key in keys)
+    return Q(best, unit * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +345,9 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     has a first-built tree of depth exactly r.  A kept set's generation
     is therefore the depth of its deepest tree; for the maximal keys that
     is the first round whose maximal set is final, as every other key is
-    dominated by one.
+    dominated by one.  The enumeration skips every branch whose tuples
+    can have no frontier part (none chosen so far, and no frontier key
+    starts after the last part's maximum); those would build nothing.
     """
     levels = rational_levels(spec, "norming sets need")
     if not indices:
@@ -309,6 +380,10 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
             unit *= factor
         listing = sorted(F)
         minima = [key[0][0] for key in listing]
+        # later[pos]: some frontier key sits at or after listing[pos]
+        later = [False] * (len(listing) + 1)
+        for pos in range(len(listing) - 1, -1, -1):
+            later[pos] = later[pos + 1] or listing[pos] in frontier
         new: dict = {}
 
         def emit(parts, has_frontier):
@@ -333,6 +408,9 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
                         f"norming closure exceeds the budget of {budget} functionals")
 
         def extend(parts, last_max, has_frontier):
+            start = bisect_right(minima, last_max)
+            if not has_frontier and not later[start]:
+                return  # no tuple below here has a frontier part
             k = len(parts)
             if k >= min_emit:
                 emit(parts, has_frontier)
@@ -344,7 +422,7 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
                     cap_cache[first_min] = cap
                 if k >= cap:
                     return
-            for pos in range(bisect_right(minima, last_max), len(listing)):
+            for pos in range(start, len(listing)):
                 key = listing[pos]
                 extend(parts + [key], key[-1][0],
                        has_frontier or key in frontier)
@@ -366,18 +444,40 @@ def _maximal_keys(keys) -> frozenset:
     A distinct key that dominates another has a strictly larger
     coefficient sum, and so does the maximal key above it; one pass in
     descending sum therefore only tests each key against those kept.
+    Only a key whose support contains this one's can dominate it, so the
+    kept keys are grouped by the bitmask of their indices and only the
+    groups whose mask contains the key's are tested.
     """
-    out, kept = [], []
+    out, kept = [], {}  # kept: support mask -> dicts of the kept keys
     for key in sorted(keys, key=lambda k: sum(c for _, c in k), reverse=True):
-        if not any(len(od) >= len(key) and all(od.get(i, 0) >= c for i, c in key)
-                   for od in kept):
+        mask = 0
+        for i, _ in key:
+            mask |= 1 << i
+        if not _dominated(key, mask, kept):
             out.append(key)
-            kept.append(dict(key))
+            kept.setdefault(mask, []).append(dict(key))
     return frozenset(out)
 
 
+def _dominated(key, mask: int, kept: dict) -> bool:
+    for wider, group in kept.items():
+        if wider & mask == mask:
+            for od in group:
+                for i, c in key:
+                    if od[i] < c:
+                        break
+                else:
+                    return True
+    return False
+
+
+def _sign_count(keys) -> int:
+    """How many functionals the sign classes of `keys` hold."""
+    return sum(2 ** len(key) for key in keys)
+
+
 def _check_sign_budget(keys, budget: int, context: str) -> None:
-    total = sum(2 ** len(key) for key in keys)
+    total = _sign_count(keys)
     if total > budget:
         raise BudgetExceededError(
             f"{context}: sign expansion needs {total} functionals, budget {budget}")
@@ -429,17 +529,18 @@ def build_norming_set(spec: MixedSpaceSpec, N: int,
     """Stabilized set of maximal functionals supported in [1, N].
 
     Runs the two-or-more-part bundling closure to its fixpoint, prunes
-    everything coordinatewise absolutely dominated, and sign-expands the
-    surviving patterns.  Requires rational weights on every level.
-    Exceeding `budget` materialised functionals raises
-    BudgetExceededError rather than truncating.
+    everything coordinatewise absolutely dominated, and keeps the
+    surviving patterns as sign classes (see NormingSet).  Requires
+    rational weights on every level.  Needing more than `budget`
+    functionals once sign-expanded raises BudgetExceededError rather
+    than truncating.
     """
     if N < 1:
         raise ValueError(f"window bound must be >= 1, got {N}")
     pairs, unit = _maximal(spec, range(1, N + 1), budget,
                            f"norming set on window [1, {N}]")
-    return NormingSet(spec, N, _expand_signs(pairs, unit),
-                      max(_depth(tree) for _, tree in pairs), stabilized=True)
+    return NormingSet._of_classes(spec, N, pairs, unit,
+                                  max(_depth(tree) for _, tree in pairs), stabilized=True)
 
 
 def _maximal(spec: MixedSpaceSpec, indices, budget: int,
@@ -510,58 +611,118 @@ def raw_norming_generation(spec: MixedSpaceSpec, N: int, generations: int,
     F, rounds, fixpoint, unit = _closure(spec, tuple(range(1, N + 1)), budget,
                                          include_singletons=True, max_rounds=generations)
     _check_sign_budget(F, budget, f"raw generation {generations} on window [1, {N}]")
-    return NormingSet(spec, N, _expand_signs(F.items(), unit),
-                      generation=rounds, stabilized=fixpoint)
+    return NormingSet._of_classes(spec, N, tuple(F.items()), unit,
+                                  generation=rounds, stabilized=fixpoint)
 
 
 # ---------------------------------------------------------------------------
 # export / import
 
-def _tree_sexpr(tree: FunctionalTree, depth: int = 1,
-                memo: Optional[dict] = None) -> str:
-    """The tree as text; nesting deeper than parse_sexpr reads back raises
-    TsinormError, so no export writes a tree its import refuses.
+def _tree_writer(flip: bool):
+    """write(tree) -> the texts of the tree's sign variants: with `flip`
+    all 2^s of them, in the itertools.product order of _expand_signs,
+    else the tree as it is (inside, such a writer keeps one str per
+    subtree rather than a 1-tuple).
 
-    `memo`, kept for one export, holds the text of every scalar by id and
-    of every subtree by (id, depth): the subtrees that sign variants
-    share are written once per depth they sit at, so the guard still
-    sees every depth a text lands at.
+    A writer remembers every subtree it has written, so over one export
+    the texts of a subtree that variants and classes share are joined
+    once.  A tree nested deeper than parse_sexpr reads back raises
+    TsinormError, so no export writes a tree its import refuses:
+    heights are carried up with the texts, and the descent stops at the
+    first node below that depth.
     """
-    if isinstance(tree, FunctionalLeaf):
-        return f"e{tree.index}" if tree.sign > 0 else f"-e{tree.index}"
-    if depth > SEXPR_MAX_DEPTH:
-        raise TsinormError(f"functional tree nested deeper than {SEXPR_MAX_DEPTH}")
-    if memo is None:
-        memo = {}
-    key = (id(tree), depth)
-    text = memo.get(key)
-    if text is None:
-        inner = " ".join(_tree_sexpr(c, depth + 1, memo) for c in tree.children)
-        text = memo[key] = f"({_scalar_text(tree.theta, memo)} {inner})"
-    return text
+    trees: dict = {}    # id(node) -> (variant texts, height)
+    scalars: dict = {}  # id(theta) -> text
+
+    def too_deep():
+        return TsinormError(f"functional tree nested deeper than {SEXPR_MAX_DEPTH}")
+
+    def leaf(tree):
+        text = f"e{tree.index}" if tree.sign > 0 else f"-e{tree.index}"
+        if flip:
+            return text, text[1:] if tree.sign < 0 else "-" + text
+        return text
+
+    def node(tree, depth):
+        got = trees.get(id(tree))
+        if got is None:
+            if depth > SEXPR_MAX_DEPTH:
+                raise too_deep()
+            theta = scalars.get(id(tree.theta))
+            if theta is None:
+                theta = scalars[id(tree.theta)] = format_scalar(tree.theta)
+            kids, height = [], 0
+            for child in tree.children:
+                if isinstance(child, FunctionalLeaf):
+                    kids.append(leaf(child))
+                else:
+                    variants, child_height = node(child, depth + 1)
+                    kids.append(variants)
+                    height = max(height, child_height)
+            if flip:
+                variants = tuple(f"({theta} {' '.join(combo)})"
+                                 for combo in itertools.product(*kids))
+            else:
+                variants = f"({theta} {' '.join(kids)})"
+            got = trees[id(tree)] = variants, height + 1
+        return got
+
+    def write(tree) -> tuple:
+        if isinstance(tree, FunctionalLeaf):
+            variants = leaf(tree)
+        else:
+            variants, height = node(tree, 1)
+            if height > SEXPR_MAX_DEPTH:
+                raise too_deep()
+        return variants if flip else (variants,)
+
+    return write
 
 
-def _scalar_text(q: Fraction, memo: dict) -> str:
-    text = memo.get(id(q))
-    if text is None:
-        text = memo[id(q)] = format_scalar(q)
-    return text
+def _class_lines(classes, unit: int, flip: bool) -> list:
+    """(key, export line) for the sign variants of the (key, tree)
+    classes, the key over `unit`: with `flip` all 2^s of them (see
+    _tree_writer), else each class as it is.  Vector texts are joined
+    from one string per (index, coefficient)."""
+    write = _tree_writer(flip)
+    signs = (1, -1) if flip else (1,)
+    entries: dict = {}
+
+    def entry(i, c):
+        text = entries.get((i, c))
+        if text is None:
+            text = entries[(i, c)] = f"{i}:{format_scalar(Q(c, unit))}"
+        return text
+
+    out = []
+    for key, tree in classes:
+        keys = itertools.product(*[[(i, s * c) for s in signs] for i, c in key])
+        vectors = itertools.product(*[[entry(i, s * c) for s in signs] for i, c in key])
+        out.extend((k, f"{line}\t{' '.join(v)}")
+                   for k, line, v in zip(keys, write(tree), vectors))
+    return out
 
 
 def export_norming_set(vset: NormingSet) -> str:
     """Serialize: metadata header lines, then one functional per line as
-    `theta-tree s-expression <TAB> coefficient vector literal`."""
+    `theta-tree s-expression <TAB> coefficient vector literal`.
+
+    A built set's lines are written from its sign classes and sorted on
+    their int keys, the order of its functionals; a set given its
+    functionals writes them in their order, each as a class of one."""
     lines = [
         f"# norming-set space={vset.spec.name} window={vset.window} "
         f"generation={vset.generation} stabilized={str(vset.stabilized).lower()} "
-        f"count={len(vset.functionals)}",
+        f"count={vset.cardinality}",
     ]
     for i, lev in enumerate(vset.spec.levels):
         lines.append(f"# level {i}: {lev.family} theta={format_theta(lev.theta)}")
-    memo: dict = {}
-    for f in vset.functionals:
-        vector = " ".join([f"{i}:{_scalar_text(c, memo)}" for i, c in f.coeffs.entries])
-        lines.append(f"{_tree_sexpr(f.tree, 1, memo)}\t{vector}")
+    if vset._classes is None:
+        rows = _class_lines([(f.coeffs.entries, f.tree) for f in vset.functionals], 1, False)
+    else:
+        rows = _class_lines(vset._classes, vset._unit, True)
+        rows.sort(key=itemgetter(0))
+    lines.extend(line for _, line in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -233,6 +233,62 @@ def brute_raw_functionals(levels, window: Sequence[int], generations: int) -> se
     return current
 
 
+def reference_closure(levels, indices: Sequence[int], include_singletons: bool,
+                      max_rounds: Optional[int] = None) -> tuple:
+    """The bundling closure over nonnegative representatives, round by
+    round, walking every successive tuple of the functionals known so far.
+
+    Each round enumerates the tuples depth first, parts in sorted key
+    order, and bundles, level by level, every admissible tuple of two or
+    more parts (one or more with include_singletons) that holds a part
+    built in the previous round; a functional keeps the first tree that
+    built it.  Keys are sorted tuples of (index, Fraction); trees are
+    ("e", i) for a unit and (level position, child trees...) for a bundle.
+
+    Returns (F, rounds, fixpoint, unit): F in insertion order, the rounds
+    that built a key, whether a round built nothing, and den**depth for
+    den the lcm of the weights' denominators, where depth is one less
+    than the index count without one-part bundles, and with them starts
+    at 0 and grows by max(depth, 1) whenever a round starts with as many
+    rounds built as depth.
+    """
+    window = sorted(indices)
+    den = math.lcm(*(theta.denominator for _, _, theta in levels))
+    depth = 0 if include_singletons else len(window) - 1
+    min_parts = 1 if include_singletons else 2
+    F = {((i, Q(1)),): ("e", i) for i in window}
+    frontier = set(F)
+    rounds, fixpoint = 0, False
+    while max_rounds is None or rounds < max_rounds:
+        if include_singletons and rounds == depth:
+            depth += max(depth, 1)
+        listing = sorted(F)
+        new: dict = {}
+
+        def extend(parts, last_max):
+            if len(parts) >= min_parts and any(p in frontier for p in parts):
+                chunks = [tuple(i for i, _ in p) for p in parts]
+                for pos, (kind, param, theta) in enumerate(levels):
+                    if _admissible(kind, param, chunks):
+                        key = tuple((i, theta * c) for p in parts for i, c in p)
+                        if key not in F and key not in new:
+                            new[key] = (pos,) + tuple(F[p] for p in parts)
+            if len(parts) == len(window):
+                return
+            for f in listing:
+                if f[0][0] > last_max:
+                    extend(parts + [f], f[-1][0])
+
+        extend([], 0)
+        if not new:
+            fixpoint = True
+            break
+        F.update(new)
+        rounds += 1
+        frontier = set(new)
+    return F, rounds, fixpoint, den ** depth
+
+
 def brute_tau(functionals: Iterable, x: Vec) -> Q:
     best = Q(0)
     for f in functionals:

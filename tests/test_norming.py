@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tsinorm import cli
 from tsinorm.core import (
     BudgetExceededError,
     FinVec,
@@ -28,6 +29,7 @@ from tsinorm.norming import (
     FunctionalNode,
     NormingFunctional,
     NormingSet,
+    _closure,
     _maximal_keys,
     build_norming_set,
     export_norming_set,
@@ -39,7 +41,8 @@ from tsinorm.norming import (
 )
 from tsinorm.primal import fj_norm, fj_norm_level, mixed_norm
 
-from oracles import TSIRELSON_LEVELS, brute_raw_functionals, brute_tau
+from oracles import TSIRELSON_LEVELS, brute_raw_functionals, brute_tau, reference_closure
+from test_dualnorm import ORACLE_SPACES
 
 TS = tsirelson_spec()
 CARD_DEMO = MixedSpaceSpec("card-demo", (Level(Schreier1(), Q(1, 2)),
@@ -533,6 +536,15 @@ class TestExportImport:
         with pytest.raises(TsinormError, match="nested deeper than 256"):
             export_norming_set(vset)
 
+    def test_depth_guard_on_sign_classes(self):
+        # a built set is written from its classes, and its one-part
+        # chains nest one level per round
+        with pytest.raises(TsinormError, match="nested deeper than 256"):
+            export_norming_set(raw_norming_generation(TS, 1, 257))
+        vset = raw_norming_generation(TS, 1, 256)
+        back = import_norming_set(export_norming_set(vset), TS)
+        assert coeff_vectors(back) == coeff_vectors(vset)
+
     def test_space_name_with_blanks_round_trips(self):
         spec = MixedSpaceSpec("two words", TS.levels)
         text = export_norming_set(build_norming_set(spec, 3))
@@ -653,3 +665,94 @@ class TestIdentityPins:
         with pytest.raises(BudgetExceededError,
                            match=r"^norming closure exceeds the budget of 2000 functionals$"):
             raw_norming_generation(TS, 2, 10 ** 9, budget=2000)
+
+
+WRITER_SETS = ([(spec, N, None) for spec, top in ((TS, 7), (CARD_DEMO, 5), (TWO_LEVEL, 5))
+                for N in range(1, top + 1)]
+               + [(TS, 4, rounds) for rounds in range(4)] + [(TS, 2, 5)])
+
+
+def make_set(spec, N, rounds):
+    if rounds is None:
+        return build_norming_set(spec, N)
+    return raw_norming_generation(spec, N, rounds)
+
+
+class TestSignClassSets:
+    """Built sets keep their sign classes; one writer serves them and
+    sets given their functionals."""
+
+    @pytest.mark.parametrize("spec, N, rounds", WRITER_SETS,
+                             ids=lambda v: v.name if isinstance(v, MixedSpaceSpec) else None)
+    def test_one_writer_two_inputs(self, spec, N, rounds):
+        built = make_set(spec, N, rounds)
+        x = FinVec.from_items({i: Q((-1) ** i * i, 2) for i in range(1, N + 1)})
+        text, card, value = export_norming_set(built), built.cardinality, tau(built, x)
+        assert "functionals" not in vars(built)
+        functionals = built.functionals
+        assert vars(built)["functionals"] is functionals
+        given = NormingSet(spec, N, functionals, built.generation, built.stabilized)
+        assert export_norming_set(given) == text
+        assert given.cardinality == card == len(functionals)
+        assert tau(given, x) == value == max(pairing(f.coeffs, x) for f in functionals)
+        assert given == built and hash(given) == hash(built)
+
+    def test_cli_writes_without_expanding(self, monkeypatch, capsys):
+        built = []
+
+        def build(*args, **kwargs):
+            built.append(build_norming_set(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_norming_set", build)
+        assert cli.main(["norming-set", "5"]) == 0
+        (vset,) = built
+        assert "functionals" not in vars(vset)
+        assert capsys.readouterr().out == export_norming_set(vset)
+
+    def test_sets_stay_immutable(self):
+        vset = build_norming_set(TS, 3)
+        with pytest.raises(AttributeError):
+            vset.window = 4
+        with pytest.raises(AttributeError):
+            del vset.generation
+        assert vset.window == 3 and vset.generation == 1
+
+
+def tree_form(tree):
+    """A closure tree in reference_closure's form."""
+    if isinstance(tree, FunctionalLeaf):
+        return ("e", tree.index)
+    return (tree.level_index,) + tuple(tree_form(c) for c in tree.children)
+
+
+# each space with its levels in the oracle's (kind, param, theta) form
+CLOSURE_SPACES = {
+    "tsirelson": (TS, TSIRELSON_LEVELS),
+    "card-demo": (CARD_DEMO, (("schreier", 0, Q(1, 2)), ("card", 2, Q(1, 3)))),
+    "two-level": (TWO_LEVEL, (("schreier", 0, Q(3, 7)), ("card", 3, Q(2, 3)))),
+    "explicit": ORACLE_SPACES["explicit"],
+}
+
+
+class TestPrunedClosure:
+    """_closure skips the branches whose tuples can have no part built in
+    the previous round; the reference walks every tuple."""
+
+    @pytest.mark.parametrize("name", CLOSURE_SPACES)
+    @pytest.mark.parametrize("indices, singletons, rounds", [
+        ((1, 2, 3, 4, 5, 6), False, None),
+        ((2, 3, 5, 7, 8), False, None),
+        ((2, 3, 4, 5, 6, 7), False, 2),
+        ((1, 2, 3), True, 4),
+        ((2, 3, 4, 5), True, 2),
+    ])
+    def test_matches_reference(self, name, indices, singletons, rounds):
+        spec, levels = CLOSURE_SPACES[name]
+        F, built, fixpoint, unit = _closure(spec, indices, 10 ** 6, singletons, rounds)
+        ref, ref_built, ref_fixpoint, ref_unit = reference_closure(
+            levels, indices, singletons, rounds)
+        got = [(tuple((i, Q(c, unit)) for i, c in key), tree_form(tree))
+               for key, tree in F.items()]
+        assert got == list(ref.items())
+        assert (built, fixpoint, unit) == (ref_built, ref_fixpoint, ref_unit)
