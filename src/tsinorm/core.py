@@ -216,14 +216,6 @@ class IntervalScalar:
         return f"[{format_scalar(self.lo)}, {format_scalar(self.hi)}]"
 
 
-def decide_lt(a: IntervalLike, b: IntervalLike) -> bool:
-    """Certified a < b, raising when the enclosures cannot decide."""
-    r = IntervalScalar.coerce(a).certified_lt(b)
-    if r is None:
-        raise IndeterminateComparisonError(f"cannot order {a} and {b}")
-    return r
-
-
 # ---------------------------------------------------------------------------
 # sparse vectors
 

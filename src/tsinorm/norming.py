@@ -5,7 +5,12 @@ functionals by bundling: an admissible successive tuple f_1 < ... < f_k
 becomes the new functional theta_l * (f_1 + ... + f_k).  On a window
 [1, N] the bundling closure over tuples with two or more parts is
 finite, so it can be materialised in full, pruned to its coordinatewise
-maximal elements, and then evaluated exactly by a scan.
+maximal elements, and then evaluated exactly by a scan.  One node rule,
+_node, checks that step wherever a tree is read: a node's children
+must be successive, and a level of weight theta must admit their
+supports.  verify_norming_functional asks it of the level the node
+names; _parse_tree, which reads the trees of exports and certificates,
+asks it of every level and takes the first that admits.
 
 Three structural facts shape the construction:
 
@@ -123,17 +128,26 @@ class NormingFunctional:
         return pairing(self.coeffs, x)
 
 
-def _bundle(theta: Fraction, child_vectors) -> tuple:
-    """The one node rule: theta times the sum of successive children, as
-    (coordinate dict, partition of the child supports).  Raises
-    TsinormError for no children or children that are not successive."""
-    if not child_vectors:
+def _node(spec: MixedSpaceSpec, theta, columns, levels) -> tuple:
+    """The one node rule: (level index, coordinate dict) for theta times
+    the sum of the child coordinate dicts `columns`, the level being the
+    first of the indices `levels` whose rational weight is theta and
+    whose family admits the child supports.  Raises TsinormError for no
+    children, children that are not successive, or no such level."""
+    if not columns:
         raise TsinormError("node without children")
     try:
-        P = BlockPartition(tuple(tuple(sorted(v)) for v in child_vectors))
+        P = BlockPartition(tuple(tuple(sorted(v)) for v in columns))
     except ValueError as exc:
         raise TsinormError(f"children are not successive: {exc}") from None
-    return {i: theta * c for v in child_vectors for i, c in v.items()}, P
+    for i in levels:
+        level = spec.levels[i]
+        if theta_is_rational(level.theta) and Q(level.theta) == theta \
+                and is_admissible(level.family, P):
+            return i, {j: theta * c for v in columns for j, c in v.items()}
+    raise TsinormError(
+        f"no level of space {spec.name!r} has weight {theta} and "
+        f"admits child supports {list(P.blocks)}")
 
 
 def _flip_tree(tree: FunctionalTree, signs: dict) -> FunctionalTree:
@@ -148,9 +162,10 @@ def verify_norming_functional(spec: MixedSpaceSpec, f: NormingFunctional,
     """Re-check a functional against its tree; raise TsinormError if bad.
 
     Checks: the tree recomputes exactly the stored coordinate vector,
-    every node uses a level of `spec` with matching rational theta and an
-    admissible successive child tuple, and (optionally) the support stays
-    inside [1, window].  One bottom-up walk recomputes every node once.
+    every node passes _node at the level it names (matching rational
+    theta, an admissible successive child tuple), and (optionally) the
+    support stays inside [1, window].  One bottom-up walk recomputes
+    every node once.
     """
     def walk(tree: FunctionalTree) -> dict:
         if isinstance(tree, FunctionalLeaf):
@@ -159,16 +174,8 @@ def verify_norming_functional(spec: MixedSpaceSpec, f: NormingFunctional,
             raise TsinormError(f"not a functional tree node: {tree!r}")
         if not 0 <= tree.level_index < len(spec.levels):
             raise TsinormError(f"level index {tree.level_index} out of range")
-        level = spec.levels[tree.level_index]
-        if not theta_is_rational(level.theta) or Q(level.theta) != tree.theta:
-            raise TsinormError(
-                f"node weight {tree.theta} does not match level {tree.level_index}")
-        vec, P = _bundle(tree.theta, [walk(child) for child in tree.children])
-        if not is_admissible(level.family, P):
-            raise TsinormError(
-                f"child supports {list(P.blocks)} are not admissible for level "
-                f"{tree.level_index}")
-        return vec
+        return _node(spec, tree.theta, [walk(child) for child in tree.children],
+                     (tree.level_index,))[1]
 
     _check_column(f, walk(f.tree), window)
 
@@ -191,10 +198,11 @@ def _check_column(f: NormingFunctional, vec: dict, window: Optional[int]) -> Non
 class NormingSet:
     """An immutable batch of norming functionals over the window [1, N].
 
-    `generation` is the first closure round whose maximal set already
-    equals the final one; `stabilized` records whether the construction
-    actually ran to that fixpoint (the literal generation-n sets exported
-    by raw_norming_generation leave it False when truncated).
+    For a built set, `generation` is the first closure round whose
+    maximal set already equals the final one, and `stabilized` is True.
+    A raw generation (raw_norming_generation) holds the rounds it ran,
+    and its `stabilized` is always False: with one-part bundles the
+    closure never reaches a fixpoint.
 
     A set built here keeps the closure's sign classes: nonnegative int
     keys over one unit, each with its first-built tree, a key of s
@@ -327,16 +335,21 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     has coefficients in multiples of 1/den**d, so unit = den**depth holds
     every tree up to `depth` deep; a bundle's coefficient is
     c * theta.numerator // theta.denominator, and an inexact division
-    raises TsinormError (an internal failure).  Without one-part bundles
-    every node has two or more children, so depth = len(indices) - 1 is
-    fixed before the first round.  One-part chains nest one level deeper
-    per round without bound, so with them depth starts at 0 and, each
-    time the rounds run reach it, every key is rescaled to a unit that
-    holds twice as deep (1, 2, 4, ...): depth stays at most one more than
-    twice the rounds actually run, never max_rounds, and the rescaling
-    takes a logarithmic number of passes.  A positive unit keeps the
-    order of the keys, so the enumeration, the first-built trees and the
-    pruning are those of the rational coefficients.
+    raises TsinormError (an internal failure).  The unit is fixed before
+    the first round.  Without one-part bundles every node has two or
+    more children, so no tree is deeper than depth = len(indices) - 1.
+    With them a tree built in round r is r deep, and no run reaches a
+    fixpoint: a one-part tuple is admissible at every level, so with
+    theta the least weight, round r bundles the key theta**(r-1) e_i,
+    built in round r - 1, into theta**r e_i, which lies below every
+    one-index key built before (each a product of fewer weights below
+    1), so every round adds at least one key per index.  After r rounds
+    F holds at least len(indices) * (r + 1) keys, so the budget ends a
+    run before round budget // len(indices), and depth =
+    min(max_rounds, budget // len(indices)) holds every tree the run can
+    build.  A positive unit keeps the order of the keys, so the
+    enumeration, the first-built trees and the pruning are those of the
+    rational coefficients.
 
     Returns (F, rounds, reached_fixpoint, unit): F maps keys to their
     first-constructed tree, and rounds counts the rounds that built a
@@ -353,7 +366,12 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     if not indices:
         raise ValueError("need at least one index to seed from")
     den = math.lcm(*(theta.denominator for _, _, theta in levels))
-    depth = 0 if include_singletons else len(indices) - 1
+    if not include_singletons:
+        depth = len(indices) - 1
+    elif max_rounds is None:
+        depth = budget // len(indices)
+    else:
+        depth = min(max_rounds, budget // len(indices))
     unit = den ** depth
     F: dict = {}
     for i in indices:
@@ -367,17 +385,6 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     min_emit = 1 if include_singletons else 2
 
     while frontier and (max_rounds is None or rounds < max_rounds):
-        if include_singletons and rounds == depth:
-            step = max(depth, 1)
-            factor = den ** step
-
-            def scaled(key):
-                return tuple((i, c * factor) for i, c in key)
-
-            F = {scaled(key): tree for key, tree in F.items()}
-            frontier = frozenset(map(scaled, frontier))
-            depth += step
-            unit *= factor
         listing = sorted(F)
         minima = [key[0][0] for key in listing]
         # later[pos]: some frontier key sits at or after listing[pos]
@@ -730,8 +737,9 @@ def _parse_tree(node, spec: MixedSpaceSpec) -> tuple:
     """Rebuild one functional tree from a parse_sexpr node, as the pair
     (tree, coordinate dict).
 
-    Node weights are matched back to the first level of `spec` with the
-    same rational theta whose family admits the children's supports.
+    Each node goes to _node over every level of `spec`: the first level
+    with the same rational theta whose family admits the children's
+    supports.
     """
     if isinstance(node, str):
         sign, tok = (-1, node[1:]) if node.startswith("-") else (1, node)
@@ -745,14 +753,8 @@ def _parse_tree(node, spec: MixedSpaceSpec) -> tuple:
         raise TsinormError("empty functional node")
     theta = parse_number(Q, node[0], "node weight")
     pairs = [_parse_tree(child, spec) for child in node[1:]]
-    vec, P = _bundle(theta, [v for _, v in pairs])
-    for i, lev in enumerate(spec.levels):
-        if theta_is_rational(lev.theta) and Q(lev.theta) == theta \
-                and is_admissible(lev.family, P):
-            return FunctionalNode(i, theta, tuple(t for t, _ in pairs)), vec
-    raise TsinormError(
-        f"no level of space {spec.name!r} has weight {theta} and "
-        f"admits child supports {list(P.blocks)}")
+    i, vec = _node(spec, theta, [v for _, v in pairs], range(len(spec.levels)))
+    return FunctionalNode(i, theta, tuple(t for t, _ in pairs)), vec
 
 
 def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:

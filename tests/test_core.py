@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 from tsinorm.core import (
     BlockPartition,
     FinVec,
-    IndeterminateComparisonError,
     IntervalScalar,
     SEXPR_MAX_DEPTH,
     TsinormError,
     VectorParseError,
     as_scalar,
-    decide_lt,
     ell1_norm,
     enumerate_partitions,
     format_scalar,
@@ -82,10 +80,6 @@ class TestInterval:
         p = IntervalScalar.point(Q(1))
         assert p.certified_lt(p) is False
         assert p.certified_le(p) is True
-
-    def test_decide_lt_raises_on_overlap(self):
-        with pytest.raises(IndeterminateComparisonError):
-            decide_lt(IntervalScalar(Q(0), Q(2)), IntervalScalar(Q(1), Q(3)))
 
     def test_inverted_rejected(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,65 @@
+"""Source hygiene of the package, read with `ast` (no linter needed).
+
+Every imported name must be used, and every module-level def or class
+must be referenced somewhere in the package.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tsinorm"
+SOURCES = {path.name: path.read_text(encoding="utf-8")
+           for path in sorted(PACKAGE.glob("*.py"))}
+TREES = {name: ast.parse(text) for name, text in SOURCES.items()}
+
+
+def used_names(node) -> set:
+    """Names read under `node`: bare names, attribute names, and the
+    strings listed in an `__all__`."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in sub.targets):
+            out.update(elt.value for elt in sub.value.elts)
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_every_import_is_used(module):
+    tree, lines = TREES[module], SOURCES[module].splitlines()
+    used = used_names(tree)
+    unused = []
+    for stmt in ast.walk(tree):
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[stmt.lineno - 1:stmt.end_lineno]):
+            continue
+        for alias in stmt.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in used:
+                unused.append(f"{module}:{stmt.lineno} {name}")
+    assert unused == []
+
+
+def test_every_module_level_definition_is_referenced():
+    # a definition's own body does not count as a reference to it, but
+    # any other top-level statement of the package does, imports included
+    statements = [(module, stmt) for module, tree in TREES.items() for stmt in tree.body]
+    references = [(stmt, used_names(stmt) | {alias.asname or alias.name
+                                              for sub in ast.walk(stmt)
+                                              if isinstance(sub, (ast.Import, ast.ImportFrom))
+                                              for alias in sub.names})
+                  for _, stmt in statements]
+    unreferenced = [
+        f"{module}:{stmt.lineno} {stmt.name}"
+        for module, stmt in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not any(stmt.name in names for other, names in references if other is not stmt)]
+    assert unreferenced == []

@@ -39,6 +39,7 @@ from tsinorm.norming import (
     tau,
     verify_norming_functional,
 )
+from tsinorm.dualnorm import dual_norm, export_dual_certificate, import_dual_certificate
 from tsinorm.primal import fj_norm, fj_norm_level, mixed_norm
 
 from oracles import TSIRELSON_LEVELS, brute_raw_functionals, brute_tau, reference_closure
@@ -595,6 +596,59 @@ class TestVerifier:
             verify_norming_functional(TS, f, window=3)
 
 
+# two levels of one weight: the reader gives a node the first level whose
+# family admits its children, as the closure does when it builds one
+EQUAL_WEIGHTS = {
+    "card-then-schreier": MixedSpaceSpec("card-then-schreier", (
+        Level(CardinalityAtMost(2), Q(1, 2)), Level(Schreier1(), Q(1, 2)))),
+    "explicit-then-card": MixedSpaceSpec("explicit-then-card", (
+        Level(ExplicitFinite(((2, 4), (3, 5, 7))), Q(1, 2)),
+        Level(CardinalityAtMost(2), Q(1, 2)))),
+}
+
+
+def tree_levels(tree) -> set:
+    if isinstance(tree, FunctionalLeaf):
+        return set()
+    return {tree.level_index}.union(*map(tree_levels, tree.children))
+
+
+class TestEqualWeights:
+    @pytest.mark.parametrize("name, x", [
+        ("card-then-schreier", {3: 1, 4: -1, 5: 2, 6: 1}),
+        ("explicit-then-card", {2: 1, 3: -1, 4: 1, 5: 2, 7: 1}),
+    ])
+    def test_certificate_keeps_hull_levels(self, name, x):
+        spec = EQUAL_WEIGHTS[name]
+        _, cert = dual_norm(spec, vec(x))
+        trees = [t.functional.tree for t in cert.hull_terms]
+        assert set().union(*map(tree_levels, trees)) == {0, 1}
+        _, _, back = import_dual_certificate(export_dual_certificate(spec, vec(x), cert))
+        assert [t.functional.tree for t in back.hull_terms] == trees
+
+    @pytest.mark.parametrize("name", EQUAL_WEIGHTS)
+    def test_export_round_trip(self, name):
+        spec = EQUAL_WEIGHTS[name]
+        built = build_norming_set(spec, 5)
+        assert set().union(*(tree_levels(f.tree) for f in built.functionals)) == {0, 1}
+        assert import_norming_set(export_norming_set(built), spec) == built
+
+    @pytest.mark.parametrize("name, children, coeffs", [
+        # card<=2 cannot take three parts; schreier1 takes them from 3 on
+        ("card-then-schreier", (3, 4, 5), {3: Q(1, 2), 4: Q(1, 2), 5: Q(1, 2)}),
+        # no listed set meets both gaps of ({2}, {3})
+        ("explicit-then-card", (2, 3), {2: Q(1, 2), 3: Q(1, 2)}),
+    ])
+    def test_verifier_reads_the_named_level(self, name, children, coeffs):
+        spec = EQUAL_WEIGHTS[name]
+        leaves = tuple(FunctionalLeaf(i, 1) for i in children)
+        good, bad = (NormingFunctional(vec(coeffs), FunctionalNode(level, Q(1, 2), leaves))
+                     for level in (1, 0))
+        verify_norming_functional(spec, good)
+        with pytest.raises(TsinormError, match="admits child supports"):
+            verify_norming_functional(spec, bad)
+
+
 TWO_LEVEL = MixedSpaceSpec("two-level", (Level(Schreier1(), Q(3, 7)),
                                          Level(CardinalityAtMost(3), Q(2, 3))))
 PIN_GRID = (Q(-2), Q(-1), Q(-1, 2), Q(0), Q(0), Q(1, 3), Q(1), Q(3, 2))
@@ -660,8 +714,8 @@ class TestIdentityPins:
 
     def test_raw_unit_follows_the_rounds_run(self):
         # one-part chains never reach a fixpoint, so only the budget ends
-        # this run; a unit sized from the requested rounds would never
-        # finish
+        # this run; a unit sized from the requested rounds alone would
+        # never finish, one sized from budget // window (1000) does
         with pytest.raises(BudgetExceededError,
                            match=r"^norming closure exceeds the budget of 2000 functionals$"):
             raw_norming_generation(TS, 2, 10 ** 9, budget=2000)
@@ -756,3 +810,16 @@ class TestPrunedClosure:
                for key, tree in F.items()]
         assert got == list(ref.items())
         assert (built, fixpoint, unit) == (ref_built, ref_fixpoint, ref_unit)
+
+    @pytest.mark.parametrize("name, N", [
+        ("tsirelson", 4), ("card-demo", 2), ("two-level", 2), ("explicit", 3)])
+    @pytest.mark.parametrize("rounds", [3, 5, 6])
+    def test_raw_generation_matches_reference(self, name, N, rounds):
+        # values only: the units of the two constructions may differ
+        spec, levels = CLOSURE_SPACES[name]
+        vset = raw_norming_generation(spec, N, rounds)
+        assert vset.generation == rounds and vset.stabilized is False
+        ref, _, _, _ = reference_closure(levels, range(1, N + 1), True, rounds)
+        got = [(tuple((i, Q(c, vset._unit)) for i, c in key), tree_form(tree))
+               for key, tree in vset._classes]
+        assert got == list(ref.items())
