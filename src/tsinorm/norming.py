@@ -145,6 +145,10 @@ def _node(spec: MixedSpaceSpec, theta, columns, levels) -> tuple:
         if theta_is_rational(level.theta) and Q(level.theta) == theta \
                 and is_admissible(level.family, P):
             return i, {j: theta * c for v in columns for j, c in v.items()}
+    if len(levels) < len(spec.levels):
+        raise TsinormError(
+            f"level {' or '.join(map(str, levels))} of space {spec.name!r} does not "
+            f"have weight {theta} or does not admit child supports {list(P.blocks)}")
     raise TsinormError(
         f"no level of space {spec.name!r} has weight {theta} and "
         f"admits child supports {list(P.blocks)}")
@@ -335,21 +339,20 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     has coefficients in multiples of 1/den**d, so unit = den**depth holds
     every tree up to `depth` deep; a bundle's coefficient is
     c * theta.numerator // theta.denominator, and an inexact division
-    raises TsinormError (an internal failure).  The unit is fixed before
-    the first round.  Without one-part bundles every node has two or
-    more children, so no tree is deeper than depth = len(indices) - 1.
-    With them a tree built in round r is r deep, and no run reaches a
-    fixpoint: a one-part tuple is admissible at every level, so with
-    theta the least weight, round r bundles the key theta**(r-1) e_i,
-    built in round r - 1, into theta**r e_i, which lies below every
-    one-index key built before (each a product of fewer weights below
-    1), so every round adds at least one key per index.  After r rounds
-    F holds at least len(indices) * (r + 1) keys, so the budget ends a
-    run before round budget // len(indices), and depth =
-    min(max_rounds, budget // len(indices)) holds every tree the run can
-    build.  A positive unit keeps the order of the keys, so the
-    enumeration, the first-built trees and the pruning are those of the
-    rational coefficients.
+    raises TsinormError (an internal failure).  Without one-part bundles
+    every node has two or more children, so depth = len(indices) - 1 is
+    fixed before the first round.  One-part chains nest one level deeper
+    per round without bound, so how deep a run goes is known only when
+    max_rounds or the budget ends it.  A unit sized up front from the
+    budget would hold a tree about budget // len(indices) deep, and on
+    spaces whose key count grows faster than one per index and round
+    every key would carry thousands of needless digits.  So depth starts
+    at 0 and, each time the rounds run reach it, every key is rescaled to
+    a unit that holds twice as deep (1, 2, 4, ...): depth stays at most
+    one more than twice the rounds actually run, and the rescaling takes
+    a logarithmic number of passes.  A positive unit keeps the order of
+    the keys, so the enumeration, the first-built trees and the pruning
+    are those of the rational coefficients.
 
     Returns (F, rounds, reached_fixpoint, unit): F maps keys to their
     first-constructed tree, and rounds counts the rounds that built a
@@ -366,12 +369,7 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     if not indices:
         raise ValueError("need at least one index to seed from")
     den = math.lcm(*(theta.denominator for _, _, theta in levels))
-    if not include_singletons:
-        depth = len(indices) - 1
-    elif max_rounds is None:
-        depth = budget // len(indices)
-    else:
-        depth = min(max_rounds, budget // len(indices))
+    depth = 0 if include_singletons else len(indices) - 1
     unit = den ** depth
     F: dict = {}
     for i in indices:
@@ -385,6 +383,17 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     min_emit = 1 if include_singletons else 2
 
     while frontier and (max_rounds is None or rounds < max_rounds):
+        if include_singletons and rounds == depth:
+            step = max(depth, 1)
+            factor = den ** step
+
+            def scaled(key):
+                return tuple((i, c * factor) for i, c in key)
+
+            F = {scaled(key): tree for key, tree in F.items()}
+            frontier = frozenset(map(scaled, frontier))
+            depth += step
+            unit *= factor
         listing = sorted(F)
         minima = [key[0][0] for key in listing]
         # later[pos]: some frontier key sits at or after listing[pos]

@@ -645,7 +645,9 @@ class TestEqualWeights:
         good, bad = (NormingFunctional(vec(coeffs), FunctionalNode(level, Q(1, 2), leaves))
                      for level in (1, 0))
         verify_norming_functional(spec, good)
-        with pytest.raises(TsinormError, match="admits child supports"):
+        with pytest.raises(TsinormError, match=(
+                rf"^level 0 of space '{name}' does not have weight 1/2 or does not "
+                rf"admit child supports \[\(\d+,\)")):
             verify_norming_functional(spec, bad)
 
 
@@ -714,8 +716,8 @@ class TestIdentityPins:
 
     def test_raw_unit_follows_the_rounds_run(self):
         # one-part chains never reach a fixpoint, so only the budget ends
-        # this run; a unit sized from the requested rounds alone would
-        # never finish, one sized from budget // window (1000) does
+        # this run; a unit sized from the requested rounds would never
+        # finish
         with pytest.raises(BudgetExceededError,
                            match=r"^norming closure exceeds the budget of 2000 functionals$"):
             raw_norming_generation(TS, 2, 10 ** 9, budget=2000)
@@ -815,7 +817,8 @@ class TestPrunedClosure:
         ("tsirelson", 4), ("card-demo", 2), ("two-level", 2), ("explicit", 3)])
     @pytest.mark.parametrize("rounds", [3, 5, 6])
     def test_raw_generation_matches_reference(self, name, N, rounds):
-        # values only: the units of the two constructions may differ
+        # rounds that are not powers of two end between two rescalings;
+        # values only, test_matches_reference pins the unit
         spec, levels = CLOSURE_SPACES[name]
         vset = raw_norming_generation(spec, N, rounds)
         assert vset.generation == rounds and vset.stabilized is False
@@ -823,3 +826,13 @@ class TestPrunedClosure:
         got = [(tuple((i, Q(c, vset._unit)) for i, c in key), tree_form(tree))
                for key, tree in vset._classes]
         assert got == list(ref.items())
+
+    def test_unit_follows_the_rounds_a_budget_allows(self):
+        # card-demo adds far more than one key per index and round, so the
+        # budget ends this run after a few rounds; the unit it worked in
+        # must follow those rounds, not the rounds the budget could allow
+        with pytest.raises(BudgetExceededError) as info:
+            raw_norming_generation(CARD_DEMO, 3, 10 ** 9, budget=20000)
+        (run,) = [entry.locals for entry in info.traceback if entry.name == "_closure"]
+        assert 0 < run["rounds"] < 20
+        assert run["unit"] <= run["den"] ** (2 * run["rounds"] + 1)
