@@ -37,12 +37,13 @@ compared cover by cover (_Pass._walk_spans, which sums a cover's
 blocks once per right end), since an interval caller's
 precision-doubling schedule follows its sequence of certified
 comparisons.  Covers are walked by _admissible_covers, one loop over
-cut positions for every family: a bounded family admits the covers of
-at most max_blocks slices, and an ExplicitFinite level asks
-families.is_admissible of each walked cover.  Every route keeps the
-first optimum in enumeration order (level, start, block count, then cut
-positions lexicographically), so their witnesses agree; _Pass._choose
-walks that order for all of them.
+cut positions for every family, up to the most slices a level admits
+from the cover's first index (families.part_bound): a bounded family
+admits the covers of at most max_blocks slices, and an ExplicitFinite
+level asks families.is_admissible of each walked cover within its
+bound.  Every route keeps the first optimum in enumeration order
+(level, start, block count, then cut positions lexicographically), so
+their witnesses agree; _Pass._choose walks that order for all of them.
 
 The families functions are called through their module, so a wrapper
 bound over the module attribute sees every call.
@@ -434,21 +435,24 @@ def cover_branches(entries: tuple, levels, part):
 def _admissible_covers(entries: tuple, levels, start: int):
     """(level, slice bounds) for every admissible cover of entries[start:]
     by k >= 2 blocks, in the order of cover_branches, from one walk over
-    the cut positions.  A family with a block-count bound
+    the cut positions, up to the most blocks a level admits from the first
+    index (families.part_bound).  A family with a block-count bound
     (families.max_blocks) admits exactly the covers of at most that many
     blocks; an ExplicitFinite level asks families.is_admissible of each
-    walked cover."""
+    walked cover within its part bound."""
     end = len(entries)
     if end - start < 2:
         return
     caps = [families.max_blocks(level[1], entries[start][0]) for level in levels]
     explicit = None in caps
+    parts = [families.part_bound(level[1], entries[start][0])
+             for level in levels] if explicit else caps
     index = tuple(i for i, _ in entries) if explicit else None
-    for k in range(2, (end - start if explicit else min(end - start, max(caps))) + 1):
+    for k in range(2, min(end - start, max(parts)) + 1):
         for cuts in itertools.combinations(range(start + 1, end), k - 1):
             bounds = (start,) + cuts + (end,)
             if explicit:
                 P = core.BlockPartition(tuple(index[a:b] for a, b in zip(bounds, bounds[1:])))
-            for level, cap in zip(levels, caps):
-                if k <= cap if cap is not None else families.is_admissible(level[1], P):
+            for level, cap, most in zip(levels, caps, parts):
+                if k <= most and (cap is not None or families.is_admissible(level[1], P)):
                     yield level, bounds

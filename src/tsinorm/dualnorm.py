@@ -341,10 +341,17 @@ def verify_dual_certificate(spec: MixedSpaceSpec, x: FinVec,
     the value from above.  The ball side re-runs the primal recursion on
     the witness (no linear programming) and proves it from below.
     """
+    # a weight goes before its tree: stop at the first bad one, for _check_past_trees
+    for term in itertools.takewhile(lambda t: t.weight > 0, cert.hull_terms):
+        verify_norming_functional(spec, term.functional)
+    _check_past_trees(spec, x, cert)
+
+
+def _check_past_trees(spec: MixedSpaceSpec, x: FinVec, cert: DualCertificate) -> None:
+    """verify_dual_certificate's checks after the hull trees, in order."""
     for term in cert.hull_terms:
         if term.weight <= 0:
             raise TsinormError(f"hull weight {term.weight} is not positive")
-        verify_norming_functional(spec, term.functional)
     weight_den = math.lcm(*(t.weight.denominator for t in cert.hull_terms))
     coeff_den = math.lcm(*(c.denominator for t in cert.hull_terms
                            for _, c in t.functional.coeffs.entries))
@@ -829,5 +836,5 @@ def import_dual_certificate(text: str):
     y = parse_vector(ball_vec_line)
     ball_cert = _witness_from_sexpr(parse_sexpr(ball_wit_line), y, spec)
     cert = DualCertificate(value, tuple(terms), y, ball_cert)
-    verify_dual_certificate(spec, x, cert)
+    _check_past_trees(spec, x, cert)  # parsing checked every hull tree
     return spec, x, cert

@@ -9,6 +9,7 @@ weights 1/log2(l+1), handled as certified intervals).
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
@@ -95,6 +96,19 @@ def max_blocks(family: AdmissibilityFamily, first_index: int) -> Optional[int]:
     if isinstance(family, ExplicitFinite):
         return None
     raise TypeError(f"unknown family {family!r}")
+
+
+def part_bound(family: AdmissibilityFamily, first_index: int) -> int:
+    """The most blocks an admissible tuple whose first block starts at
+    first_index can have: max_blocks for a bounded family.  An
+    ExplicitFinite tuple takes one member of a listed set at or before
+    first_index and one past it for each later block; with no such set,
+    only its singletons, of one block, admit it."""
+    cap = max_blocks(family, first_index)
+    if cap is not None:
+        return cap
+    return max((1 + len(M) - bisect_right(M, first_index)
+                for M in family.sets if M[0] <= first_index), default=1)
 
 
 def is_admissible(family: AdmissibilityFamily, P: BlockPartition) -> bool:
@@ -366,40 +380,28 @@ def _theta_ge(tb: Theta, ta: Theta) -> bool:
     return ib.lo >= ia.hi
 
 
-def levels_needed(spec: MixedSpaceSpec, support: Sequence[int]):
-    """Split spec levels into (kept, dropped) for vectors on this support.
+def levels_needed(spec: MixedSpaceSpec, support: Sequence[int]) -> tuple:
+    """The levels vectors on this support need, as (index, family, theta)
+    triples in spec order, the form rational_levels returns.
 
-    A level is dropped exactly when another level admits everything it
+    A level is left out exactly when another level admits everything it
     admits on every subset of the support with a weight at least as
-    large; dropping it then provably changes no norm value in the
-    recursion.  Ties keep the earlier level.  Returns the kept levels and
-    a tuple of (level, reason) pairs for the metadata trail.
+    large; leaving it out then provably changes no norm value in the
+    recursion.  Of two levels that cover each other the earlier one is
+    kept, so a level listed twice is kept once.  The zero vector keeps
+    only the first level.
     """
     S = tuple(sorted(set(support)))
+    levels = tuple((i, lv.family, lv.theta) for i, lv in enumerate(spec.levels))
     if not S:
-        return (spec.levels[:1], tuple((lv, "zero vector: single level suffices")
-                                       for lv in spec.levels[1:]))
-    kept = []
-    dropped = []
-    for idx, lv in enumerate(spec.levels):
-        reason = None
-        for jdx, other in enumerate(spec.levels):
-            if jdx == idx:
-                continue
-            if not (_theta_ge(other.theta, lv.theta) and _covers(lv.family, other.family, S)):
-                continue
-            mutual = _theta_ge(lv.theta, other.theta) and _covers(other.family, lv.family, S)
-            if mutual and jdx > idx:
-                continue  # symmetric pair: the earlier level wins
-            reason = (f"level {idx} ({lv.family}, theta {format_theta(lv.theta)}) is covered by "
-                      f"level {jdx} ({other.family}, theta {format_theta(other.theta)}) "
-                      f"on support {list(S)}")
-            break
-        if reason is None:
-            kept.append(lv)
-        else:
-            dropped.append((lv, reason))
-    return tuple(kept), tuple(dropped)
+        return levels[:1]
+
+    def dominates(b, a) -> bool:  # b admits all a admits on S, weighing no less
+        return _theta_ge(b[2], a[2]) and _covers(a[1], b[1], S)
+
+    return tuple(a for a in levels if not any(
+        b[0] != a[0] and dominates(b, a) and (b[0] < a[0] or not dominates(a, b))
+        for b in levels))
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ from .families import (
     MixedSpaceSpec,
     format_theta,
     is_admissible,
-    max_blocks,
+    part_bound,
     rational_levels,
     theta_is_rational,
 )
@@ -312,19 +312,6 @@ def tau(vset: NormingSet, x: FinVec) -> Fraction:
 # ---------------------------------------------------------------------------
 # closure construction
 
-def _k_cap(levels: tuple, first_min: int) -> int:
-    """Upper bound on the part count of any admissible tuple whose first
-    part has minimum first_min.  Only a pruning bound; admissibility is
-    re-checked exactly on emission."""
-    cap = 1
-    for _, family, _ in levels:
-        c = max_blocks(family, first_min)
-        if c is None:
-            c = max((len(M) for M in family.sets if M[0] <= first_min), default=0)
-        cap = max(cap, c)
-    return cap
-
-
 def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
              include_singletons: bool, max_rounds: Optional[int]):
     """Bundling closure over nonnegative representatives, in integer units.
@@ -364,6 +351,8 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     dominated by one.  The enumeration skips every branch whose tuples
     can have no frontier part (none chosen so far, and no frontier key
     starts after the last part's maximum); those would build nothing.
+    A tuple stops growing at the most parts any level admits from its
+    first part's minimum (families.part_bound): no longer one is admissible.
     """
     levels = rational_levels(spec, "norming sets need")
     if not indices:
@@ -378,7 +367,8 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
         raise BudgetExceededError(
             f"seeding {len(F)} unit functionals already exceeds budget {budget}")
     frontier = frozenset(F)
-    cap_cache: dict = {}
+    # caps[i]: the most parts a tuple whose first part starts at i may have
+    caps = {i: max(part_bound(family, i) for _, family, _ in levels) for i in indices}
     rounds = 0
     min_emit = 1 if include_singletons else 2
 
@@ -430,14 +420,8 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
             k = len(parts)
             if k >= min_emit:
                 emit(parts, has_frontier)
-            if parts:
-                first_min = parts[0][0][0]
-                cap = cap_cache.get(first_min)
-                if cap is None:
-                    cap = _k_cap(levels, first_min)
-                    cap_cache[first_min] = cap
-                if k >= cap:
-                    return
+            if parts and k >= caps[parts[0][0][0]]:
+                return
             for pos in range(start, len(listing)):
                 key = listing[pos]
                 extend(parts + [key], key[-1][0],

@@ -143,13 +143,6 @@ def _certificate(entries: tuple, kept: tuple) -> PrimalCertificate:
     return build(0, len(entries))
 
 
-def _kept_levels(spec: MixedSpaceSpec, support) -> tuple:
-    """(index, family, theta) of each level levels_needed keeps."""
-    kept, _dropped = levels_needed(spec, support)
-    return tuple((i, lv.family, lv.theta) for i, lv in enumerate(spec.levels)
-                 if any(lv is k for k in kept))
-
-
 def mixed_norm(spec: MixedSpaceSpec, x: FinVec, *,
                precision: Optional[int] = None,
                precision_cap: Optional[int] = None):
@@ -165,7 +158,7 @@ def mixed_norm(spec: MixedSpaceSpec, x: FinVec, *,
     for bits in (precision, precision_cap):
         if bits is not None:
             check_precision(bits)
-    kept = _kept_levels(spec, x.support)
+    kept = levels_needed(spec, x.support)
     entries = _abs_entries(x)
     exact = all(theta_is_rational(theta) for _, _, theta in kept)
     if not entries:

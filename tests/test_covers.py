@@ -1,6 +1,8 @@
 """The successive-cover engine: its dynamic program against the cover
 walk, the walk against the partition enumerator, and the interval route
 that must stay on the walk."""
+import functools
+import itertools
 import random
 import types
 from fractions import Fraction as Q
@@ -23,6 +25,7 @@ from tsinorm.families import (
 from tsinorm.primal import fj_norm, mixed_norm
 
 from frozen_values import MIXED_CARD_LEVELS
+from test_dualnorm import ORACLE_SPACES
 
 CARD_DEMO = MixedSpaceSpec("card-demo", (Level(Schreier1(), Q(1, 2)),
                                          Level(CardinalityAtMost(2), Q(1, 3))))
@@ -48,6 +51,7 @@ def enumerator_only(monkeypatch):
     def install():
         monkeypatch.setattr(covers, "families", types.SimpleNamespace(
             max_blocks=lambda family, first_index: None,
+            part_bound=families.part_bound,
             is_admissible=families.is_admissible))
     return install
 
@@ -56,6 +60,59 @@ def test_max_blocks():
     assert families.max_blocks(Schreier1(), 4) == 4
     assert families.max_blocks(CardinalityAtMost(3), 9) == 3
     assert families.max_blocks(families.ExplicitFinite(((2, 3),)), 2) is None
+
+
+@functools.lru_cache(maxsize=None)
+def _tuples_from(first: int) -> tuple:
+    """Every successive block tuple inside [first, 10] whose first block
+    starts at first."""
+    rest = range(first + 1, 11)
+    return tuple(P for size in range(len(rest) + 1)
+                 for S in itertools.combinations(rest, size)
+                 for k in range(1, size + 2)
+                 for P in core.enumerate_partitions((first,) + S, k))
+
+
+# EXPLICIT's explicit level is that of ORACLE_SPACES["explicit"]; the other
+# two explicit families have a set reaching 1 and the sets of 6 consecutive
+# indices inside [1, 10]
+@pytest.mark.parametrize("family", [
+    Schreier1(), CardinalityAtMost(1), CardinalityAtMost(2), CardinalityAtMost(3),
+    EXPLICIT.levels[0].family, ExplicitFinite(((1, 4), (2, 4, 6))),
+    ExplicitFinite(tuple(tuple(range(i, i + 6)) for i in range(1, 6)))], ids=str)
+def test_part_bound_against_is_admissible(family):
+    for first in range(1, 9):
+        bound = families.part_bound(family, first)
+        most = max(P.k for P in _tuples_from(first) if families.is_admissible(family, P))
+        assert most <= bound
+        cap = families.max_blocks(family, first)
+        if cap is not None:
+            assert bound == cap
+        elif any(M[0] <= first for M in family.sets):
+            assert most == bound
+        else:
+            assert bound == 1
+
+
+def test_cover_walk_asks_within_part_bound(monkeypatch):
+    # the walk never asks is_admissible about a cover with more blocks
+    # than the part bound of the level it asks for
+    asked = []
+
+    def admissible(family, P):
+        asked.append(P.k <= families.part_bound(family, P.blocks[0][0]))
+        return families.is_admissible(family, P)
+
+    monkeypatch.setattr(covers, "families", types.SimpleNamespace(
+        max_blocks=families.max_blocks, part_bound=families.part_bound,
+        is_admissible=admissible))
+    rng = random.Random(53)
+    for spec in (EXPLICIT, ORACLE_SPACES["explicit"][0]):
+        for _ in range(30):
+            x = random_vector(rng, 10, 8)
+            mixed_norm(spec, x)
+            rho_partition_upper(spec, x, 2)
+    assert asked and all(asked)
 
 
 def test_dp_matches_enumerator(enumerator_only):

@@ -205,6 +205,23 @@ class TestCertificates:
         with pytest.raises(TsinormError):
             verify_dual_certificate(TS, x, bad)
 
+    def test_import_walks_each_hull_tree_once(self, monkeypatch):
+        # parsing puts every hull node through the node rule, so the
+        # importer does not walk the trees again; an in-memory
+        # certificate has no parse, so its verification walks them
+        walked = []
+        real = dualnorm.verify_norming_functional
+        monkeypatch.setattr(dualnorm, "verify_norming_functional",
+                            lambda spec, f: walked.append(f) or real(spec, f))
+        x = vec({2: 1, 3: Q(-1, 2), 4: 1, 5: 2})
+        _, cert = dual_norm(TS, x)
+        doc = export_dual_certificate(TS, x, cert)
+        walked.clear()
+        _, _, back = import_dual_certificate(doc)
+        assert walked == [] and back == cert
+        verify_dual_certificate(TS, x, cert)
+        assert walked == [t.functional for t in cert.hull_terms]
+
 
 DOC_TOKEN = re.compile(r"[()]|[^\s()]+")
 JUNK_TOKENS = ("0", "-1", "1/0", "x", "e\u00b2", "e0", "-e9", "(", ")")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import log2_between
+from tsinorm import primal
 from tsinorm.core import (
     BlockPartition,
     IntervalScalar,
@@ -22,8 +23,10 @@ from tsinorm.families import (
     Schreier1,
     SchlumprechtWeight,
     TsinormError,
+    _covers,
     _log2_enclosure,
     _prime_factors,
+    _theta_ge,
     is_admissible,
     levels_needed,
     resolve_theta,
@@ -249,17 +252,34 @@ def test_mutated_input_rejected_or_round_trips(which, at, op, other):
 class TestLevelsNeeded:
     def test_high_cardinality_levels_dropped(self):
         spec = schlumprecht_spec(8)
-        kept, dropped = levels_needed(spec, (1, 2, 3))
+        kept = levels_needed(spec, (1, 2, 3))
         # on 3 support points, A_l for l >= 3 all admit the same partitions;
         # the smallest such l has the largest weight and absorbs the rest
-        assert [lv.family.n for lv in kept] == [2, 3]
-        assert len(dropped) == 5
+        assert kept == tuple((i, lv.family, lv.theta)
+                             for i, lv in enumerate(spec.levels[:2]))
+        assert [family.n for _, family, _ in kept] == [2, 3]
 
-    def test_duplicate_levels_deduped(self):
+    def test_duplicate_levels_deduped(self, monkeypatch):
         lv = Level(Schreier1(), Q(1, 2))
         spec = MixedSpaceSpec("twice", (lv, lv))
-        kept, dropped = levels_needed(spec, (1, 2, 3, 4))
-        assert len(kept) == 1 and len(dropped) == 1
+        kept = levels_needed(spec, (1, 2, 3, 4))
+        assert kept == ((0, lv.family, lv.theta),)
+        # mixed_norm's window pass reads these triples, so it walks the level once
+        seen = []
+        real = primal.best_windows
+
+        def spy(entries, levels, *args):
+            seen.append(levels)
+            return real(entries, levels, *args)
+
+        monkeypatch.setattr(primal, "best_windows", spy)
+        primal.mixed_norm(spec, parse_vector("1:1 2:1 3:1 4:1"))
+        assert seen == [kept]
+
+    def test_zero_vector_keeps_first_level(self):
+        spec = schlumprecht_spec(4)
+        lv = spec.levels[0]
+        assert levels_needed(spec, ()) == ((0, lv.family, lv.theta),)
 
     def test_schreier_dominates_small_cards_high_support(self):
         # on support {5,...,10} Schreier admits any k <= 5 blocks, so a
@@ -268,9 +288,7 @@ class TestLevelsNeeded:
             Level(Schreier1(), Q(1, 2)),
             Level(CardinalityAtMost(3), Q(1, 2)),
         ))
-        kept, dropped = levels_needed(spec, (5, 6, 7, 8, 9, 10))
-        assert kept == (spec.levels[0],)
-        assert dropped[0][0] == spec.levels[1]
+        assert levels_needed(spec, (5, 6, 7, 8, 9, 10)) == ((0, Schreier1(), Q(1, 2)),)
 
     def test_low_support_keeps_card_level(self):
         # the subset {1,10} admits the 2-block split ({1},{10}) under card<=2
@@ -279,8 +297,8 @@ class TestLevelsNeeded:
             Level(Schreier1(), Q(1, 2)),
             Level(CardinalityAtMost(2), Q(1, 2)),
         ))
-        kept, _ = levels_needed(spec, (1, 10, 11, 12))
-        assert len(kept) == 2
+        assert levels_needed(spec, (1, 10, 11, 12)) == (
+            (0, Schreier1(), Q(1, 2)), (1, CardinalityAtMost(2), Q(1, 2)))
 
     def test_support_from_two_drops_card_level(self):
         # without support point 1 every k<=2 split is Schreier-admissible,
@@ -289,13 +307,17 @@ class TestLevelsNeeded:
             Level(Schreier1(), Q(1, 2)),
             Level(CardinalityAtMost(2), Q(1, 2)),
         ))
-        kept, _ = levels_needed(spec, (2, 10, 11, 12))
-        assert kept == (spec.levels[0],)
+        assert levels_needed(spec, (2, 10, 11, 12)) == ((0, Schreier1(), Q(1, 2)),)
 
     def test_truncation_never_loses_weight(self):
-        # a dropped level's weight never exceeds its coverer's
+        # every level left out has a kept level of no smaller weight whose
+        # family covers it on the support
         spec = schlumprecht_spec(8)
-        kept, dropped = levels_needed(spec, (1, 2, 3, 4))
-        assert kept and dropped
-        for lv, reason in dropped:
-            assert "covered by" in reason
+        for support in ((1, 2, 3), (1, 2, 3, 4), (2, 5, 6, 9, 12)):
+            kept = levels_needed(spec, support)
+            indices = {i for i, _, _ in kept}
+            left_out = [lv for i, lv in enumerate(spec.levels) if i not in indices]
+            assert kept and left_out
+            for lv in left_out:
+                assert any(_theta_ge(theta, lv.theta) and _covers(lv.family, family, support)
+                           for _, family, theta in kept)

@@ -1,7 +1,8 @@
 """Source hygiene of the package, read with `ast` (no linter needed).
 
-Every imported name must be used, and every module-level def or class
-must be referenced somewhere in the package.
+Every imported name must be used, every module-level def or class
+must be referenced somewhere in the package, and only `families` reads
+a family's fields or tests its class.
 """
 import ast
 from pathlib import Path
@@ -63,3 +64,22 @@ def test_every_module_level_definition_is_referenced():
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
         and not any(stmt.name in names for other, names in references if other is not stmt)]
     assert unreferenced == []
+
+
+FAMILY_CLASSES = {"Schreier1", "CardinalityAtMost", "ExplicitFinite"}
+
+
+@pytest.mark.parametrize("module", sorted(set(SOURCES) - {"families.py"}))
+def test_only_families_reads_a_family(module):
+    # a family's own fields and its class are read through families'
+    # functions (max_blocks, part_bound, is_admissible) everywhere else
+    reads = []
+    for sub in ast.walk(TREES[module]):
+        if isinstance(sub, ast.Attribute) and sub.attr in ("sets", "_top"):
+            reads.append(f"{module}:{sub.lineno} .{sub.attr}")
+        elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) \
+                and sub.func.id == "isinstance" and len(sub.args) == 2:
+            named = used_names(sub.args[1])
+            reads += [f"{module}:{sub.lineno} isinstance {name}"
+                      for name in sorted(named & FAMILY_CLASSES)]
+    assert reads == []

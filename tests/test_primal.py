@@ -22,6 +22,7 @@ from tsinorm.families import (
     MixedSpaceSpec,
     Schreier1,
     SchlumprechtWeight,
+    levels_needed,
     resolve_theta,
     schlumprecht_spec,
     tsirelson_spec,
@@ -316,7 +317,7 @@ ORACLE_GRID = (Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(2), Q(-2), Q(3, 4), Q(5, 3))
 def _oracle_levels(spec, x, precision=None):
     """The levels mixed_norm keeps for x, as oracle tuples, with weights
     resolved at precision when given; and the kept levels' indices."""
-    kept = primal._kept_levels(spec, x.support)
+    kept = levels_needed(spec, x.support)
     levels = []
     for _, family, theta in kept:
         if isinstance(family, Schreier1):
