@@ -39,6 +39,7 @@ from .core import (
 from .families import (
     PRESETS,
     MixedSpaceSpec,
+    schlumprecht_spec,
     spec_from_config,
 )
 from .norming import _maximal_patterns, build_norming_set, export_norming_set
@@ -128,6 +129,10 @@ def _write_out(args, text: str) -> None:
 def cmd_norm(args) -> int:
     spec = _load_space(args.space)
     x = parse_vector(args.vector)
+    if args.space == "schlumprecht" and len(x.support) > len(spec.levels) + 1:
+        # the preset's levels card<=2..card<=8 would truncate the space on
+        # more points; give it one for every point
+        spec = schlumprecht_spec(len(x.support))
     certificate = None
     if args.kind == "fj":
         if args.space != "tsirelson":

@@ -32,18 +32,22 @@ Where admissibility depends only on the block count and the first index
 with rational weights: _fill computes, for one start s, the best cover
 of entries[s:end] by exactly j slices for every j it needs, from the
 columns of later starts.  The table depends on the right end only, so
-every window ending there shares one.  Interval values are instead
-compared cover by cover (_Pass._walk_spans, which sums a cover's
-blocks once per right end), since an interval caller's
+every window ending there shares one.  Interval values instead walk
+their covers in order (_Pass._walk_spans), since an interval caller's
 precision-doubling schedule follows its sequence of certified
-comparisons.  Covers are walked by _admissible_covers, one loop over
-cut positions for every family, up to the most slices a level admits
-from the cover's first index (families.part_bound): a bounded family
-admits the covers of at most max_blocks slices, and an ExplicitFinite
-level asks families.is_admissible of each walked cover within its
-bound.  Every route keeps the first optimum in enumeration order
-(level, start, block count, then cut positions lexicographically), so
-their witnesses agree; _Pass._choose walks that order for all of them.
+comparisons; the same recurrence over the blocks' hi ends
+(_fill_highs) bounds every cover from a start, a block count or a
+prefix of cuts, and the walk skips the groups that cannot beat the
+incumbent, so it compares exactly the covers a full walk would.
+Rational levels without a block-count bound are walked by
+_admissible_covers.  Both walks take the cut positions in
+lexicographic order, up to the most slices a level admits from the
+cover's first index (families.part_bound): a bounded family admits the
+covers of at most max_blocks slices, and an ExplicitFinite level asks
+families.is_admissible of each walked cover within its bound.  Every
+route keeps the first optimum in enumeration order (level, start,
+block count, then cut positions lexicographically), so their
+witnesses agree; _Pass._choose walks that order for all of them.
 
 The families functions are called through their module, so a wrapper
 bound over the module attribute sees every call.
@@ -134,7 +138,8 @@ class _Pass:
     The scaled weights are factor * q, so a candidate is in units of
     1/(unit * q), and only the winner is divided by q (_settle).  With
     rational weights a window value is one int; with enclosures it is a
-    Span of two, and every level is walked cover by cover.
+    Span of two, every level walks its covers (_walk_spans), and the
+    suffix table of a column holds the hi-end bounds (_fill_highs).
 
     Column b (the windows entries[a:b], a < b) reads entries[:b], earlier
     columns, and the caps and rows at positions below b; a position's
@@ -237,12 +242,16 @@ class _Pass:
         point, settle, maximise, rows = self._point, self._settle, self.maximise, self.rows
         cols = [[None, None] for _ in range(b)]
         cuts = [[None, None] for _ in range(b)]
-        sums = {} if self.spans else None
+        tops = [0] * b if self.spans else None
         leaf, pos = head[b - 1][1], b - 1  # a one-point window is its leaf
-        value[pos][b] = cols[pos][1] = settle(point(leaf))
+        value[pos][b] = one = settle(point(leaf))
+        cols[pos][1] = one if tops is None else one.hi
         choice[pos][b] = pos
         for a in range(b - 2, -1, -1):
-            _fill(cols, cuts, a, b, min(b - a, rows[a]), blocks[a], maximise)
+            if tops is None:
+                _fill(cols, cuts, a, b, min(b - a, rows[a]), blocks[a], maximise)
+            else:
+                tops[a] = _fill_highs(cols, a, b, blocks[a], tops[a + 1])
             if not maximise:
                 leaf += head[a][1]
             elif head[a][1] >= leaf:
@@ -250,30 +259,34 @@ class _Pass:
             try:
                 cand, level, bounds = self._choose(
                     head, range(a, b) if maximise else (a,), cols, cuts,
-                    point(leaf if prev is None else prev[a][b]), sums)
+                    point(leaf if prev is None else prev[a][b]), tops)
                 value[a][b] = settle(cand)
-                cols[a][1] = blocks[a][b]
+                cols[a][1] = blocks[a][b] if tops is None else blocks[a][b].hi
                 choice[a][b] = pos if level is None else (level, bounds)
             except IndeterminateComparisonError as exc:
                 value[a][b] = exc
 
-    def _choose(self, entries: tuple, starts, cols, cuts, incumbent, sums):
+    def _choose(self, entries: tuple, starts, cols, cuts, incumbent, tops):
         """The first optimum strictly better than incumbent over covers of
         entries[s:] for s in starts, in the order level, start, block
         count, cut positions: (value, level, bounds), or (incumbent, None,
         None).  A cover's value is its level's weight times the sum
         (maximise) or the max of its block values.  Levels with caps read
         the suffix table (cols, cuts); the others are walked cover by
-        cover (_admissible_covers).  On spans sums is a dict of the block
-        sums of the covers already walked with this right end
-        (_walk_spans), and None otherwise."""
+        cover (_admissible_covers).  On spans cols is the hi-end table and
+        tops[s] its bound over every cover from s on (_fill_highs): a
+        level whose weight times that bound at the first start cannot
+        beat the incumbent is skipped, and the others go to _walk_spans.
+        Otherwise tops is None."""
         end = len(entries)
         improves, maximise, val = self.improves, self.maximise, self._val
         best = (incumbent, None, None)
         for level, cs in zip(self.levels, self.caps):
             weight = level[2]
-            if sums is not None:
-                best = self._walk_spans(entries, starts, level, best, sums)
+            if tops is not None:
+                top = tops[starts[0]]
+                if top is None or top * weight.hi > best[0].lo:
+                    best = self._walk_spans(entries, starts, level, best, cols, tops)
                 continue
             if cs is None:
                 for s in starts:
@@ -294,38 +307,69 @@ class _Pass:
                         best = (cand, level, tuple(bounds) + (end,))
         return best
 
-    def _walk_spans(self, entries: tuple, starts, level, best, sums: dict):
+    def _walk_spans(self, entries: tuple, starts, level, best, highs, tops):
         """_choose's walk of one level on spans: best, or the first cover
         of entries[s:] (s in starts) whose value strictly beats it.
 
         With weight [w_lo, w_hi] and a cover's block sum [lo, hi], the
         candidate [w_lo * lo, w_hi * hi] cannot beat the incumbent when
-        w_hi * hi <= incumbent.lo, that is when hi <= incumbent.lo // w_hi.
-        That bound is taken once per incumbent, so only the other covers
-        are multiplied out and compared (improves).  A cover's block sum
-        is the same for every window and level that walks it, so it is
-        kept in sums by its bounds; only sums whose blocks were all
-        decided are kept, and a cover reading an undecided block raises
-        wherever it is walked."""
-        val, improves, weight = self._val, self.improves, level[2]
+        w_hi * hi <= incumbent.lo, that is when hi <= keep =
+        incumbent.lo // w_hi, so only the other covers are summed and
+        compared (improves).  A skip leaves the incumbent as it is, so
+        the walk skips whole groups of such covers by the hi-end table
+        (_fill_highs): the rest of the level once tops[s] <= keep, a
+        block count k from s once highs[s][k] <= keep, and every cover
+        under a prefix of cuts whose blocks' hi ends plus the table's
+        bound on the rest come to at most keep, walking the cut
+        positions depth-first in lexicographic order.  A cover that
+        reads an undecided block has no bound, so it is never skipped:
+        it raises where it is reached, on an ExplicitFinite level once
+        families.is_admissible has accepted it.  So the walk makes the
+        comparisons, and raises the errors, of a walk of every cover."""
+        _, family, weight = level
+        blocks, val, improves = self.blocks, self._val, self.improves
+        end = len(entries)
         keep = best[0].lo // weight.hi
-        for s in starts:
-            for _, bounds in _admissible_covers(entries, (level,), s):
-                got = sums.get(bounds)
-                if got is None:
-                    lo = hi = 0
-                    for a, b in zip(bounds, bounds[1:]):
-                        v = val(a, b)
-                        lo += v.lo
-                        hi += v.hi
-                    got = sums[bounds] = lo, hi
-                lo, hi = got
-                if hi <= keep:
+
+        def descend(x: int, left: int, prefix, bounds: tuple) -> None:
+            # covers of entries[x:] by left slices, after the cuts bounds,
+            # whose blocks' hi ends sum to prefix (None past an undecided one)
+            nonlocal best, keep
+            for c in range(x + 1, end - left + 2):
+                v = blocks[x][c]
+                if prefix is None or not isinstance(v, Span):
+                    upto = None
+                else:
+                    upto = prefix + v.hi
+                    rest = highs[c][left - 1]
+                    if rest is not None and upto + rest <= keep:
+                        continue
+                if left > 2:
+                    descend(c, left - 1, upto, bounds + (c,))
                     continue
+                cover = bounds + (c, end)
+                if explicit and not families.is_admissible(family, core.BlockPartition(
+                        tuple(index[a:b] for a, b in zip(cover, cover[1:])))):
+                    continue
+                lo = hi = 0
+                for a, b in zip(cover, cover[1:]):
+                    v = val(a, b)
+                    lo += v.lo
+                    hi += v.hi
                 cand = Span(weight.lo * lo, weight.hi * hi)
                 if improves(cand, best[0]):
-                    best = (cand, level, bounds)
+                    best = (cand, level, cover)
                     keep = cand.lo // weight.hi
+
+        for s in starts:
+            if tops[s] is not None and tops[s] <= keep:
+                break
+            first = entries[s][0]
+            explicit = families.max_blocks(family, first) is None
+            index = tuple(i for i, _ in entries) if explicit else None
+            for k in range(2, min(end - s, families.part_bound(family, first)) + 1):
+                if highs[s][k] is None or highs[s][k] > keep:
+                    descend(s, k, 0, (s,))
         return best
 
 
@@ -420,6 +464,36 @@ def _fill(cols, cuts, s: int, end: int, rows: int, starting, maximise: bool) -> 
                     b, bc = v, c
         col.append(b)
         cut.append(bc)
+
+
+def _fill_highs(highs, s: int, end: int, starting, top):
+    """Column s of the hi-end table of entries[:end] on spans: _fill's
+    maximising recurrence over the hi ends of block values, so
+    highs[s][j] is the largest sum of block hi ends over covers of
+    entries[s:end] by exactly j slices, 2 <= j <= end - s, or None where
+    such a cover reads an undecided block.  Reads the first slice's
+    value entries[s:c] as starting[c] and highs[c][j - 1] for c > s; row
+    1, the hi end of entries[c:end] itself, is the caller's.  Returns the
+    bound over every cover from s on: the largest of top (the bound
+    from s + 1 on) and these rows, None if any of them is None."""
+    col = highs[s]
+    for j in range(2, end - s + 1):
+        b = 0
+        for c in range(s + 1, end - j + 2):
+            v = starting[c]
+            w = highs[c][j - 1]
+            if w is None or not isinstance(v, Span):
+                b = None
+                break
+            w += v.hi
+            if w > b:
+                b = w
+        col.append(b)
+        if b is None or top is None:
+            top = None
+        elif b > top:
+            top = b
+    return top
 
 
 def cover_branches(entries: tuple, levels, part):

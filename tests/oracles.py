@@ -689,7 +689,8 @@ def _iv_improves(cand: tuple, incumbent: tuple) -> bool:
         return False
     if cand == incumbent:
         return False
-    raise Undecided(f"cannot order branch values {incumbent} and {cand}")
+    raise Undecided("cannot order branch values "
+                    f"[{incumbent[0]}, {incumbent[1]}] and [{cand[0]}, {cand[1]}]")
 
 
 def memo_mixed_norm(x: Vec, levels) -> tuple:

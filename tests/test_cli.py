@@ -56,6 +56,16 @@ class TestNorm:
         assert code == 0
         assert out == "[3/2, 3/2]\n"
 
+    @pytest.mark.parametrize("m", [9, 10])
+    def test_schlumprecht_preset_has_a_level_per_point(self, capsys, m):
+        # the preset's default 8 levels would drop card<=9 and beyond
+        literal = " ".join(f"{i}:1" for i in range(1, m + 1))
+        value, _ = tsinorm.mixed_norm(tsinorm.schlumprecht_spec(m), parse_vector(literal))
+        assert run(capsys, ["norm", "mixed", "--space", "schlumprecht", literal]) == (
+            0, f"{value}\n", "")
+        truncated, _ = tsinorm.mixed_norm(tsinorm.schlumprecht_spec(), parse_vector(literal))
+        assert truncated.hi < value.lo
+
     def test_dual_bounds_enclosure(self, capsys):
         code, out, _ = run(capsys, ["norm", "dual-bounds", "--space",
                                     "schlumprecht", "1:1 2:1",

@@ -185,6 +185,39 @@ def test_interval_route_stays_on_the_enumerator():
     assert value == IntervalScalar(Q(43442372608, 19110866159), Q(339392512, 149301393))
 
 
+def test_interval_walk_skips_covers_that_cannot_win(monkeypatch):
+    # a walk of every admissible cover of every window and level meets 1849
+    # covers here, and 6 of them reach a certified comparison; the hi-end
+    # table skips the covers that cannot beat the incumbent, so the pass
+    # reads few block values and makes the same 6 comparisons
+    x = parse_vector("1:-1/2 2:-1/2 3:1 4:1/2 5:2 6:-1/2 7:-1/2")
+    entries = x.abs().entries
+    kept = families.levels_needed(schlumprecht_spec(), x.support)
+    met = sum(1 for b in range(2, 8) for a in range(b - 1) for level in kept
+              for s in range(a, b) for _ in covers._admissible_covers(entries[:b], (level,), s))
+    assert met == 1849
+    reads, compared = [], []
+
+    class Counted(list):  # the block table, counting the rows read from it
+        def __getitem__(self, a):
+            reads.append(a)
+            return list.__getitem__(self, a)
+
+    init, improves = covers._Pass.__init__, covers._improves
+
+    def counted(self, *args):
+        init(self, *args)
+        self.blocks = Counted(self.blocks)
+
+    monkeypatch.setattr(covers._Pass, "__init__", counted)
+    monkeypatch.setattr(covers, "_improves",
+                        lambda *args, **kwargs: compared.append(args) or improves(*args, **kwargs))
+    value, _ = mixed_norm(schlumprecht_spec(), x)
+    assert value == IntervalScalar.point(2)
+    assert len(compared) == 6
+    assert 0 < len(reads) < met // 10
+
+
 @pytest.mark.parametrize("spec", SPACES + (EXPLICIT,), ids=lambda s: s.name)
 def test_batched_fixpoints_match_fixpoint(spec):
     # supports sharing prefixes, repeated and shuffled, valued in one pass

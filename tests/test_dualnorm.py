@@ -225,6 +225,31 @@ class TestCertificates:
 
 DOC_TOKEN = re.compile(r"[()]|[^\s()]+")
 JUNK_TOKENS = ("0", "-1", "1/0", "x", "e\u00b2", "e0", "-e9", "(", ")")
+EDITS = ("replace", "delete", "duplicate", "wrap",
+         "replace-char", "delete-char", "insert-char", "swap-lines")
+
+
+def mutate(text: str, token, at: int, op: str, other: str, wrap: str) -> str:
+    """text with one edit at the site chosen by at: a token (a match of
+    the regex token) replaced by other, deleted, duplicated, or wrapped
+    in the bracket pair wrap; one character replaced by, or preceded by,
+    a character of other, or deleted; or two lines swapped."""
+    if op == "swap-lines":
+        lines = text.split("\n")
+        i, j = at % len(lines), at // len(lines) % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+        return "\n".join(lines)
+    if op.endswith("-char"):
+        a = at % len(text)
+        char = other[at % len(other)]
+        new = {"replace-char": char, "delete-char": "",
+               "insert-char": char + text[a]}[op]
+        return text[:a] + new + text[a + 1:]
+    spans = [m.span() for m in token.finditer(text)]
+    a, b = spans[at % len(spans)]
+    new = {"replace": other, "delete": "", "duplicate": f"{text[a:b]} {text[a:b]}",
+           "wrap": f"{wrap[0]}{text[a:b]}{wrap[1]}"}[op]
+    return text[:a] + new + text[b:]
 
 
 @functools.lru_cache(maxsize=None)
@@ -240,24 +265,20 @@ def exported_documents():
     return tuple(docs)
 
 
-@given(which=st.integers(0, 2), at=st.integers(0, 10 ** 6),
-       op=st.sampled_from(("replace", "delete", "duplicate", "wrap")),
+@given(which=st.integers(0, 2), at=st.integers(0, 10 ** 6), op=st.sampled_from(EDITS),
        other=st.one_of(st.sampled_from(JUNK_TOKENS), st.integers(0, 10 ** 6)))
 @settings(deadline=None, max_examples=1000)
 def test_mutated_document_rejected_or_sound(which, at, op, other):
-    """One token of an exported document replaced (by a junk token or one
-    from the documents), deleted, duplicated or wrapped in parentheses:
-    the import raises TsinormError, or what it returns is still true."""
+    """One edit of an exported document (mutate): a token replaced (by a
+    junk token or one from the documents), deleted, duplicated or wrapped
+    in parentheses, a character replaced, deleted or inserted, or two
+    lines swapped: the import raises TsinormError, or what it returns is
+    still true."""
     docs = exported_documents()
-    text = docs[which]
-    spans = [m.span() for m in DOC_TOKEN.finditer(text)]
-    a, b = spans[at % len(spans)]
     if isinstance(other, int):
         pool = sorted({t for d in docs for t in DOC_TOKEN.findall(d)})
         other = pool[other % len(pool)]
-    new = {"replace": other, "delete": "",
-           "duplicate": f"{text[a:b]} {text[a:b]}", "wrap": f"({text[a:b]})"}[op]
-    mutated = text[:a] + new + text[b:]
+    mutated = mutate(docs[which], DOC_TOKEN, at, op, other, "()")
     try:
         if which < 2:
             spec, x, cert = import_dual_certificate(mutated)

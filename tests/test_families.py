@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import log2_between
+from test_dualnorm import EDITS, mutate
 from tsinorm import primal
 from tsinorm.core import (
     BlockPartition,
@@ -199,13 +200,14 @@ class TestSpecs:
             spec_from_config({"levels": [{"family": "schreier1", "theta": "3/2"}]})
 
 
-# untrusted input: three space configs (as JSON text) and vector literals
+# untrusted input: three space configs (as JSON text, one level a line)
+# and vector literals
 CONFIG_TEXTS = (
-    '{"name": "card-demo", "levels": [{"family": "schreier1", "theta": "1/2"}, '
+    '{"name": "card-demo", "levels": [\n{"family": "schreier1", "theta": "1/2"},\n'
     '{"family": {"card_at_most": 2}, "theta": "1/3"}]}',
-    '{"name": "explicit", "levels": [{"family": {"explicit": [[2, 4], [3, 5, 7]]}, '
-    '"theta": "1/2"}, {"family": {"card_at_most": 2}, "theta": "2/3"}]}',
-    '{"name": "s", "levels": [{"family": {"card_at_most": 3}, "theta": {"schlumprecht": 3}}]}',
+    '{"name": "explicit", "levels": [\n{"family": {"explicit": [[2, 4], [3, 5, 7]]}, '
+    '"theta": "1/2"},\n{"family": {"card_at_most": 2}, "theta": "2/3"}]}',
+    '{"name": "s", "levels": [\n{"family": {"card_at_most": 3}, "theta": {"schlumprecht": 3}}]}',
 )
 VECTOR_TEXTS = ("1:1/2 3:-1 5:2", "2:3/4 4:-1/3 7:1", "1:-5")
 INPUT_TOKEN = re.compile(r'"[^"]*"|[{}\[\],:]|[^\s{}\[\],:"]+')
@@ -214,26 +216,22 @@ INPUT_JUNK = ("0", "-1", "1/0", "2.5", "1e999", "x", "null", "true", '""', '"1/2
 
 
 @given(which=st.integers(0, len(CONFIG_TEXTS) + len(VECTOR_TEXTS) - 1),
-       at=st.integers(0, 10 ** 6),
-       op=st.sampled_from(("replace", "delete", "duplicate", "wrap")),
+       at=st.integers(0, 10 ** 6), op=st.sampled_from(EDITS),
        other=st.one_of(st.sampled_from(INPUT_JUNK), st.integers(0, 10 ** 6)))
 @settings(deadline=None, max_examples=1000)
 def test_mutated_input_rejected_or_round_trips(which, at, op, other):
-    """One token of a space config or vector literal replaced (by a junk
-    token or one from the inputs), deleted, duplicated or wrapped in
-    brackets: the reader raises TsinormError (a config that is not JSON
-    is refused before spec_from_config, as the command line does), or
-    what it returns round-trips through its writer."""
+    """One edit of a space config or vector literal (mutate): a token
+    replaced (by a junk token or one from the inputs), deleted,
+    duplicated or wrapped in brackets, a character replaced, deleted or
+    inserted, or two lines swapped: the reader raises TsinormError (a
+    config that is not JSON is refused before spec_from_config, as the
+    command line does), or what it returns round-trips through its
+    writer."""
     texts = CONFIG_TEXTS + VECTOR_TEXTS
-    text = texts[which]
-    spans = [m.span() for m in INPUT_TOKEN.finditer(text)]
-    a, b = spans[at % len(spans)]
     if isinstance(other, int):
         pool = sorted({t for d in texts for t in INPUT_TOKEN.findall(d)})
         other = pool[other % len(pool)]
-    new = {"replace": other, "delete": "",
-           "duplicate": f"{text[a:b]} {text[a:b]}", "wrap": f"[{text[a:b]}]"}[op]
-    mutated = text[:a] + new + text[b:]
+    mutated = mutate(texts[which], INPUT_TOKEN, at, op, other, "[]")
     if which < len(CONFIG_TEXTS):
         try:
             doc = json.loads(mutated)

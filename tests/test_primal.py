@@ -14,6 +14,7 @@ from tsinorm.core import (
     IntervalScalar,
     PrecisionExhaustedError,
     TsinormError,
+    parse_vector,
 )
 from tsinorm.families import (
     CardinalityAtMost,
@@ -347,15 +348,16 @@ def _as_oracle(cert, indices):
 
 def _oracle_interval(spec, x, precision, cap):
     """memo_mixed_norm under mixed_norm's precision-doubling schedule;
-    None when the cap leaves a comparison undecided."""
+    the Undecided it raised at the cap when that leaves a comparison
+    undecided."""
     p = precision
     while True:
         levels, _ = _oracle_levels(spec, x, p)
         try:
             return memo_mixed_norm(x.to_dict(), levels)
-        except Undecided:
+        except Undecided as exc:
             if p >= cap:
-                return None
+                return exc
             p = min(p * 2, cap)
 
 
@@ -380,7 +382,7 @@ class TestWindowPassOracle:
     @pytest.mark.parametrize("precision,cap", [
         (DEFAULT_THETA_PRECISION, PRECISION_CAP), (4, PRECISION_CAP), (4, 4)])
     def test_schlumprecht(self, precision, cap):
-        exhausted = self._interval_oracle(schlumprecht_spec(), precision, cap,
+        exhausted = self._interval_oracle(schlumprecht_spec(9), precision, cap,
                                           random.Random(precision + cap))
         assert exhausted == 0 or cap == 4
 
@@ -395,29 +397,33 @@ class TestWindowPassOracle:
 
     @staticmethod
     def _interval_oracle(spec, precision, cap, rng) -> int:
-        """Seeded vectors of 1 to 7 points, the benchmark's largest, against
-        the oracle under the same precision schedule; returns how many ran
-        out of precision on both sides."""
+        """Seeded vectors of 1 to 9 points, and the tie vector of the
+        README, against the oracle under the same precision schedule;
+        returns how many ran out of precision on both sides.  An
+        exhausted pass names the comparison the oracle left undecided."""
         exhausted = 0
-        for n in range(1, 8):
-            for _ in range(3):
-                idx = rng.sample(range(1, 11), n)
-                x = vec({i: rng.choice(ORACLE_GRID) for i in idx})
-                _, indices = _oracle_levels(spec, x)
-                want = _oracle_interval(spec, x, precision, cap)
-                if want is None:
-                    exhausted += 1
-                    with pytest.raises(PrecisionExhaustedError):
-                        mixed_norm(spec, x, precision=precision, precision_cap=cap)
-                    continue
-                _, cert = mixed_norm(spec, x, precision=precision, precision_cap=cap)
-                assert _as_oracle(cert, indices) == want, str(x)
+        vectors = [vec({i: rng.choice(ORACLE_GRID) for i in rng.sample(range(1, 11), n)})
+                   for n in range(1, 10) for _ in range(3)]
+        vectors.append(parse_vector("1:2 2:1 3:2 4:2 5:2 6:1 7:2 8:4"))
+        for x in vectors:
+            _, indices = _oracle_levels(spec, x)
+            want = _oracle_interval(spec, x, precision, cap)
+            if isinstance(want, Undecided):
+                exhausted += 1
+                with pytest.raises(PrecisionExhaustedError) as exc:
+                    mixed_norm(spec, x, precision=precision, precision_cap=cap)
+                assert str(exc.value) == (
+                    f"branch comparison undecided at precision cap {cap}: {want}"), str(x)
+                continue
+            _, cert = mixed_norm(spec, x, precision=precision, precision_cap=cap)
+            assert _as_oracle(cert, indices) == want, str(x)
         return exhausted
 
     def test_precision_exhaustion_vector(self):
         spec = MixedSpaceSpec("coarse", (Level(Schreier1(), SchlumprechtWeight(6)),))
         x = vec({3: Q(9), 4: Q(8), 5: Q(8)})
-        assert _oracle_interval(spec, x, 4, 4) is None
+        assert str(_oracle_interval(spec, x, 4, 4)) == (
+            "cannot order branch values [9, 9] and [80/9, 100/11]")
         with pytest.raises(PrecisionExhaustedError) as exc:
             mixed_norm(spec, x, precision=4, precision_cap=4)
         assert str(exc.value) == ("branch comparison undecided at precision cap 4: "
