@@ -35,10 +35,10 @@ columns of later starts.  The table depends on the right end only, so
 every window ending there shares one.  Interval values instead walk
 their covers in order (_Pass._walk_spans), since an interval caller's
 precision-doubling schedule follows its sequence of certified
-comparisons; the same recurrence over the blocks' hi ends
-(_fill_highs) bounds every cover from a start, a block count or a
-prefix of cuts, and the walk skips the groups that cannot beat the
-incumbent, so it compares exactly the covers a full walk would.
+comparisons; _fill over the windows' hi ends bounds every cover from a
+start, a block count or a prefix of cuts, and the walk skips the
+groups that cannot beat the incumbent, so it compares exactly the
+covers a full walk would.
 Rational levels without a block-count bound are walked by
 _admissible_covers.  Both walks take the cut positions in
 lexicographic order, up to the most slices a level admits from the
@@ -62,6 +62,24 @@ from fractions import Fraction
 
 from . import core, families
 from .core import IndeterminateComparisonError, IntervalScalar, TsinormError
+
+
+@functools.total_ordering
+class _Unbounded:
+    """The hi end of an undecided window: it absorbs sums and products and
+    compares above every int, so no bound that reads it skips a cover."""
+    __slots__ = ()
+
+    def __add__(self, other):
+        return self
+
+    __radd__ = __mul__ = __add__
+
+    def __gt__(self, other):
+        return other is not self
+
+
+_UNBOUNDED = _Unbounded()
 
 
 class Span:
@@ -138,8 +156,9 @@ class _Pass:
     The scaled weights are factor * q, so a candidate is in units of
     1/(unit * q), and only the winner is divided by q (_settle).  With
     rational weights a window value is one int; with enclosures it is a
-    Span of two, every level walks its covers (_walk_spans), and the
-    suffix table of a column holds the hi-end bounds (_fill_highs).
+    Span of two, highs[a][b] its hi end (_UNBOUNDED while undecided),
+    every level walks its covers (_walk_spans), and the suffix table of
+    a column is _fill's over highs: the hi-end bounds.
 
     Column b (the windows entries[a:b], a < b) reads entries[:b], earlier
     columns, and the caps and rows at positions below b; a position's
@@ -154,6 +173,7 @@ class _Pass:
         self.blocks = self.value if prev is None else prev
         self.maximise, self.prev = maximise, prev
         self.spans = spans = any(isinstance(t, IntervalScalar) for _, _, t in levels)
+        self.highs = [[_UNBOUNDED] * (size + 1) for _ in range(size)] if spans else None
         factors = [(t.lo, t.hi) if spans else (t if maximise else 1 / t,)
                    for _, _, t in levels]
         self.q = q = math.lcm(*(f.denominator for ends in factors for f in ends))
@@ -235,23 +255,28 @@ class _Pass:
         Starts a are visited in decreasing order.  The suffix-cover table
         of head depends on the right end only, so every window ending at b
         reads the same table; its row 1 at a start is the block value
-        there, filled before the next start."""
+        there, filled before the next start.  On spans the table is over
+        the hi ends (highs) with every row, and tops[a] bounds every cover
+        from a on."""
         b = len(head)
         self._grow(head[-1][0])
-        value, choice, blocks, prev = self.value, self.choice, self.blocks, self.prev
+        value, choice, prev = self.value, self.choice, self.prev
         point, settle, maximise, rows = self._point, self._settle, self.maximise, self.rows
+        spans, highs = self.spans, self.highs
+        firsts = highs if spans else self.blocks  # the row-1 values the table reads
         cols = [[None, None] for _ in range(b)]
         cuts = [[None, None] for _ in range(b)]
-        tops = [0] * b if self.spans else None
+        tops = [0] * b if spans else None
         leaf, pos = head[b - 1][1], b - 1  # a one-point window is its leaf
         value[pos][b] = one = settle(point(leaf))
-        cols[pos][1] = one if tops is None else one.hi
+        if spans:
+            highs[pos][b] = one.hi
+        cols[pos][1] = firsts[pos][b]
         choice[pos][b] = pos
         for a in range(b - 2, -1, -1):
-            if tops is None:
-                _fill(cols, cuts, a, b, min(b - a, rows[a]), blocks[a], maximise)
-            else:
-                tops[a] = _fill_highs(cols, a, b, blocks[a], tops[a + 1])
+            _fill(cols, cuts, a, b, b - a if spans else min(b - a, rows[a]), firsts[a], maximise)
+            if spans:
+                tops[a] = max(tops[a + 1], *cols[a][2:])
             if not maximise:
                 leaf += head[a][1]
             elif head[a][1] >= leaf:
@@ -260,11 +285,13 @@ class _Pass:
                 cand, level, bounds = self._choose(
                     head, range(a, b) if maximise else (a,), cols, cuts,
                     point(leaf if prev is None else prev[a][b]), tops)
-                value[a][b] = settle(cand)
-                cols[a][1] = blocks[a][b] if tops is None else blocks[a][b].hi
+                value[a][b] = v = settle(cand)
+                if spans:
+                    highs[a][b] = v.hi
                 choice[a][b] = pos if level is None else (level, bounds)
             except IndeterminateComparisonError as exc:
                 value[a][b] = exc
+            cols[a][1] = firsts[a][b]
 
     def _choose(self, entries: tuple, starts, cols, cuts, incumbent, tops):
         """The first optimum strictly better than incumbent over covers of
@@ -274,18 +301,16 @@ class _Pass:
         (maximise) or the max of its block values.  Levels with caps read
         the suffix table (cols, cuts); the others are walked cover by
         cover (_admissible_covers).  On spans cols is the hi-end table and
-        tops[s] its bound over every cover from s on (_fill_highs): a
-        level whose weight times that bound at the first start cannot
-        beat the incumbent is skipped, and the others go to _walk_spans.
-        Otherwise tops is None."""
+        tops[s] its bound over every cover from s on: a level whose weight
+        times that bound at the first start cannot beat the incumbent is
+        skipped, and the others go to _walk_spans."""
         end = len(entries)
-        improves, maximise, val = self.improves, self.maximise, self._val
+        improves, maximise, val, spans = self.improves, self.maximise, self._val, self.spans
         best = (incumbent, None, None)
         for level, cs in zip(self.levels, self.caps):
             weight = level[2]
-            if tops is not None:
-                top = tops[starts[0]]
-                if top is None or top * weight.hi > best[0].lo:
+            if spans:
+                if tops[starts[0]] * weight.hi > best[0].lo:
                     best = self._walk_spans(entries, starts, level, best, cols, tops)
                 continue
             if cs is None:
@@ -307,7 +332,7 @@ class _Pass:
                         best = (cand, level, tuple(bounds) + (end,))
         return best
 
-    def _walk_spans(self, entries: tuple, starts, level, best, highs, tops):
+    def _walk_spans(self, entries: tuple, starts, level, best, cols, tops):
         """_choose's walk of one level on spans: best, or the first cover
         of entries[s:] (s in starts) whose value strictly beats it.
 
@@ -317,33 +342,29 @@ class _Pass:
         incumbent.lo // w_hi, so only the other covers are summed and
         compared (improves).  A skip leaves the incumbent as it is, so
         the walk skips whole groups of such covers by the hi-end table
-        (_fill_highs): the rest of the level once tops[s] <= keep, a
-        block count k from s once highs[s][k] <= keep, and every cover
-        under a prefix of cuts whose blocks' hi ends plus the table's
-        bound on the rest come to at most keep, walking the cut
-        positions depth-first in lexicographic order.  A cover that
-        reads an undecided block has no bound, so it is never skipped:
-        it raises where it is reached, on an ExplicitFinite level once
+        cols: the rest of the level once tops[s] <= keep, a block count k
+        from s once cols[s][k] <= keep, and every cover under a prefix of
+        cuts whose blocks' hi ends plus the table's bound on the rest come
+        to at most keep, walking the cut positions depth-first in
+        lexicographic order.  A cover that reads an undecided block is
+        bounded by _UNBOUNDED, so it is never skipped: it raises where it
+        is reached, on an ExplicitFinite level once
         families.is_admissible has accepted it.  So the walk makes the
         comparisons, and raises the errors, of a walk of every cover."""
         _, family, weight = level
-        blocks, val, improves = self.blocks, self._val, self.improves
+        highs, val, improves = self.highs, self._val, self.improves
         end = len(entries)
         keep = best[0].lo // weight.hi
 
         def descend(x: int, left: int, prefix, bounds: tuple) -> None:
             # covers of entries[x:] by left slices, after the cuts bounds,
-            # whose blocks' hi ends sum to prefix (None past an undecided one)
+            # whose blocks' hi ends sum to prefix
             nonlocal best, keep
+            row = highs[x]
             for c in range(x + 1, end - left + 2):
-                v = blocks[x][c]
-                if prefix is None or not isinstance(v, Span):
-                    upto = None
-                else:
-                    upto = prefix + v.hi
-                    rest = highs[c][left - 1]
-                    if rest is not None and upto + rest <= keep:
-                        continue
+                upto = prefix + row[c]
+                if upto + cols[c][left - 1] <= keep:
+                    continue
                 if left > 2:
                     descend(c, left - 1, upto, bounds + (c,))
                     continue
@@ -362,13 +383,13 @@ class _Pass:
                     keep = cand.lo // weight.hi
 
         for s in starts:
-            if tops[s] is not None and tops[s] <= keep:
+            if tops[s] <= keep:
                 break
             first = entries[s][0]
             explicit = families.max_blocks(family, first) is None
             index = tuple(i for i, _ in entries) if explicit else None
             for k in range(2, min(end - s, families.part_bound(family, first)) + 1):
-                if highs[s][k] is None or highs[s][k] > keep:
+                if cols[s][k] > keep:
                     descend(s, k, 0, (s,))
         return best
 
@@ -445,7 +466,8 @@ def _fill(cols, cuts, s: int, end: int, rows: int, starting, maximise: bool) -> 
     (minimise); cuts[s][j] is the first cut of the first optimiser, the
     smallest on ties.  Reads the first slice's value entries[s:c] as
     starting[c] and cols[c][j - 1] for c > s; row 1, the slice
-    entries[c:end] itself, is the caller's."""
+    entries[c:end] itself, is the caller's.  Slice values are ints, or
+    on spans hi ends, where an _UNBOUNDED one makes its optima so."""
     col = cols[s]
     cut = cuts[s]
     for j in range(2, rows + 1):
@@ -464,36 +486,6 @@ def _fill(cols, cuts, s: int, end: int, rows: int, starting, maximise: bool) -> 
                     b, bc = v, c
         col.append(b)
         cut.append(bc)
-
-
-def _fill_highs(highs, s: int, end: int, starting, top):
-    """Column s of the hi-end table of entries[:end] on spans: _fill's
-    maximising recurrence over the hi ends of block values, so
-    highs[s][j] is the largest sum of block hi ends over covers of
-    entries[s:end] by exactly j slices, 2 <= j <= end - s, or None where
-    such a cover reads an undecided block.  Reads the first slice's
-    value entries[s:c] as starting[c] and highs[c][j - 1] for c > s; row
-    1, the hi end of entries[c:end] itself, is the caller's.  Returns the
-    bound over every cover from s on: the largest of top (the bound
-    from s + 1 on) and these rows, None if any of them is None."""
-    col = highs[s]
-    for j in range(2, end - s + 1):
-        b = 0
-        for c in range(s + 1, end - j + 2):
-            v = starting[c]
-            w = highs[c][j - 1]
-            if w is None or not isinstance(v, Span):
-                b = None
-                break
-            w += v.hi
-            if w > b:
-                b = w
-        col.append(b)
-        if b is None or top is None:
-            top = None
-        elif b > top:
-            top = b
-    return top
 
 
 def cover_branches(entries: tuple, levels, part):

@@ -167,12 +167,19 @@ Theta = Union[Fraction, SchlumprechtWeight]
 # so a few distinct (m, precision) pairs serve a whole session.
 _ENCLOSURES_KEPT = 256
 
+# Trial division stops below this prime bound, so a huge level costs at
+# most 2^16 divisions; what is left is enclosed whole.
+_TRIAL_DIVISION_BOUND = 1 << 16
+
 
 def _prime_factors(n: int) -> list:
-    """The prime factors of n >= 1 with multiplicity, ascending."""
+    """The factors of n >= 1 with multiplicity, ascending: its prime
+    factors below _TRIAL_DIVISION_BOUND, then the cofactor that has none,
+    if not 1.  The cofactor is prime whenever n < _TRIAL_DIVISION_BOUND^2,
+    so below that every factor is prime."""
     out = []
     p = 2
-    while p * p <= n:
+    while p * p <= n and p < _TRIAL_DIVISION_BOUND:
         while n % p == 0:
             out.append(p)
             n //= p
@@ -187,18 +194,22 @@ def _log2_enclosure(m: int, precision: int) -> IntervalScalar:
     """Certified enclosure of log2(m), width <= Omega(m) * 2^-precision,
     Omega(m) counting m's odd prime factors with multiplicity.
 
-    For m = 2^a * p_1 * ... * p_k (odd primes, k >= 2) the enclosure is a
-    plus the sum of the p_i's own enclosures at the same precision, the
-    power of two exact.  So equal reals built from the same primes get
-    identical enclosures (that of log2 9 is exactly twice that of
-    log2 3), and a tie between them is decided as a tie.  A power of two
-    is exact.  Otherwise (k = 1) log2(m) is extracted bit by bit in
-    integer fixed point: square the mantissa interval, emit 1 and halve
-    when the whole interval clears 2, emit 0 when it stays below.  A
-    straddle means the working precision cannot certify the bit; retry
-    wider.  Every emitted bit is a true bit of the binary expansion, so
-    the enclosure has exact dyadic endpoints and width 2^-precision; its
-    mantissa is that of p_1, so it equals a plus the enclosure of p_1.
+    For m = 2^a * p_1 * ... * p_k (k >= 2 odd factors from _prime_factors:
+    primes below 2^16 and at most one cofactor with no such prime) the
+    enclosure is a plus the sum of the p_i's own enclosures at the same
+    precision, the power of two exact.  So equal reals built from the
+    same factors get identical enclosures (that of log2 9 is exactly
+    twice that of log2 3), and a tie between them is decided as a tie;
+    odd parts below 2^32 factor into primes, so every tie between them
+    is.  A power of two is exact.  Otherwise (k = 1) log2(m) is extracted
+    bit by bit in integer fixed point: square the mantissa interval, emit
+    1 and halve when the whole interval clears 2, emit 0 when it stays
+    below.  A straddle means the working precision cannot certify the
+    bit; retry wider.  The working width is at least e = floor(log2 m),
+    so the mantissa m / 2^e fits it.  Every emitted bit is a true bit of
+    the binary expansion, so the enclosure has exact dyadic endpoints
+    and width 2^-precision; its mantissa is that of p_1, so it equals a
+    plus the enclosure of p_1.
 
     Results are kept in a bounded LRU cache keyed by (m, precision);
     tsinorm.clear_caches() empties it.
@@ -206,15 +217,15 @@ def _log2_enclosure(m: int, precision: int) -> IntervalScalar:
     if m < 2:
         raise ValueError("need m >= 2")
     twos = (m & -m).bit_length() - 1
-    odd_primes = _prime_factors(m >> twos)
-    if len(odd_primes) > 1:
-        return sum((_log2_enclosure(p, precision) for p in odd_primes),
+    odd_factors = _prime_factors(m >> twos)
+    if len(odd_factors) > 1:
+        return sum((_log2_enclosure(p, precision) for p in odd_factors),
                    IntervalScalar.point(twos))
     e = m.bit_length() - 1
     if m == 1 << e:
         q = Fraction(e)
         return IntervalScalar(q, q)
-    work = max(2 * precision, precision + 32)
+    work = max(2 * precision, precision + 32, e)
     for _attempt in range(16):
         lo = hi = m << (work - e)
         two = 1 << (work + 1)

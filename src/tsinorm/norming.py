@@ -446,13 +446,17 @@ def _maximal_keys(keys) -> frozenset:
     descending sum therefore only tests each key against those kept.
     Only a key whose support contains this one's can dominate it, so the
     kept keys are grouped by the bitmask of their indices and only the
-    groups whose mask contains the key's are tested.
+    groups whose mask contains the key's are tested.  An index's bit is
+    its position among the keys' indices, so a mask's size follows the
+    support, not the largest index.
     """
+    keys = sorted(keys, key=lambda k: sum(c for _, c in k), reverse=True)
+    bits = {i: 1 << n for n, i in enumerate(sorted({i for key in keys for i, _ in key}))}
     out, kept = [], {}  # kept: support mask -> dicts of the kept keys
-    for key in sorted(keys, key=lambda k: sum(c for _, c in k), reverse=True):
+    for key in keys:
         mask = 0
         for i, _ in key:
-            mask |= 1 << i
+            mask |= bits[i]
         if not _dominated(key, mask, kept):
             out.append(key)
             kept.setdefault(mask, []).append(dict(key))

@@ -259,6 +259,17 @@ class TestConfigFile:
         assert checked[0] == 1 and checked[1].startswith("certificate rejected:")
         assert peak < 4 * 2 ** 20
 
+    @pytest.mark.parametrize("level", [3 * 2 ** 300 - 1, 2 ** 200], ids=["wide", "unfactored"])
+    def test_huge_schlumprecht_level(self, capsys, tmp_path, level):
+        # log2(3 * 2^300) is wider than the default bit-extraction width;
+        # 2^200 + 1 keeps a 167-bit cofactor past the trial-division bound
+        doc = {"name": "huge",
+               "levels": [{"family": {"card_at_most": 2}, "theta": {"schlumprecht": level}}]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, ["norm", "mixed", "1:1 2:1", "--space", str(path)]) == (
+            0, "[1, 1]\n", "")
+
     def test_malformed_config(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

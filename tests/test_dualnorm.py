@@ -222,6 +222,16 @@ class TestCertificates:
         verify_dual_certificate(TS, x, cert)
         assert walked == [t.functional for t in cert.hull_terms]
 
+    @pytest.mark.parametrize("i", [10**6, 10**18 + 7])
+    def test_huge_indices(self, i):
+        # the closure's support masks follow the support size, not the
+        # largest index: a mask with bit 10^18 cannot be allocated
+        x = vec({i: 1, i + 1: Q(1, 2), i + 5: -2})
+        assert dual_norm_value(TS, x) == 3
+        value, cert = dual_norm(TS, x)
+        assert value == 3
+        verify_dual_certificate(TS, x, cert)
+
 
 DOC_TOKEN = re.compile(r"[()]|[^\s()]+")
 JUNK_TOKENS = ("0", "-1", "1/0", "x", "e\u00b2", "e0", "-e9", "(", ")")

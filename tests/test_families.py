@@ -138,6 +138,22 @@ class TestTheta:
         assert enc.width <= Q(len(_prime_factors(m)), 2 ** 10)
         assert log2_between(m, enc.lo, enc.hi)
 
+    def test_huge_mantissa_fits_the_working_width(self):
+        # log2 m = 301.58... is wider than the default working width
+        assert _log2_enclosure(3 * 2 ** 300, 64) == _log2_enclosure(3, 64) + 300
+
+    def test_trial_division_is_bounded(self):
+        # 65537 is past the trial-division bound, so its square is left
+        # whole; below 2^32 every factor is still prime
+        assert _prime_factors(3 * 65537 ** 2) == [3, 65537 ** 2]
+        assert _prime_factors(65521 * 65519 * 4) == [2, 2, 65519, 65521]
+        m = 2 ** 200 + 1
+        factors = _prime_factors(m)
+        assert factors[:-1] == [257, 1601, 25601] and factors[-1] * 257 * 1601 * 25601 == m
+        enc = _log2_enclosure(m, 8)
+        assert enc.width <= Q(len(factors), 2 ** 8)
+        assert log2_between(m, enc.lo, enc.hi)
+
     def test_high_precision_width(self):
         enc = schlumprecht_theta(2, 128)
         assert enc.width <= Q(1, 2 ** 128)

@@ -1,13 +1,17 @@
 """Source hygiene of the package, read with `ast` (no linter needed).
 
 Every imported name must be used, every module-level def or class
-must be referenced somewhere in the package, and only `families` reads
-a family's fields or tests its class.
+must be referenced somewhere in the package, only `families` reads
+a family's fields or tests its class, and `clear_caches` empties every
+cache a def of the package is decorated with.
 """
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import tsinorm
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tsinorm"
 SOURCES = {path.name: path.read_text(encoding="utf-8")
@@ -83,3 +87,40 @@ def test_only_families_reads_a_family(module):
             reads += [f"{module}:{sub.lineno} isinstance {name}"
                       for name in sorted(named & FAMILY_CLASSES)]
     assert reads == []
+
+
+def cached_definitions() -> list:
+    """(module, qualified name) of every def decorated with a functools
+    cache, in a module or a class body; a cache inside a function body
+    would be made per call, out of clear_caches' reach, and fails here."""
+    out = []
+    for module, tree in TREES.items():
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.FunctionDef) and any(
+                    used_names(d) & {"lru_cache", "cache"} for d in node.decorator_list)):
+                continue
+            names, up = [node.name], parents.get(node)
+            while up is not None:
+                assert not isinstance(up, ast.FunctionDef), f"{module}:{node.lineno} per call"
+                if isinstance(up, ast.ClassDef):
+                    names.insert(0, up.name)
+                up = parents.get(up)
+            out.append((module[:-3], ".".join(names)))
+    return out
+
+
+def test_clear_caches_empties_every_cache():
+    caches = {}
+    for module, qualname in cached_definitions():
+        cache = importlib.import_module(f"tsinorm.{module}")
+        for part in qualname.split("."):
+            cache = getattr(cache, part)
+        caches[f"{module}.{qualname}"] = cache
+    assert caches
+    x = tsinorm.parse_vector("2:1 3:-1/2 4:1")
+    tsinorm.mixed_norm(tsinorm.schlumprecht_spec(), x)
+    tsinorm.dual_norm_value(tsinorm.tsirelson_spec(), x)
+    assert {name for name, f in caches.items() if not f.cache_info().currsize} == set()
+    tsinorm.clear_caches()
+    assert {name for name, f in caches.items() if f.cache_info().currsize} == set()

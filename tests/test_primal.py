@@ -312,6 +312,10 @@ MIXED_INTERVAL = MixedSpaceSpec("mixed-interval", (
     Level(Schreier1(), SchlumprechtWeight(5)),
     Level(CardinalityAtMost(2), SchlumprechtWeight(2)),
     Level(ExplicitFinite(((2, 3), (3, 5, 8), (4, 6), (2, 5, 7, 9))), SchlumprechtWeight(3))))
+RATIONAL_AND_SYMBOLIC = MixedSpaceSpec("rational-and-symbolic", (
+    Level(Schreier1(), Q(1, 2)),
+    Level(CardinalityAtMost(3), SchlumprechtWeight(2)),
+    Level(ExplicitFinite(((2, 3), (3, 5, 8), (4, 6), (2, 5, 7, 9))), SchlumprechtWeight(4))))
 ORACLE_GRID = (Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(2), Q(-2), Q(3, 4), Q(5, 3))
 
 
@@ -393,6 +397,14 @@ class TestWindowPassOracle:
         # all at symbolic weights; each level wins some split at precision 64
         exhausted = self._interval_oracle(MIXED_INTERVAL, precision, cap,
                                           random.Random(7 * precision + cap))
+        assert exhausted == 0 or cap == 4
+
+    @pytest.mark.parametrize("precision,cap", [
+        (DEFAULT_THETA_PRECISION, PRECISION_CAP), (4, PRECISION_CAP), (4, 4)])
+    def test_rational_and_symbolic(self, precision, cap):
+        # a rational level on the interval route, beside two symbolic ones
+        exhausted = self._interval_oracle(RATIONAL_AND_SYMBOLIC, precision, cap,
+                                          random.Random(11 * precision + cap))
         assert exhausted == 0 or cap == 4
 
     @staticmethod
