@@ -89,13 +89,14 @@ from . import norming as _norming
 
 
 def clear_caches() -> None:
-    """Empty the package's three bounded caches: the maximal patterns per
-    (space, support, budget), the dual values per (space, |x|, budget)
-    and the weight enclosures per (m, precision).  No other state
-    outlives a call."""
+    """Empty the package's four bounded caches: the maximal patterns per
+    (space, support, budget), the dual values per (space, |x|, budget),
+    the weight enclosures per (m, precision) and those of m's odd factors
+    per (factor, precision).  No other state outlives a call."""
     _norming._maximal_patterns.cache_clear()
     _dualnorm._ball_value.cache_clear()
     _families._log2_enclosure.cache_clear()
+    _families._log2_bits.cache_clear()
 
 
 __all__ = [

@@ -35,8 +35,10 @@ rho_partition_upper, rho_chain and the parts of rho_with_splits_upper
 read levels from covers.iterates, one bottom-up window pass per level,
 minimising from the l1 norm; sigma_ell1_variant, their limit, is one
 fixpoint pass (covers.fixpoint).  falsify_ell1_variant values the limit
-at all its vectors, and then at each row of pair sums, in one shared
-pass each (covers.fixpoints), and runs its pair loop on integer codes.
+at all its vectors in one shared pass (covers.fixpoints), runs its pair
+loop on integer codes, and settles a pair by the l1 norm, which bounds
+the limit, wherever it can; only the pair sums of a row that no such
+bound settles are valued, in one more shared pass.
 verify_implicit_equation walks every admissible cover one by one
 (covers.cover_branches), because it reports the partition count and
 every violating branch.
@@ -623,12 +625,16 @@ def falsify_ell1_variant(spec: MixedSpaceSpec, N: int, G: Sequence,
     Entries are scaled to integers c / D, D the grid's common denominator
     (sigma is positively homogeneous), and a vector is coded as the
     signed-digit integer sum c_i * B^(i - 1) with B > 4 max |c|, so the
-    code of x + y is code(x) + code(y) and a pair costs one addition and
-    one dict read.  Sigma depends on |x| only; the sigmas of all vectors
-    are valued in one covers.fixpoints pass, and each outer row of the
-    pair loop values its sums not yet seen in one more, so an early
-    counterexample never pays for later rows.  Every sigma is an integer
-    in the one unit of those passes, D * Q^(N - 1) (covers._Pass).
+    code of x + y is code(x) + code(y).  Sigma depends on |x| only; the
+    sigmas of all vectors are valued in one covers.fixpoints pass.  The
+    recursion minimises from the l1 norm, so sigma(x + y) <= ||x + y||_1
+    <= ||x||_1 + ||y||_1, and a pair is settled by the first of these
+    bounds that is at most sigma(x) + sigma(y): the first costs one
+    addition, the second builds the sum.  Each outer row of the pair
+    loop values the sums that neither bound settles, and that have not
+    been seen, in one more pass, so an early counterexample never pays
+    for later rows.  Every sigma and l1 norm is an integer in the one
+    unit of those passes, D * Q^(N - 1) (covers._Pass).
     """
     levels = rational_levels(spec, "falsify_ell1_variant needs")
     if not 1 <= N <= _FALSIFIER_SUPPORT_CAP:
@@ -652,44 +658,50 @@ def falsify_ell1_variant(spec: MixedSpaceSpec, N: int, G: Sequence,
         return FinVec.from_items(
             {i + 1: Q(c, denom) for i, c in enumerate(dense) if c})
 
-    sigma: dict = {}  # code -> sigma in units of 1/unit, None when capped
+    def capped(dense) -> bool:
+        return N - dense.count(0) >= iteration_cap
+
+    sigma: dict = {}  # code -> sigma in units of 1/unit
     by_support: dict = {}  # |x| as sorted (index, |c|) pairs -> sigma
 
     def value(fresh: dict) -> int:
         """Fill sigma for every (code, dense vector) in fresh; the unit."""
         supports = {n: tuple((i + 1, abs(c)) for i, c in enumerate(dense) if c)
                     for n, dense in fresh.items()}
-        new = [s for s in dict.fromkeys(supports.values())
-               if len(s) < iteration_cap and s not in by_support]
+        new = [s for s in dict.fromkeys(supports.values()) if s not in by_support]
         got, unit = fixpoints(levels, new, denom, N)
         by_support.update(zip(new, got))
         for n, s in supports.items():
-            sigma[n] = by_support.get(s)
+            sigma[n] = by_support[s]
         return unit
 
-    codes = {code(combo): combo for combo in vectors}
+    codes = {code(combo): combo for combo in vectors if not capped(combo)}
+    cap_hits = len(vectors) - len(codes)
     unit = value(codes)
-    usable = []
-    cap_hits = 0
-    for n, combo in codes.items():
-        if sigma[n] is None:
-            cap_hits += 1
-        else:
-            usable.append((combo, n, sigma[n]))
+    scale = unit // denom
+    usable = [(combo, n, sigma[n], scale * sum(map(abs, combo)))
+              for n, combo in codes.items()]
 
     pairs_checked = 0
-    for a, (xa, cx, sx) in enumerate(usable):
-        row = usable[a:]
-        fresh = {cx + cy: tuple(map(operator.add, xa, yb))
-                 for yb, cy, _ in row if cx + cy not in sigma}
-        if fresh:
-            value(fresh)
-        for yb, cy, sy in row:
-            ssum = sigma[cx + cy]
-            if ssum is None:
+    for a, (xa, cx, sx, lx) in enumerate(usable):
+        # (pairs_checked, cap_hits, y, sigma y, code, x + y) at each pair
+        # that the l1 bounds leave open, in pair order
+        open_pairs = []
+        for yb, cy, sy, ly in usable[a:]:
+            if iteration_cap <= N and capped(tuple(map(operator.add, xa, yb))):
                 cap_hits += 1
                 continue
             pairs_checked += 1
+            if lx + ly <= sx + sy:
+                continue
+            dense = tuple(map(operator.add, xa, yb))
+            if scale * sum(map(abs, dense)) > sx + sy:
+                open_pairs.append((pairs_checked, cap_hits, yb, sy, cx + cy, dense))
+        fresh = {n: dense for *_, n, dense in open_pairs if n not in sigma}
+        if fresh:
+            value(fresh)
+        for checked, hits, yb, sy, n, _ in open_pairs:
+            ssum = sigma[n]
             if ssum > sx + sy:
                 xv, yv = to_vec(xa), to_vec(yb)
                 sx, sy, ssum = (Q(v, unit) for v in (sx, sy, ssum))
@@ -699,7 +711,7 @@ def falsify_ell1_variant(spec: MixedSpaceSpec, N: int, G: Sequence,
                         "internal consistency failure: falsifier witness "
                         "did not re-verify")
                 return FalsifierResult(
-                    "counterexample", pairs_checked, cap_hits,
+                    "counterexample", checked, hits,
                     FalsifierWitness(xv, yv, sx, sy, ssum))
     return FalsifierResult("exhausted", pairs_checked, cap_hits)
 

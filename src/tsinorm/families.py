@@ -194,40 +194,43 @@ def _log2_enclosure(m: int, precision: int) -> IntervalScalar:
     """Certified enclosure of log2(m), width <= Omega(m) * 2^-precision,
     Omega(m) counting m's odd prime factors with multiplicity.
 
-    For m = 2^a * p_1 * ... * p_k (k >= 2 odd factors from _prime_factors:
+    For m = 2^a * p_1 * ... * p_k (the odd factors from _prime_factors:
     primes below 2^16 and at most one cofactor with no such prime) the
-    enclosure is a plus the sum of the p_i's own enclosures at the same
-    precision, the power of two exact.  So equal reals built from the
+    enclosure is a plus the sum of the p_i's own enclosures (_log2_bits)
+    at the same precision, the power of two exact; m is factored once,
+    and each p_i is enclosed as given.  So equal reals built from the
     same factors get identical enclosures (that of log2 9 is exactly
-    twice that of log2 3), and a tie between them is decided as a tie;
-    odd parts below 2^32 factor into primes, so every tie between them
-    is.  A power of two is exact.  Otherwise (k = 1) log2(m) is extracted
-    bit by bit in integer fixed point: square the mantissa interval, emit
-    1 and halve when the whole interval clears 2, emit 0 when it stays
-    below.  A straddle means the working precision cannot certify the
-    bit; retry wider.  The working width is at least e = floor(log2 m),
-    so the mantissa m / 2^e fits it.  Every emitted bit is a true bit of
-    the binary expansion, so the enclosure has exact dyadic endpoints
-    and width 2^-precision; its mantissa is that of p_1, so it equals a
-    plus the enclosure of p_1.
+    twice that of log2 3, and that of log2 12 is 2 plus that of log2 3),
+    and a tie between them is decided as a tie; odd parts below 2^32
+    factor into primes, so every tie between them is.  A power of two is
+    exact.
 
-    Results are kept in a bounded LRU cache keyed by (m, precision);
-    tsinorm.clear_caches() empties it.
+    Results are kept in a bounded LRU cache keyed by (m, precision), and
+    the factors' enclosures in one keyed by (p_i, precision), so a factor
+    shared by many m is extracted once; tsinorm.clear_caches() empties
+    both.
     """
     if m < 2:
         raise ValueError("need m >= 2")
     twos = (m & -m).bit_length() - 1
-    odd_factors = _prime_factors(m >> twos)
-    if len(odd_factors) > 1:
-        return sum((_log2_enclosure(p, precision) for p in odd_factors),
-                   IntervalScalar.point(twos))
-    e = m.bit_length() - 1
-    if m == 1 << e:
-        q = Fraction(e)
-        return IntervalScalar(q, q)
+    return sum((_log2_bits(p, precision) for p in _prime_factors(m >> twos)),
+               IntervalScalar.point(twos))
+
+
+@functools.lru_cache(maxsize=_ENCLOSURES_KEPT)
+def _log2_bits(p: int, precision: int) -> IntervalScalar:
+    """Enclosure of log2(p) for odd p >= 3, extracted bit by bit in
+    integer fixed point: square the mantissa interval, emit 1 and halve
+    when the whole interval clears 2, emit 0 when it stays below.  A
+    straddle means the working precision cannot certify the bit; retry
+    wider.  The working width is at least e = floor(log2 p), so the
+    mantissa p / 2^e fits it.  Every emitted bit is a true bit of the
+    binary expansion, so the enclosure has exact dyadic endpoints and
+    width 2^-precision."""
+    e = p.bit_length() - 1
     work = max(2 * precision, precision + 32, e)
     for _attempt in range(16):
-        lo = hi = m << (work - e)
+        lo = hi = p << (work - e)
         two = 1 << (work + 1)
         bits = 0
         ok = True
@@ -247,7 +250,7 @@ def _log2_enclosure(m: int, precision: int) -> IntervalScalar:
             scale = 1 << precision
             return IntervalScalar(e + Fraction(bits, scale), e + Fraction(bits + 1, scale))
         work *= 2
-    raise PrecisionExhaustedError(f"log2({m}) bit extraction stalled at working width {work}")
+    raise PrecisionExhaustedError(f"log2({p}) bit extraction stalled at working width {work}")
 
 
 def schlumprecht_theta(l: int, precision: int = DEFAULT_THETA_PRECISION) -> IntervalScalar:

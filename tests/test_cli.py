@@ -390,11 +390,14 @@ class TestCheck:
         assert code == 0
         assert "PASS implicit-equation" in out
 
-    def test_falsify_exhausted(self, capsys):
-        code, out, _ = run(capsys, ["check", "ell1-falsify", "--support", "4",
-                                    "--entries", "1,-1"])
+    @pytest.mark.parametrize("support,entries,pairs", [
+        ("3", "1,-1", 351), ("3", "1,-1,1/2", 2016), ("3", "1,1/2,2", 2016),
+        ("4", "1,-1", 3240), ("4", "1,1/2", 3240), ("4", "1,2", 3240)])
+    def test_falsify_exhausted(self, capsys, support, entries, pairs):
+        code, out, _ = run(capsys, ["check", "ell1-falsify", "--support", support,
+                                    "--entries", entries])
         assert code == 0
-        assert out == "exhausted after 3240 pairs (cap hits: 0)\n"
+        assert out == f"exhausted after {pairs} pairs (cap hits: 0)\n"
 
     def test_falsify_counterexample(self, capsys):
         code, out, _ = run(capsys, ["check", "ell1-falsify", "--support", "5",

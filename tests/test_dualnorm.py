@@ -1,5 +1,6 @@
 """Dual norm via LP gauge, rho upper bounds, implicit equation, falsifier."""
 import functools
+import itertools
 import random
 import re
 from fractions import Fraction as Q
@@ -600,6 +601,18 @@ class TestIteratesOracle:
             for cap in range(1, m + 1):
                 assert sigma_ell1_variant(spec, x, iteration_cap=cap) == (brute[cap], False)
 
+    @pytest.mark.parametrize("name,seed", [("tsirelson", 131), ("card-demo", 132),
+                                           ("explicit", 133)])
+    def test_sigma_at_most_ell1(self, name, seed):
+        # the recursion minimises from the l1 norm, at every level; the
+        # falsifier's pair bounds rest on this
+        spec, _ = ORACLE_SPACES[name]
+        rng = random.Random(seed)
+        for _ in range(12):
+            x = random_vector(rng, range(1, 9))
+            for cap in range(1, len(x.support) + 2):
+                assert sigma_ell1_variant(spec, x, cap)[0] <= ell1_norm(x), (x.to_dict(), cap)
+
     def test_last_level_still_improves(self):
         # m points can improve up to level m - 1 (weight 2/3 > 1/2 lets
         # two points beat their l1 norm), and no further
@@ -684,6 +697,36 @@ class TestFalsifier:
                     reference_falsify(sigma, N, grid, cap), (N, grid, cap)
                 statuses.add((result.status, result.cap_hits > 0))
         assert len(statuses) >= 2
+
+    def test_l1_bounds_spare_every_pair_sum(self, monkeypatch):
+        # for N <= 4 every Tsirelson vector has sigma equal to its l1 norm,
+        # so the l1 bound settles every pair: only the 80 vectors are valued
+        given_supports = []
+        fixpoints = dualnorm.fixpoints
+
+        def counting(levels, supports, den, size):
+            given_supports.extend(supports)
+            return fixpoints(levels, supports, den, size)
+
+        monkeypatch.setattr(dualnorm, "fixpoints", counting)
+        result = falsify_ell1_variant(TS, 4, [Q(1), Q(1, 2)])
+        assert (result.status, result.pairs_checked, result.cap_hits) == ("exhausted", 3240, 0)
+        # entries over the common denominator 2
+        vectors = {tuple((i + 1, c) for i, c in enumerate(combo) if c)
+                   for combo in itertools.product((0, 1, 2), repeat=4) if any(combo)}
+        assert len(given_supports) == len(vectors) == 80
+        assert set(given_supports) == vectors
+
+    @pytest.mark.parametrize("N,grid,cap,status,pairs,cap_hits", [
+        (5, "1,-1", 32, "counterexample", 109, 0),
+        (5, "1,-1,1/2,-1/2", 32, "counterexample", 1282, 0),
+        (5, "1,-1,1/2", 3, "exhausted", 1650, 4833),
+        (6, "1,-1", 32, "counterexample", 244, 0),
+        (4, "1,-1,1/2,-1/2,2", 32, "exhausted", 839160, 0),
+    ])
+    def test_larger_searches_pinned(self, N, grid, cap, status, pairs, cap_hits):
+        result = falsify_ell1_variant(TS, N, [Q(g) for g in grid.split(",")], cap)
+        assert (result.status, result.pairs_checked, result.cap_hits) == (status, pairs, cap_hits)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

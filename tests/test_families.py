@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import log2_between
 from test_dualnorm import EDITS, mutate
-from tsinorm import primal
+from tsinorm import families, primal
 from tsinorm.core import (
     BlockPartition,
     IntervalScalar,
@@ -153,6 +153,19 @@ class TestTheta:
         enc = _log2_enclosure(m, 8)
         assert enc.width <= Q(len(factors), 2 ** 8)
         assert log2_between(m, enc.lo, enc.hi)
+
+    def test_fresh_enclosure_factors_once(self, monkeypatch):
+        # 2^200 + 2 = 2 * 3 * a 198-bit cofactor with no prime factor
+        # below the trial-division bound: each odd factor is enclosed as
+        # given, never factored again
+        calls = []
+        monkeypatch.setattr(families, "_prime_factors",
+                            lambda n: calls.append(n) or _prime_factors(n))
+        _log2_enclosure.cache_clear()
+        m = 2 ** 200 + 2
+        enc = _log2_enclosure(m, 64)
+        assert calls == [m >> 1]
+        assert enc.width <= Q(len(_prime_factors(m >> 1)), 2 ** 64)
 
     def test_high_precision_width(self):
         enc = schlumprecht_theta(2, 128)

@@ -576,7 +576,7 @@ def test_package_clear_caches_empties_every_memo():
             if hasattr(value, "cache_info") and value.__module__ == module.__name__:
                 caches[f"{info.name}.{name}"] = value
     assert set(caches) == {"norming._maximal_patterns", "dualnorm._ball_value",
-                           "families._log2_enclosure"}
+                           "families._log2_enclosure", "families._log2_bits"}
     assert all(f.cache_info().maxsize is not None for f in caches.values())
     assert all(f.cache_info().currsize for f in caches.values())
     tsinorm.clear_caches()
