@@ -87,7 +87,6 @@ from .families import (
     resolve_theta,
     spec_from_config,
     spec_to_config,
-    theta_is_rational,
 )
 # solve is not called here; the benchmark's tracing test reads it through
 # this module, as it reads the witness parser through _sexpr_nodes.
@@ -404,10 +403,6 @@ def dual_norm_bounds(spec: MixedSpaceSpec, x: FinVec,
     lo_levels = []
     hi_levels = []
     for lev in spec.levels:
-        if theta_is_rational(lev.theta):
-            lo_levels.append(lev)
-            hi_levels.append(lev)
-            continue
         enc = resolve_theta(lev.theta, precision)
         if not (0 < enc.lo and enc.hi < 1):
             raise PrecisionExhaustedError(

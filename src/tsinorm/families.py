@@ -369,18 +369,17 @@ def _covers(a: AdmissibilityFamily, b: AdmissibilityFamily, S: tuple) -> bool:
     The subset quantifier matters: the norm recursion partitions
     sub-supports too, so a level may only be dropped if it is redundant
     on all of them.  Blocks starting at support point S[i] (0-based) can
-    have at most N-i parts, which bounds the reachable block counts.
+    have at most N-i parts, which bounds the reachable block counts; a
+    family that max_blocks leaves unbounded is covered only by itself.
     """
     N = len(S)
-    if isinstance(a, CardinalityAtMost) and isinstance(b, CardinalityAtMost):
-        return min(a.n, N) <= b.n
-    if isinstance(a, CardinalityAtMost) and isinstance(b, Schreier1):
-        return all(min(a.n, N - i) <= S[i] for i in range(N))
-    if isinstance(a, Schreier1) and isinstance(b, CardinalityAtMost):
-        return all(min(S[i], N - i) <= b.n for i in range(N))
-    if isinstance(a, Schreier1) and isinstance(b, Schreier1):
-        return True
-    return a == b
+    for i, s in enumerate(S):
+        cap_a, cap_b = max_blocks(a, s), max_blocks(b, s)
+        if cap_a is None or cap_b is None:
+            return a == b
+        if min(cap_a, N - i) > cap_b:
+            return False
+    return True
 
 
 def _theta_ge(tb: Theta, ta: Theta) -> bool:

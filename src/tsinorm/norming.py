@@ -55,7 +55,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -386,10 +387,8 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
             unit *= factor
         listing = sorted(F)
         minima = [key[0][0] for key in listing]
-        # later[pos]: some frontier key sits at or after listing[pos]
-        later = [False] * (len(listing) + 1)
-        for pos in range(len(listing) - 1, -1, -1):
-            later[pos] = later[pos + 1] or listing[pos] in frontier
+        # a frontier key sits at or after listing[pos] iff pos <= last
+        last = bisect_left(listing, max(frontier))
         new: dict = {}
 
         def emit(parts, has_frontier):
@@ -415,7 +414,7 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
 
         def extend(parts, last_max, has_frontier):
             start = bisect_right(minima, last_max)
-            if not has_frontier and not later[start]:
+            if not has_frontier and start > last:
                 return  # no tuple below here has a frontier part
             k = len(parts)
             if k >= min_emit:
@@ -762,7 +761,8 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
     exactly, with admissible successive children at every node, supports
     inside the window, and no duplicate coefficient vectors.  The window
     must be the largest index in the lines and the generation the depth
-    of the deepest tree, as in every set this module builds.
+    of the deepest tree, as in every set this module builds.  A stabilized
+    set must list all 2^s sign variants of each functional of s entries.
     """
     header = {}
     stabilized = None
@@ -835,6 +835,10 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
     if generation != depth:
         raise TsinormError(
             f"header generation {generation} differs from the deepest tree's depth {depth}")
+    # the lines are distinct, so a class of 2^s lines holds every sign variant
+    classes = Counter(f.coeffs.abs() for f in funcs) if stabilized else {}
+    if any(n != 2 ** len(rep.entries) for rep, n in classes.items()):
+        raise TsinormError("stabilized=true export lacks a sign variant of some functional")
     return NormingSet(spec, window, tuple(funcs), generation, stabilized)
 
 

@@ -27,7 +27,7 @@ from frozen_values import (
     RHO_CHAIN_E345,
     ones,
 )
-from oracles import oracle_lp_solve
+from oracles import brute_mixed_norm, oracle_lp_solve
 from tsinorm import (
     CardinalityAtMost,
     Constraint,
@@ -313,8 +313,16 @@ class TestAC08:
     a genuinely mixed space passes the dual fixed-point check."""
 
     def test_tsirelson_mixed_equals_fj_full_corpus(self):
+        # fj_norm is mixed_norm on the tsirelson preset, so both are
+        # checked against the brute-force recursion, valued once per
+        # absolute pattern
+        expected = {}
+        for combo in itertools.product(ABS_ENTRIES, repeat=6):
+            x = vec(combo)
+            expected[x.entries] = brute_mixed_norm(x.to_dict())
+            assert fj_norm(x)[0] == expected[x.entries]
         for x in signed_corpus():
-            assert mixed_norm(TS, x)[0] == fj_norm(x)[0]
+            assert mixed_norm(TS, x)[0] == expected[x.abs().entries]
 
     def test_schlumprecht_enclosure(self):
         value, cert = mixed_norm(schlumprecht_spec(), parse_vector("1:1 2:1 3:1"))

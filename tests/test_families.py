@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import re
 from fractions import Fraction as Q
 
@@ -348,3 +349,31 @@ class TestLevelsNeeded:
             for lv in left_out:
                 assert any(_theta_ge(theta, lv.theta) and _covers(lv.family, family, support)
                            for _, family, theta in kept)
+
+    def test_dropped_levels_admit_nothing_a_kept_one_refuses(self):
+        # checked partition by partition through is_admissible, not by
+        # _covers: every partition into 2 or more successive blocks of
+        # every nonempty subset of the support that a left-out level
+        # admits, a kept level of no smaller weight admits too
+        rng = random.Random(20261020)
+        fams = (Schreier1(), CardinalityAtMost(1), CardinalityAtMost(2), CardinalityAtMost(3),
+                CardinalityAtMost(5), ExplicitFinite(((2, 3), (3, 5, 8), (4, 6), (2, 5, 7, 9))),
+                ExplicitFinite(((1, 4), (2, 4, 6))))
+        thetas = (Q(1, 2), Q(1, 3), Q(2, 3), SchlumprechtWeight(2), SchlumprechtWeight(3),
+                  SchlumprechtWeight(7))
+        dropped = 0
+        for _ in range(300):
+            levels = [Level(rng.choice(fams), rng.choice(thetas))
+                      for _ in range(rng.randint(1, 3))]
+            support = tuple(sorted(rng.sample(range(1, 7), rng.randint(1, 6))))
+            kept = levels_needed(MixedSpaceSpec("random", levels), support)
+            indices = {i for i, _, _ in kept}
+            partitions = [P for size in range(2, len(support) + 1)
+                          for T in itertools.combinations(support, size)
+                          for k in range(2, size + 1) for P in enumerate_partitions(T, k)]
+            for lv in (lv for i, lv in enumerate(levels) if i not in indices):
+                dropped += 1
+                assert any(_theta_ge(theta, lv.theta) and all(
+                    is_admissible(family, P) for P in partitions if is_admissible(lv.family, P))
+                    for _, family, theta in kept), (levels, support)
+        assert dropped > 50

@@ -2,8 +2,9 @@
 
 Every imported name must be used, every module-level def or class
 must be referenced somewhere in the package, only `families` reads
-a family's fields or tests its class, and `clear_caches` empties every
-cache a def of the package is decorated with.
+a family's fields or tests its class (and tests it only in `max_blocks`
+and the config functions), and `clear_caches` empties every cache a
+def of the package is decorated with.
 """
 import ast
 import importlib
@@ -73,20 +74,32 @@ def test_every_module_level_definition_is_referenced():
 FAMILY_CLASSES = {"Schreier1", "CardinalityAtMost", "ExplicitFinite"}
 
 
+def class_tests(module, node) -> list:
+    """Each isinstance call under `node` that names a family class."""
+    return [f"{module}:{sub.lineno} isinstance {name}"
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+            and sub.func.id == "isinstance" and len(sub.args) == 2
+            for name in sorted(used_names(sub.args[1]) & FAMILY_CLASSES)]
+
+
 @pytest.mark.parametrize("module", sorted(set(SOURCES) - {"families.py"}))
 def test_only_families_reads_a_family(module):
     # a family's own fields and its class are read through families'
     # functions (max_blocks, part_bound, is_admissible) everywhere else
-    reads = []
-    for sub in ast.walk(TREES[module]):
-        if isinstance(sub, ast.Attribute) and sub.attr in ("sets", "_top"):
-            reads.append(f"{module}:{sub.lineno} .{sub.attr}")
-        elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) \
-                and sub.func.id == "isinstance" and len(sub.args) == 2:
-            named = used_names(sub.args[1])
-            reads += [f"{module}:{sub.lineno} isinstance {name}"
-                      for name in sorted(named & FAMILY_CLASSES)]
-    assert reads == []
+    reads = [f"{module}:{sub.lineno} .{sub.attr}" for sub in ast.walk(TREES[module])
+             if isinstance(sub, ast.Attribute) and sub.attr in ("sets", "_top")]
+    assert reads + class_tests(module, TREES[module]) == []
+
+
+def test_families_tests_a_class_only_where_it_must():
+    # every other question about a family goes through max_blocks (or
+    # the listed sets of an unbounded one), so a new bounded family is
+    # described by its max_blocks case alone
+    allowed = {"max_blocks", "spec_to_config", "spec_from_config"}
+    assert [read for stmt in TREES["families.py"].body
+            if getattr(stmt, "name", None) not in allowed
+            for read in class_tests("families.py", stmt)] == []
 
 
 def cached_definitions() -> list:

@@ -509,6 +509,19 @@ class TestExportImport:
         with pytest.raises(TsinormError):
             import_norming_set(bad, TS)
 
+    def test_stabilized_set_missing_sign_variants_rejected(self):
+        # the nonnegative lines alone would make tau(-x) negative
+        lines = export_norming_set(build_norming_set(TS, 4)).splitlines(True)
+        header = [line for line in lines if line.startswith("#")]
+        kept = [line for line in lines if not line.startswith("#") and "-" not in line]
+        assert len(lines) - len(header) == 36 and len(kept) == 9
+        header[0] = header[0].replace("count=36", "count=9")
+        text = "".join(header + kept)
+        with pytest.raises(TsinormError, match="sign variant"):
+            import_norming_set(text, TS)
+        back = import_norming_set(text.replace("stabilized=true", "stabilized=false"), TS)
+        assert tau(back, vec({1: -1, 2: -1, 3: -1, 4: -1})) == -1
+
     @staticmethod
     def one_part_chain(depth):
         """A window-1 set holding (1/2)^depth e1 as a one-part chain."""
