@@ -49,6 +49,17 @@ route keeps the first optimum in enumeration order (level, start,
 block count, then cut positions lexicographically), so their
 witnesses agree; _Pass._choose walks that order for all of them.
 
+A rational cover of entries[s:b] reads windows inside it only, so its
+value does not depend on the window start a <= s it is scored for.  A
+maximising column therefore keeps a running first optimum per level
+over the starts already visited, and each window scores only the
+covers from its own start, merging them in with a tie going to that
+start, which comes first.  Minimising passes read one start anyway.
+Interval values keep the walk over every start: whether a certified
+comparison raises, and so the precision-doubling schedule and the text
+of an undecided comparison, depends on the incumbent it meets, which is
+the window's own.
+
 The families functions are called through their module, so a wrapper
 bound over the module attribute sees every call.
 """
@@ -267,6 +278,9 @@ class _Pass:
         cols = [[None, None] for _ in range(b)]
         cuts = [[None, None] for _ in range(b)]
         tops = [0] * b if spans else None
+        # maximising on rational levels: per level, the first optimum over
+        # the covers from the starts after a (_choose)
+        running = [None] * len(self.levels) if maximise and not spans else None
         leaf, pos = head[b - 1][1], b - 1  # a one-point window is its leaf
         value[pos][b] = one = settle(point(leaf))
         if spans:
@@ -283,8 +297,8 @@ class _Pass:
                 leaf, pos = head[a][1], a
             try:
                 cand, level, bounds = self._choose(
-                    head, range(a, b) if maximise else (a,), cols, cuts,
-                    point(leaf if prev is None else prev[a][b]), tops)
+                    head, a, cols, cuts, point(leaf if prev is None else prev[a][b]), tops,
+                    running)
                 value[a][b] = v = settle(cand)
                 if spans:
                     highs[a][b] = v.hi
@@ -293,43 +307,72 @@ class _Pass:
                 value[a][b] = exc
             cols[a][1] = firsts[a][b]
 
-    def _choose(self, entries: tuple, starts, cols, cuts, incumbent, tops):
+    def _choose(self, entries: tuple, a: int, cols, cuts, incumbent, tops, running):
         """The first optimum strictly better than incumbent over covers of
-        entries[s:] for s in starts, in the order level, start, block
-        count, cut positions: (value, level, bounds), or (incumbent, None,
-        None).  A cover's value is its level's weight times the sum
-        (maximise) or the max of its block values.  Levels with caps read
-        the suffix table (cols, cuts); the others are walked cover by
-        cover (_admissible_covers).  On spans cols is the hi-end table and
-        tops[s] its bound over every cover from s on: a level whose weight
-        times that bound at the first start cannot beat the incumbent is
-        skipped, and the others go to _walk_spans."""
+        entries[s:], s >= a when maximising and s = a when minimising, in
+        the order level, start, block count, cut positions: (value, level,
+        bounds), or (incumbent, None, None).  A cover's value is its
+        level's weight times the sum (maximise) or the max of its block
+        values.  Levels with caps read the suffix table (cols, cuts); the
+        others are walked cover by cover (_admissible_covers).
+
+        A rational candidate from s depends on s and the right end only,
+        not on a, so only the covers from a are scored here: running[n]
+        holds level n's first optimum over the starts after a, as
+        (candidate, bounds), or (candidate, (start, block count)) on the
+        suffix table, whose cuts give the bounds of a winner.  The
+        optimum from a replaces it unless the running one is strictly
+        better (a comes first), and the result is kept for the next
+        window.  A level then replaces the incumbent only when strictly
+        better, which gives the first optimum of the whole order.
+
+        On spans cols is the hi-end table and tops[s] its bound over
+        every cover from s on: a level whose weight times that bound at a
+        cannot beat the incumbent is skipped, and the others go to
+        _walk_spans over every start.  The span route keeps that full
+        walk: a certified comparison can raise, and its sequence sets the
+        precision-doubling schedule, so it must compare each cover against
+        the incumbent of a walk in order."""
         end = len(entries)
-        improves, maximise, val, spans = self.improves, self.maximise, self._val, self.spans
+        improves, maximise, val = self.improves, self.maximise, self._val
         best = (incumbent, None, None)
-        for level, cs in zip(self.levels, self.caps):
-            weight = level[2]
-            if spans:
-                if tops[starts[0]] * weight.hi > best[0].lo:
+        if self.spans:
+            starts = range(a, end)
+            for level in self.levels:
+                if tops[a] * level[2].hi > best[0].lo:
                     best = self._walk_spans(entries, starts, level, best, cols, tops)
-                continue
+            return best
+        pick = max if maximise else min  # the first optimum, as improves keeps
+        read_cuts = False
+        for n, (level, cs) in enumerate(zip(self.levels, self.caps)):
+            weight = level[2]
+            here = None  # the first optimum over the covers from a
             if cs is None:
-                for s in starts:
-                    for _, bounds in _admissible_covers(entries, (level,), s):
-                        values = [val(a, b) for a, b in zip(bounds, bounds[1:])]
-                        cand = weight * (sum(values[1:], values[0]) if maximise else max(values))
-                        if improves(cand, best[0]):
-                            best = (cand, level, bounds)
-                continue
-            for s in starts:
-                col = cols[s]
-                for k in range(2, min(end - s, cs[s]) + 1):
-                    cand = weight * col[k]
-                    if improves(cand, best[0]):
-                        bounds = [s]
-                        for j in range(k, 1, -1):
-                            bounds.append(cuts[bounds[-1]][j])
-                        best = (cand, level, tuple(bounds) + (end,))
+                for _, bounds in _admissible_covers(entries, (level,), a):
+                    values = [val(s, t) for s, t in zip(bounds, bounds[1:])]
+                    cand = weight * (sum(values[1:], values[0]) if maximise else max(values))
+                    if here is None or improves(cand, here[0]):
+                        here = (cand, bounds)
+            else:
+                top = min(end - a, cs[a])
+                if top >= 2:
+                    col = cols[a]
+                    k = 2 if top == 2 else pick(range(2, top + 1), key=col.__getitem__)
+                    here = (weight * col[k], (a, k))  # its bounds are read if it wins
+            if maximise:
+                later = running[n]
+                if here is None or later is not None and improves(later[0], here[0]):
+                    here = later
+                else:
+                    running[n] = here
+            if here is not None and improves(here[0], best[0]):
+                best, read_cuts = (here[0], level, here[1]), cs is not None
+        if read_cuts:
+            cand, level, (s, k) = best
+            bounds = [s]
+            for j in range(k, 1, -1):
+                bounds.append(cuts[bounds[-1]][j])
+            best = (cand, level, tuple(bounds) + (end,))
         return best
 
     def _walk_spans(self, entries: tuple, starts, level, best, cols, tops):
@@ -382,15 +425,18 @@ class _Pass:
                     best = (cand, level, cover)
                     keep = cand.lo // weight.hi
 
-        for s in starts:
-            if tops[s] <= keep:
-                break
-            first = entries[s][0]
-            explicit = families.max_blocks(family, first) is None
-            index = tuple(i for i, _ in entries) if explicit else None
-            for k in range(2, min(end - s, families.part_bound(family, first)) + 1):
-                if cols[s][k] > keep:
-                    descend(s, k, 0, (s,))
+        try:
+            for s in starts:
+                if tops[s] <= keep:
+                    break
+                first = entries[s][0]
+                explicit = families.max_blocks(family, first) is None
+                index = tuple(i for i, _ in entries) if explicit else None
+                for k in range(2, min(end - s, families.part_bound(family, first)) + 1):
+                    if cols[s][k] > keep:
+                        descend(s, k, 0, (s,))
+        finally:
+            del descend  # it calls itself through its closure: no cycle outlives the walk
         return best
 
 

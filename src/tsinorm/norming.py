@@ -426,7 +426,10 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
                 extend(parts + [key], key[-1][0],
                        has_frontier or key in frontier)
 
-        extend([], 0, False)
+        try:
+            extend([], 0, False)
+        finally:
+            del extend  # it calls itself through its closure: no cycle outlives the round
         if not new:
             frontier = frozenset()
             break
@@ -762,7 +765,10 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
     inside the window, and no duplicate coefficient vectors.  The window
     must be the largest index in the lines and the generation the depth
     of the deepest tree, as in every set this module builds.  A stabilized
-    set must list all 2^s sign variants of each functional of s entries.
+    set must list all 2^s sign variants of each functional of s entries,
+    and its classes must be the maximal ones that build_norming_set finds
+    on [1, window] (within the default budget), none missing and none
+    extra.
     """
     header = {}
     stabilized = None
@@ -839,6 +845,16 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
     classes = Counter(f.coeffs.abs() for f in funcs) if stabilized else {}
     if any(n != 2 ** len(rep.entries) for rep, n in classes.items()):
         raise TsinormError("stabilized=true export lacks a sign variant of some functional")
+    if stabilized:
+        # a stabilized set holds exactly the maximal classes on its window
+        pairs, unit = _maximal(spec, range(1, window + 1), DEFAULT_NORMING_BUDGET,
+                               f"norming set on window [1, {window}]")
+        built = {tuple((i, Q(c, unit)) for i, c in key) for key, _ in pairs}
+        given = {rep.entries for rep in classes}
+        if given != built:
+            raise TsinormError(
+                f"stabilized=true export does not hold the maximal classes on window "
+                f"[1, {window}]: {len(built - given)} missing, {len(given - built)} extra")
     return NormingSet(spec, window, tuple(funcs), generation, stabilized)
 
 

@@ -125,22 +125,22 @@ def _certificate(entries: tuple, kept: tuple) -> PrimalCertificate:
     pass over their windows (covers.best_windows); kept are (index,
     family, theta) with theta the weight the certificate records, a
     Fraction or an IntervalScalar enclosure."""
-    table = best_windows(entries, kept)
-    thetas = {i: theta for i, _, theta in kept}
+    return _tree(best_windows(entries, kept), entries,
+                 {i: theta for i, _, theta in kept}, 0, len(entries))
 
-    def build(a: int, b: int) -> PrimalCertificate:
-        value = table.scalar(a, b)
-        c = table.choice[a][b]
-        if isinstance(c, int):
-            return PrimalCertificate(value, Leaf(entries[c][0]))
-        (index, _, _), bounds = c
-        spans = tuple(zip(bounds, bounds[1:]))
-        return PrimalCertificate(value, Split(
-            index, thetas[index],
-            BlockPartition(tuple(tuple(i for i, _ in entries[s:t]) for s, t in spans)),
-            tuple(build(s, t) for s, t in spans)))
 
-    return build(0, len(entries))
+def _tree(table, entries: tuple, thetas: dict, a: int, b: int) -> PrimalCertificate:
+    """The certificate of window entries[a:b] from the pass's choices."""
+    value = table.scalar(a, b)
+    c = table.choice[a][b]
+    if isinstance(c, int):
+        return PrimalCertificate(value, Leaf(entries[c][0]))
+    (index, _, _), bounds = c
+    spans = tuple(zip(bounds, bounds[1:]))
+    return PrimalCertificate(value, Split(
+        index, thetas[index],
+        BlockPartition(tuple(tuple(i for i, _ in entries[s:t]) for s, t in spans)),
+        tuple(_tree(table, entries, thetas, s, t) for s, t in spans)))
 
 
 def mixed_norm(spec: MixedSpaceSpec, x: FinVec, *,

@@ -672,6 +672,11 @@ def brute_mixed_norm_interval(x: Vec, levels) -> tuple[Q, Q]:
 # ---------------------------------------------------------------------------
 # the memoised top-down recursion that the bottom-up window pass replaced
 
+# the most blocks a level admits from a first index, for the kinds that
+# bound the block count alone
+_BLOCK_CAP = {"schreier": lambda param, first: first, "card": lambda param, first: param}
+
+
 class Undecided(Exception):
     """Two interval branch values overlap without being identical."""
 
@@ -730,9 +735,8 @@ def _memo_window(entries: tuple, levels: tuple, memo: dict, interval: bool) -> t
             values[(a, b)] = _memo_window(entries[a:b], levels, memo, interval)[0]
         return values[(a, b)]
 
-    bound = {"schreier": lambda param, first: first, "card": lambda param, first: param}
-    caps = [None if interval or kind not in bound
-            else [min(m - s, bound[kind](param, entries[s][0])) for s in range(m)]
+    caps = [None if interval or kind not in _BLOCK_CAP
+            else [min(m - s, _BLOCK_CAP[kind](param, entries[s][0])) for s in range(m)]
             for kind, param, _ in levels]
     kcap = max((c for cs in caps if cs is not None for c in cs), default=0)
     if m >= 2 and kcap >= 2:
@@ -794,3 +798,62 @@ def _memo_suffix_table(m: int, kcap: int, part):
                 if best[j][a] is None or v > best[j][a]:
                     best[j][a], cut[j][a] = v, c
     return best, cut
+
+
+# ---------------------------------------------------------------------------
+# an upper bound from a window table, with no witness and no tie rule
+
+def check_upper(x: Vec, table, levels) -> bool:
+    """Whether the window table proves ||x|| <= table[0][m] from above.
+
+    With p_1 < ... < p_m the support of x, table[a][b] (0 <= a < b <= m)
+    is a Fraction claimed to bound the norm of x on p_(a+1), ..., p_b.
+    Levels are "schreier" or "card" levels, every level of the space and
+    not only those a vector needs; of a (lo, hi) weight only hi is read.
+    The table proves the bound if:
+
+    1. table[a][a + 1] >= |x(p_(a+1))|;
+    2. it is monotone: table[a][b] >= table[a + 1][b] and table[a][b - 1];
+    3. theta_hi * (the best sum of table over r consecutive slices of
+       [a, b)) <= table[a][b] for every level and every r from 2 to
+       min(the level's block cap at p_(a+1), b - a).
+
+    By induction on n, the level-n approximant of every window is at
+    most its table value.  An admissible cover of a window, cut down to
+    the support, is r blocks from some first point p_(s+1), s >= a, and
+    r <= cap(min E_1) <= cap(p_(s+1)), as no cap decreases with the
+    index.  Each block lies in one of r consecutive slices of [s, b), so
+    rules 2 and 3 at [s, b) bound the cover's value (r = 1 too, as
+    theta < 1).  No comparison needs certifying: an upper end of each
+    weight suffices.
+    """
+    entries = sorted((i, abs(c)) for i, c in x.items())
+    m = len(entries)
+    if any(table[a][a + 1] < c for a, (_, c) in enumerate(entries)):
+        return False
+    if any(table[a][b] < table[a + 1][b] or table[a][b] < table[a][b - 1]
+           for a in range(m) for b in range(a + 2, m + 1)):
+        return False
+    if any(kind not in _BLOCK_CAP for kind, _, _ in levels):
+        raise ValueError("check_upper takes schreier and card levels only")
+    caps = [[_BLOCK_CAP[kind](param, i) for i, _ in entries] for kind, param, _ in levels]
+    his = [theta[1] if isinstance(theta, tuple) else theta for _, _, theta in levels]
+    most = max((max(cs) for cs in caps), default=1)
+    den = math.lcm(*(table[a][b].denominator for a in range(m) for b in range(a + 1, m + 1)))
+    V = [[None] * (a + 1) + [table[a][b].numerator * (den // table[a][b].denominator)
+                             for b in range(a + 1, m + 1)] for a in range(m)]
+    for b in range(2, m + 1):
+        # best[s][r]: the largest sum of V over r consecutive slices of [s, b)
+        best = [None] * b
+        for s in range(b - 1, -1, -1):
+            row = [None, V[s][b]]
+            for r in range(2, min(most, b - s) + 1):
+                row.append(max(V[s][c] + best[c][r - 1] for c in range(s + 1, b - r + 2)))
+            best[s] = row
+        for a in range(b - 1):
+            upto = list(itertools.accumulate(best[a][2:], max))  # upto[r - 2]: 2..r slices
+            for cs, hi in zip(caps, his):
+                r = min(cs[a], b - a)
+                if r >= 2 and hi.numerator * upto[r - 2] > hi.denominator * V[a][b]:
+                    return False
+    return True

@@ -522,6 +522,24 @@ class TestExportImport:
         back = import_norming_set(text.replace("stabilized=true", "stabilized=false"), TS)
         assert tau(back, vec({1: -1, 2: -1, 3: -1, 4: -1})) == -1
 
+    @pytest.mark.parametrize("drop, add, message", [
+        (("e1\t1:1\n", "-e1\t1:-1\n"), (), "1 missing, 0 extra"),
+        ((), ("(1/2 e1)\t1:1/2\n", "(1/2 -e1)\t1:-1/2\n"), "0 missing, 1 extra"),
+    ], ids=["whole-sign-class-missing", "dominated-class-added"])
+    def test_stabilized_set_must_hold_the_maximal_classes(self, drop, add, message):
+        # every class is complete in its signs, so only the maximal
+        # classes of the window tell that tau would be wrong: without
+        # the class of e1, tau(e1) would read 0 where the norm is 1
+        lines = export_norming_set(build_norming_set(TS, 4)).splitlines(True)
+        assert all(line in lines for line in drop)
+        body = [line for line in lines[2:] if line not in drop] + list(add)
+        header = lines[0].replace("count=36", f"count={len(body)}")
+        text = "".join([header, lines[1]] + body)
+        with pytest.raises(TsinormError, match=re.escape(message)):
+            import_norming_set(text, TS)
+        back = import_norming_set(text.replace("stabilized=true", "stabilized=false"), TS)
+        assert back.cardinality == len(body)
+
     @staticmethod
     def one_part_chain(depth):
         """A window-1 set holding (1/2)^depth e1 as a one-part chain."""

@@ -28,7 +28,7 @@ from tsinorm.families import (
     schlumprecht_spec,
     tsirelson_spec,
 )
-from tsinorm.covers import Span, _improves
+from tsinorm.covers import Span, _improves, best_windows
 from tsinorm.primal import (
     Leaf,
     PrimalCertificate,
@@ -55,6 +55,7 @@ from oracles import (
     brute_block_norm,
     brute_block_norm_level,
     brute_mixed_norm,
+    check_upper,
     memo_mixed_norm,
 )
 
@@ -308,6 +309,10 @@ EXPLICIT = MixedSpaceSpec("explicit-mix", (
     Level(ExplicitFinite(((2, 3), (3, 5, 8), (4, 6), (2, 5, 7, 9), (5, 6, 7))), Q(2, 3)),
     Level(CardinalityAtMost(2), Q(1, 2)),
     Level(ExplicitFinite(((1, 4), (2, 4, 6))), Q(3, 4))))
+EXPLICIT_MANY = MixedSpaceSpec("explicit-many", (
+    Level(ExplicitFinite(((1, 3, 5, 7), (2, 4, 6, 8, 10), (3, 6, 9, 12), (5, 6, 7, 8, 9, 10),
+                          (4, 8, 12, 16))), Q(1, 2)),
+    Level(CardinalityAtMost(2), Q(1, 3))))
 MIXED_INTERVAL = MixedSpaceSpec("mixed-interval", (
     Level(Schreier1(), SchlumprechtWeight(5)),
     Level(CardinalityAtMost(2), SchlumprechtWeight(2)),
@@ -371,13 +376,20 @@ class TestWindowPassOracle:
 
     @pytest.mark.parametrize("spec,max_points,seed", [
         (tsirelson_spec(), 18, 101), (CARD_DEMO, 10, 102), (CARD_MIX, 10, 103),
-        (EXPLICIT, 8, 104)])
+        (EXPLICIT, 8, 104), (EXPLICIT_MANY, 12, 105)])
     def test_exact_spaces(self, spec, max_points, seed):
         rng = random.Random(seed)
         for n in range(1, max_points + 1):
-            for _ in range(2):
-                idx = rng.sample(range(1, max_points + 7), n)
-                x = vec({i: rng.choice(ORACLE_GRID) for i in idx})
+            vectors = [vec({i: rng.choice(ORACLE_GRID)
+                            for i in rng.sample(range(1, max_points + 7), n)})
+                       for _ in range(2)]
+            # equal block values tie across starts, block counts and
+            # levels, and the first optimum must win each tie
+            start = rng.randint(1, 6)
+            pair = rng.sample(ORACLE_GRID[::2], 2)
+            vectors += [vec(ones(*range(start, start + n))),
+                        vec({i: rng.choice(pair) for i in rng.sample(range(1, max_points + 7), n)})]
+            for x in vectors:
                 levels, indices = _oracle_levels(spec, x)
                 value, cert = mixed_norm(spec, x)
                 assert _as_oracle(cert, indices) == memo_mixed_norm(x.to_dict(), levels), str(x)
@@ -443,6 +455,52 @@ class TestWindowPassOracle:
         _, indices = _oracle_levels(spec, x)
         _, cert = mixed_norm(spec, x, precision=4, precision_cap=8)
         assert _as_oracle(cert, indices) == _oracle_interval(spec, x, 4, 8)
+
+
+class TestUpperBound:
+    """At sizes the memo oracle cannot reach, mixed_norm is checked from
+    both sides: its witness tree proves a lower bound
+    (verify_primal_certificate), and the pass's own window table, read
+    through oracles.check_upper, the matching upper bound."""
+
+    @staticmethod
+    def _checker_levels(spec):
+        """Every level of spec as an oracle level, a symbolic weight as
+        its enclosure at the default precision."""
+        levels = []
+        for level in spec.levels:
+            theta = level.theta
+            if not isinstance(theta, Q):
+                enclosure = resolve_theta(theta, DEFAULT_THETA_PRECISION)
+                theta = (enclosure.lo, enclosure.hi)
+            if isinstance(level.family, Schreier1):
+                levels.append(("schreier", 0, theta))
+            else:
+                levels.append(("card", level.family.n, theta))
+        return levels
+
+    @pytest.mark.parametrize("spec,sizes,seed", [
+        (tsirelson_spec(), (20, 30, 40), 201), (CARD_DEMO, (20, 30, 40), 202),
+        (schlumprecht_spec(20), (20,), 203)], ids=["tsirelson", "card-demo", "schlumprecht"])
+    def test_witness_below_and_table_above(self, spec, sizes, seed):
+        def upper(v):
+            return v.hi if isinstance(v, IntervalScalar) else v
+        rng = random.Random(seed)
+        levels = self._checker_levels(spec)
+        for m in sizes:
+            x = vec({i: rng.choice(ORACLE_GRID) for i in rng.sample(range(1, m + 10), m)})
+            value, cert = mixed_norm(spec, x)
+            verify_primal_certificate(spec, x, cert)
+            kept = tuple((i, family, theta if isinstance(theta, Q)
+                          else resolve_theta(theta, DEFAULT_THETA_PRECISION))
+                         for i, family, theta in levels_needed(spec, x.support))
+            table = best_windows(tuple((i, abs(c)) for i, c in x.entries), kept)
+            V = [[upper(table.scalar(a, b)) if b > a else None for b in range(m + 1)]
+                 for a in range(m)]
+            assert V[0][m] == upper(value), str(x)
+            assert check_upper(x.to_dict(), V, levels), str(x)
+            V[0][m] *= Q(99, 100)
+            assert not check_upper(x.to_dict(), V, levels), str(x)
 
 
 def test_norm_calls_leave_module_state_unchanged():
