@@ -11,21 +11,23 @@ from the l1 norm and takes max / theta over covers of the whole support.
 One column step (_Pass.column) values every window of a support that
 ends at one right end, bottom-up, starts in decreasing order, so each
 window reads only windows already valued, from a list, with no memo.
-best_windows runs it for right ends in increasing order over one
-support.  Without a previous table that pass is the fixpoint
-(mixed_norm); with one it is a single level step, and iterates yields
-levels 0, 1, 2, ... of a support (fj_norm_level, rho) from one step per
-level.  A column depends on the entries up to its right end only, so
-fixpoints values many supports (sigma: fixpoint is the batch of one,
-the l1-variant falsifier its main caller) on one table, in sorted
-order, each from the column past the prefix it shares with the one
-before.  A pass works out its own integer units from its levels, the
-entries' common denominator and the support size (_Pass): rational
-weights give one integer per window, interval weights (certified
-enclosures of symbolic weights) a Span of two.  best_windows takes
-Fraction entries, and a window's value is read back as a Fraction or
-an IntervalScalar (_Pass.scalar); fixpoints takes and returns ints in
-its pass's unit.
+A pass has one driver, _Pass.fill, which runs the columns of a support
+in increasing order.  A column depends on the entries up to its right
+end only, so fill keeps the columns of the prefix a support shares with
+the one filled before it and fills the rest.  best_windows fills one
+support: without a previous table that pass is the fixpoint
+(mixed_norm, sigma); with one it is a single level step, and iterates
+yields levels 0, 1, 2, ... of a support (fj_norm_level, rho) from one
+step per level.  fixpoints fills many supports on one pass, in sorted
+order (the l1-variant falsifier).  A pass works out its own integer
+units from its levels, the entries' common denominator and the support
+size (_Pass): rational weights give one integer per window, interval
+weights (certified enclosures of symbolic weights) a Span of two.
+best_windows takes Fraction entries, and a window's value is read back
+as a Fraction or an IntervalScalar (_Pass.scalar); fixpoints takes and
+returns ints in its pass's unit.  A window that a certified comparison
+left undecided holds that comparison's message, and _read raises it
+afresh wherever the window is read.
 
 Where admissibility depends only on the block count and the first index
 (families.max_blocks is not None), a suffix-cover table serves a level
@@ -122,6 +124,15 @@ def _improves(cand: Span, incumbent: Span, unit: int) -> bool:
         f"cannot order branch values {incumbent.enclosure(unit)} and {cand.enclosure(unit)}")
 
 
+def _read(table, a: int, b: int):
+    """Window value table[a][b]; an undecided window raises a new
+    IndeterminateComparisonError with the message it holds."""
+    v = table[a][b]
+    if isinstance(v, str):
+        raise IndeterminateComparisonError(v)
+    return v
+
+
 def best_windows(entries: tuple, levels, maximise: bool = True, prev=None) -> "_Pass":
     """Value and witness of every window entries[a:b] of a nonempty
     support of (index, positive Fraction) entries under one step of a
@@ -136,21 +147,18 @@ def best_windows(entries: tuple, levels, maximise: bool = True, prev=None) -> "_
     and levels, the blocks and the incumbent are read from it: one level
     step, whose leaf is prev's own value.  Levels are (index, family,
     weight) triples, weights Fractions or (maximise only) IntervalScalar
-    enclosures.  Right ends b are visited in increasing order, one
-    _Pass.column each.
+    enclosures.
 
-    Returns the filled _Pass: value[a][b] is the window's value in its
-    integer units, or the IndeterminateComparisonError that left it
-    undecided, raised again only where another window reads it, and
+    Returns the filled _Pass (fill): value[a][b] is the window's value
+    in its integer units, or the message of the comparison that left it
+    undecided, raised only where the window is read (_read), and
     scalar(a, b) the value as a Fraction or an IntervalScalar;
     choice[a][b] is the position of the leaf (after a level step: prev's
     value was kept) or the (level, bounds) of the winning cover.
     """
     table = _Pass(levels, maximise, math.lcm(*(c.denominator for _, c in entries)),
                   len(entries), prev)
-    scaled = tuple((i, c.numerator * (table.unit // c.denominator)) for i, c in entries)
-    for b in range(1, len(scaled) + 1):
-        table.column(scaled[:b])
+    table.fill(tuple((i, c.numerator * (table.unit // c.denominator)) for i, c in entries))
     return table
 
 
@@ -169,14 +177,17 @@ class _Pass:
     rational weights a window value is one int; with enclosures it is a
     Span of two, highs[a][b] its hi end (_UNBOUNDED while undecided),
     every level walks its covers (_walk_spans), and the suffix table of
-    a column is _fill's over highs: the hi-end bounds.
+    a column is _fill's over highs: the hi-end bounds.  An undecided
+    window's value is the message of the comparison that left it so, a
+    str that _read raises; the table holds no exception, whose traceback
+    would hold the frames that hold the table.
 
     Column b (the windows entries[a:b], a < b) reads entries[:b], earlier
     columns, and the caps and rows at positions below b; a position's
     caps read its own index only, and its row the caps at and before it.
     So column b depends on entries[:b] alone, and a pass over a support
     that shares its first p entries with the support last filled keeps
-    columns 1..p with their caps and rows (keep(p)) and fills the rest."""
+    columns 1..p with their caps and rows and fills the rest (fill)."""
 
     def __init__(self, levels, maximise: bool, den: int, size: int, prev=None):
         self.value = [[None] * (size + 1) for _ in range(size)]
@@ -204,13 +215,29 @@ class _Pass:
         # reach[s]: the largest cap at or before s.
         self.rows = []
         self.reach = []
+        self.last = ()  # the support filled last
+
+    def fill(self, entries: tuple) -> None:
+        """Fill the columns of a support, (index, int) entries in this
+        pass's unit, past the prefix it shares with the support filled
+        last, whose caps and rows are kept and the later ones forgotten."""
+        p = 0
+        for old, new in zip(self.last, entries):
+            if old != new:
+                break
+            p += 1
+        del self.rows[p:], self.reach[p:]
+        for cs in self.caps:
+            if cs is not None:
+                del cs[p:]
+        for b in range(p + 1, len(entries) + 1):
+            self.column(entries[:b])
+        self.last = entries
 
     def scalar(self, a: int, b: int):
         """The value of window entries[a:b] as a Fraction or an
-        IntervalScalar; an undecided window raises its error."""
-        v = self.value[a][b]
-        if isinstance(v, IndeterminateComparisonError):
-            raise v.with_traceback(None)
+        IntervalScalar; an undecided window raises (_read)."""
+        v = _read(self.value, a, b)
         return v.enclosure(self.unit) if self.spans else Fraction(v, self.unit)
 
     def _point(self, v):
@@ -231,14 +258,6 @@ class _Pass:
                 f"internal: window value {cand}/{self.q} is not a multiple of 1/{self.unit}")
         return v
 
-    def keep(self, p: int) -> None:
-        """Forget the caps and rows past position p, before columns p + 1
-        on are filled for a support sharing only its first p entries."""
-        del self.rows[p:], self.reach[p:]
-        for cs in self.caps:
-            if cs is not None:
-                del cs[p:]
-
     def _grow(self, index: int) -> None:
         """Caps and rows at the next position, whose entry has index."""
         here = 0
@@ -253,12 +272,6 @@ class _Pass:
         reach = self.reach[-1] if self.reach else 0
         self.rows.append(max(here, reach - 1))
         self.reach.append(max(here, reach))
-
-    def _val(self, a: int, b: int):
-        v = self.blocks[a][b]
-        if isinstance(v, IndeterminateComparisonError):
-            raise v.with_traceback(None)
-        return v
 
     def column(self, head: tuple) -> None:
         """Fill column b = len(head), with caps and rows for its last entry.
@@ -304,7 +317,7 @@ class _Pass:
                     highs[a][b] = v.hi
                 choice[a][b] = pos if level is None else (level, bounds)
             except IndeterminateComparisonError as exc:
-                value[a][b] = exc
+                value[a][b] = str(exc)
             cols[a][1] = firsts[a][b]
 
     def _choose(self, entries: tuple, a: int, cols, cuts, incumbent, tops, running):
@@ -334,7 +347,7 @@ class _Pass:
         precision-doubling schedule, so it must compare each cover against
         the incumbent of a walk in order."""
         end = len(entries)
-        improves, maximise, val = self.improves, self.maximise, self._val
+        improves, maximise, blocks = self.improves, self.maximise, self.blocks
         best = (incumbent, None, None)
         if self.spans:
             starts = range(a, end)
@@ -349,7 +362,7 @@ class _Pass:
             here = None  # the first optimum over the covers from a
             if cs is None:
                 for _, bounds in _admissible_covers(entries, (level,), a):
-                    values = [val(s, t) for s, t in zip(bounds, bounds[1:])]
+                    values = [_read(blocks, s, t) for s, t in zip(bounds, bounds[1:])]
                     cand = weight * (sum(values[1:], values[0]) if maximise else max(values))
                     if here is None or improves(cand, here[0]):
                         here = (cand, bounds)
@@ -395,7 +408,7 @@ class _Pass:
         families.is_admissible has accepted it.  So the walk makes the
         comparisons, and raises the errors, of a walk of every cover."""
         _, family, weight = level
-        highs, val, improves = self.highs, self._val, self.improves
+        highs, blocks, improves = self.highs, self.blocks, self.improves
         end = len(entries)
         keep = best[0].lo // weight.hi
 
@@ -417,7 +430,7 @@ class _Pass:
                     continue
                 lo = hi = 0
                 for a, b in zip(cover, cover[1:]):
-                    v = val(a, b)
+                    v = _read(blocks, a, b)
                     lo += v.lo
                     hi += v.hi
                 cand = Span(weight.lo * lo, weight.hi * hi)
@@ -440,18 +453,6 @@ class _Pass:
         return best
 
 
-def fixpoint(levels, entries: tuple) -> Fraction:
-    """The minimising recursion's value at one support with rational
-    weights: the batch of one (fixpoints); the limit of iterates."""
-    if not entries:
-        return Fraction(0)
-    den = math.lcm(*(c.denominator for _, c in entries))
-    (value,), unit = fixpoints(
-        levels, (tuple((i, c.numerator * (den // c.denominator)) for i, c in entries),),
-        den, len(entries))
-    return Fraction(value, unit)
-
-
 def fixpoints(levels, supports, den: int, size: int):
     """The minimising recursion's values at many supports with rational
     weights, from one shared fixpoint pass: (values, unit), values[n]
@@ -460,26 +461,15 @@ def fixpoints(levels, supports, den: int, size: int):
     A support is a sorted tuple of (index, c) pairs, each entry being
     c / den for a positive int c, and has at most size points; the empty
     support has value 0.  The supports are filled in sorted order on one
-    _Pass, each from the column past the prefix it shares with the one
-    before, so a support that extends or repeats an earlier one costs
-    only its new columns."""
+    _Pass (fill), so a support that extends or repeats an earlier one
+    costs only its new columns."""
     table = _Pass(levels, False, den, size)
     scale = table.unit // den
     values = [0] * len(supports)
-    last = ()
     for n in sorted(range(len(supports)), key=supports.__getitem__):
-        entries = tuple((i, c * scale) for i, c in supports[n])
-        shared = 0
-        for p, q in zip(last, entries):
-            if p != q:
-                break
-            shared += 1
-        table.keep(shared)
-        for b in range(shared + 1, len(entries) + 1):
-            table.column(entries[:b])
-        if entries:
-            values[n] = table.value[0][len(entries)]
-        last = entries
+        if supports[n]:
+            table.fill(tuple((i, c * scale) for i, c in supports[n]))
+            values[n] = table.value[0][len(supports[n])]
     return values, table.unit
 
 

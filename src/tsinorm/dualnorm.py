@@ -34,11 +34,12 @@ The rho upper iterates need no LP, and keep no state between calls.
 rho_partition_upper, rho_chain and the parts of rho_with_splits_upper
 read levels from covers.iterates, one bottom-up window pass per level,
 minimising from the l1 norm; sigma_ell1_variant, their limit, is one
-fixpoint pass (covers.fixpoint).  falsify_ell1_variant values the limit
-at all its vectors in one shared pass (covers.fixpoints), runs its pair
-loop on integer codes, and settles a pair by the l1 norm, which bounds
-the limit, wherever it can; only the pair sums of a row that no such
-bound settles are valued, in one more shared pass.
+fixpoint pass (covers.best_windows with no previous table).
+falsify_ell1_variant values the limit at all its vectors in one shared
+pass (covers.fixpoints), runs its pair loop on integer codes, and
+settles a pair by the l1 norm, which bounds the limit, wherever it can;
+only the pair sums of a row that no such bound settles are valued, in
+one more shared pass.
 verify_implicit_equation walks every admissible cover one by one
 (covers.cover_branches), because it reports the partition count and
 every violating branch.
@@ -79,7 +80,7 @@ from .core import (
     parse_vector,
     restrict,
 )
-from .covers import cover_branches, fixpoint, fixpoints, iterates
+from .covers import best_windows, cover_branches, fixpoints, iterates
 from .families import (
     Level,
     MixedSpaceSpec,
@@ -437,7 +438,7 @@ def rho_chain(spec: MixedSpaceSpec, x: FinVec, n_max: int) -> Tuple[RhoIterate, 
     """The iterates 0..n_max as a tuple; handy for tables and checks."""
     if n_max < 0:
         return ()
-    levels = rational_levels(spec, "rho_partition_upper needs")
+    levels = rational_levels(spec, "rho_chain needs")
     return tuple(RhoIterate(n, value) for n, value in
                  zip(range(n_max + 1), iterates(levels, x.abs().entries, False)))
 
@@ -595,8 +596,10 @@ def sigma_ell1_variant(spec: MixedSpaceSpec, x: FinVec,
     if iteration_cap < 1:
         raise ValueError(f"iteration cap must be >= 1, got {iteration_cap}")
     entries = x.abs().entries
+    if not entries:
+        return Q(0), True
     if iteration_cap > len(entries):
-        return fixpoint(levels, entries), True
+        return best_windows(entries, levels, False).scalar(0, len(entries)), True
     return next(itertools.islice(iterates(levels, entries, False), iteration_cap, None)), False
 
 
@@ -796,42 +799,43 @@ def export_dual_certificate(spec: MixedSpaceSpec, x: FinVec,
     return "\n".join(lines + _certificate_lines(_certificate_fields(cert))) + "\n"
 
 
+# the single lines of a certificate document, besides its magic line
+_DOCUMENT_FIELDS = ("space", "vector", "value", "ball-vector", "ball-witness")
+
+
 def import_dual_certificate(text: str):
     """Parse an exported certificate and re-verify it in full.
 
     Returns (spec, x, cert) only if the hull arithmetic, the functional
     trees, the ball witness, and the claimed value all check out; any
-    defect raises TsinormError.
+    defect raises TsinormError.  Every line but the hull lines appears
+    exactly once.
     """
-    space_doc = vector_line = value_line = ball_vec_line = ball_wit_line = None
+    fields = {}  # name -> text after "name: "
     hull_lines = []
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "tsinorm-certificate":
         raise TsinormError("not a certificate document (missing magic line)")
     for line in lines[1:]:
-        if line.startswith("space: "):
-            space_doc = line[len("space: "):]
-        elif line.startswith("vector: ") or line == "vector:":
-            vector_line = line[len("vector: "):] if line != "vector:" else ""
-        elif line.startswith("value: "):
-            value_line = line[len("value: "):]
-        elif line.startswith("hull "):
+        if line.startswith("hull "):
             hull_lines.append(line[len("hull "):])
-        elif line.startswith("ball-vector: ") or line == "ball-vector:":
-            ball_vec_line = line[len("ball-vector: "):] if line != "ball-vector:" else ""
-        elif line.startswith("ball-witness: "):
-            ball_wit_line = line[len("ball-witness: "):]
-        else:
+            continue
+        name, sep, body = line.partition(": ")
+        if not sep and line in ("vector:", "ball-vector:"):  # the zero vector
+            name, sep = line[:-1], ":"
+        if not sep or name not in _DOCUMENT_FIELDS:
             raise TsinormError(f"unrecognized certificate line {line!r}")
-    if space_doc is None or vector_line is None or value_line is None \
-            or ball_vec_line is None or ball_wit_line is None:
+        if name in fields:
+            raise TsinormError(f"repeated certificate line {line!r}")
+        fields[name] = body
+    if len(fields) < len(_DOCUMENT_FIELDS):
         raise TsinormError("certificate document is missing required lines")
     try:
-        spec = spec_from_config(json.loads(space_doc))
+        spec = spec_from_config(json.loads(fields["space"]))
     except (TypeError, ValueError) as exc:
         raise TsinormError(f"bad space config in certificate: {exc}") from None
-    x = parse_vector(vector_line)
-    value = parse_number(Q, value_line, "certificate value")
+    x = parse_vector(fields["vector"])
+    value = parse_number(Q, fields["value"], "certificate value")
     terms = []
     for body in hull_lines:
         weight_text, sep, tree_text = body.partition(": ")
@@ -840,8 +844,8 @@ def import_dual_certificate(text: str):
         weight = parse_number(Q, weight_text, "hull weight")
         tree, coeffs = _parse_functional_tree(parse_sexpr(tree_text), spec)
         terms.append(HullTerm(weight, NormingFunctional(FinVec.from_items(coeffs), tree)))
-    y = parse_vector(ball_vec_line)
-    ball_cert = _witness_from_sexpr(parse_sexpr(ball_wit_line), y, spec)
+    y = parse_vector(fields["ball-vector"])
+    ball_cert = _witness_from_sexpr(parse_sexpr(fields["ball-witness"]), y, spec)
     cert = DualCertificate(value, tuple(terms), y, ball_cert)
     _check_past_trees(spec, x, cert)  # parsing checked every hull tree
     return spec, x, cert

@@ -169,20 +169,23 @@ def verify_norming_functional(spec: MixedSpaceSpec, f: NormingFunctional,
     Checks: the tree recomputes exactly the stored coordinate vector,
     every node passes _node at the level it names (matching rational
     theta, an admissible successive child tuple), and (optionally) the
-    support stays inside [1, window].  One bottom-up walk recomputes
-    every node once.
+    support stays inside [1, window].  One bottom-up walk (_recompute)
+    recomputes every node once.
     """
-    def walk(tree: FunctionalTree) -> dict:
-        if isinstance(tree, FunctionalLeaf):
-            return {tree.index: Q(tree.sign)}
-        if not isinstance(tree, FunctionalNode):
-            raise TsinormError(f"not a functional tree node: {tree!r}")
-        if not 0 <= tree.level_index < len(spec.levels):
-            raise TsinormError(f"level index {tree.level_index} out of range")
-        return _node(spec, tree.theta, [walk(child) for child in tree.children],
-                     (tree.level_index,))[1]
+    _check_column(f, _recompute(spec, f.tree), window)
 
-    _check_column(f, walk(f.tree), window)
+
+def _recompute(spec: MixedSpaceSpec, tree: FunctionalTree) -> dict:
+    """The coordinate dict of a tree, each node checked by _node at the
+    level it names."""
+    if isinstance(tree, FunctionalLeaf):
+        return {tree.index: Q(tree.sign)}
+    if not isinstance(tree, FunctionalNode):
+        raise TsinormError(f"not a functional tree node: {tree!r}")
+    if not 0 <= tree.level_index < len(spec.levels):
+        raise TsinormError(f"level index {tree.level_index} out of range")
+    return _node(spec, tree.theta, [_recompute(spec, child) for child in tree.children],
+                 (tree.level_index,))[1]
 
 
 def _check_column(f: NormingFunctional, vec: dict, window: Optional[int]) -> None:
@@ -314,8 +317,13 @@ def tau(vset: NormingSet, x: FinVec) -> Fraction:
 # closure construction
 
 def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
-             include_singletons: bool, max_rounds: Optional[int]):
+             max_rounds: Optional[int]):
     """Bundling closure over nonnegative representatives, in integer units.
+
+    max_rounds sets the kind of run.  None runs the pruned closure to its
+    fixpoint: bundles of two or more parts, in a unit fixed up front.  An
+    int runs that many rounds of the raw generation: one-part bundles
+    too, in a unit rescaled as the rounds go.
 
     `indices` is the strictly increasing tuple of coordinates to seed
     from; admissibility only ever looks at actual supports, so closing
@@ -328,10 +336,10 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     every tree up to `depth` deep; a bundle's coefficient is
     c * theta.numerator // theta.denominator, and an inexact division
     raises TsinormError (an internal failure).  Without one-part bundles
-    every node has two or more children, so depth = len(indices) - 1 is
-    fixed before the first round.  One-part chains nest one level deeper
-    per round without bound, so how deep a run goes is known only when
-    max_rounds or the budget ends it.  A unit sized up front from the
+    (max_rounds None) every node has two or more children, so depth =
+    len(indices) - 1 is fixed before the first round.  One-part chains
+    nest one level deeper per round without bound, so how deep a run
+    goes is known only when max_rounds or the budget ends it.  A unit sized up front from the
     budget would hold a tree about budget // len(indices) deep, and on
     spaces whose key count grows faster than one per index and round
     every key would carry thousands of needless digits.  So depth starts
@@ -359,7 +367,8 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     if not indices:
         raise ValueError("need at least one index to seed from")
     den = math.lcm(*(theta.denominator for _, _, theta in levels))
-    depth = 0 if include_singletons else len(indices) - 1
+    singletons = max_rounds is not None  # one-part bundles
+    depth = 0 if singletons else len(indices) - 1
     unit = den ** depth
     F: dict = {}
     for i in indices:
@@ -371,10 +380,10 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     # caps[i]: the most parts a tuple whose first part starts at i may have
     caps = {i: max(part_bound(family, i) for _, family, _ in levels) for i in indices}
     rounds = 0
-    min_emit = 1 if include_singletons else 2
+    min_emit = 1 if singletons else 2
 
     while frontier and (max_rounds is None or rounds < max_rounds):
-        if include_singletons and rounds == depth:
+        if singletons and rounds == depth:
             step = max(depth, 1)
             factor = den ** step
 
@@ -502,17 +511,6 @@ def _expand_signs(patterns, unit: int) -> tuple:
     variants: dict = {}
     scalars: dict = {}
 
-    def signed(tree):
-        got = variants.get(id(tree))
-        if got is None:
-            if isinstance(tree, FunctionalLeaf):
-                got = (tree, FunctionalLeaf(tree.index, -1))
-            else:
-                got = tuple(FunctionalNode(tree.level_index, tree.theta, children)
-                            for children in itertools.product(*map(signed, tree.children)))
-            variants[id(tree)] = got
-        return got
-
     def pair(c):
         got = scalars.get(c)
         if got is None:
@@ -525,9 +523,24 @@ def _expand_signs(patterns, unit: int) -> tuple:
         ints = itertools.product(*[((i, c), (i, -c)) for i, c in key])
         coeffs = itertools.product(*[tuple((i, q) for q in pair(c)) for i, c in key])
         funcs.extend((k, NormingFunctional(FinVec(entries), t))
-                     for k, entries, t in zip(ints, coeffs, signed(tree)))
+                     for k, entries, t in zip(ints, coeffs, _signed(tree, variants)))
     funcs.sort(key=itemgetter(0))
     return tuple(f for _, f in funcs)
+
+
+def _signed(tree, variants: dict) -> tuple:
+    """The sign variants of a tree, in the itertools.product order of its
+    leaf signs; variants maps id(subtree) to those already built."""
+    got = variants.get(id(tree))
+    if got is None:
+        if isinstance(tree, FunctionalLeaf):
+            got = (tree, FunctionalLeaf(tree.index, -1))
+        else:
+            got = tuple(FunctionalNode(tree.level_index, tree.theta, children)
+                        for children in itertools.product(
+                            *[_signed(child, variants) for child in tree.children]))
+        variants[id(tree)] = got
+    return got
 
 
 def build_norming_set(spec: MixedSpaceSpec, N: int,
@@ -562,8 +575,7 @@ def _maximal(spec: MixedSpaceSpec, indices, budget: int,
     indices = tuple(indices)
     if any(indices[i] >= indices[i + 1] for i in range(len(indices) - 1)):
         raise ValueError("indices must be strictly increasing")
-    F, _, _, unit = _closure(spec, indices, budget, include_singletons=False,
-                             max_rounds=None)
+    F, _, _, unit = _closure(spec, indices, budget, max_rounds=None)
     keys = sorted(_maximal_keys(F))
     _check_sign_budget(keys, budget, context or f"norming generators on {list(indices)}")
     return tuple((key, F[key]) for key in keys), unit
@@ -615,7 +627,7 @@ def raw_norming_generation(spec: MixedSpaceSpec, N: int, generations: int,
     if N < 1:
         raise ValueError(f"window bound must be >= 1, got {N}")
     F, rounds, fixpoint, unit = _closure(spec, tuple(range(1, N + 1)), budget,
-                                         include_singletons=True, max_rounds=generations)
+                                         max_rounds=generations)
     _check_sign_budget(F, budget, f"raw generation {generations} on window [1, {N}]")
     return NormingSet._of_classes(spec, N, tuple(F.items()), unit,
                                   generation=rounds, stabilized=fixpoint)
@@ -640,49 +652,55 @@ def _tree_writer(flip: bool):
     trees: dict = {}    # id(node) -> (variant texts, height)
     scalars: dict = {}  # id(theta) -> text
 
-    def too_deep():
-        return TsinormError(f"functional tree nested deeper than {SEXPR_MAX_DEPTH}")
-
-    def leaf(tree):
-        text = f"e{tree.index}" if tree.sign > 0 else f"-e{tree.index}"
-        if flip:
-            return text, text[1:] if tree.sign < 0 else "-" + text
-        return text
-
-    def node(tree, depth):
-        got = trees.get(id(tree))
-        if got is None:
-            if depth > SEXPR_MAX_DEPTH:
-                raise too_deep()
-            theta = scalars.get(id(tree.theta))
-            if theta is None:
-                theta = scalars[id(tree.theta)] = format_scalar(tree.theta)
-            kids, height = [], 0
-            for child in tree.children:
-                if isinstance(child, FunctionalLeaf):
-                    kids.append(leaf(child))
-                else:
-                    variants, child_height = node(child, depth + 1)
-                    kids.append(variants)
-                    height = max(height, child_height)
-            if flip:
-                variants = tuple(f"({theta} {' '.join(combo)})"
-                                 for combo in itertools.product(*kids))
-            else:
-                variants = f"({theta} {' '.join(kids)})"
-            got = trees[id(tree)] = variants, height + 1
-        return got
-
     def write(tree) -> tuple:
         if isinstance(tree, FunctionalLeaf):
-            variants = leaf(tree)
+            variants = _leaf_texts(tree, flip)
         else:
-            variants, height = node(tree, 1)
+            variants, height = _node_texts(tree, 1, flip, trees, scalars)
             if height > SEXPR_MAX_DEPTH:
-                raise too_deep()
+                raise _too_deep()
         return variants if flip else (variants,)
 
     return write
+
+
+def _too_deep() -> TsinormError:
+    return TsinormError(f"functional tree nested deeper than {SEXPR_MAX_DEPTH}")
+
+
+def _leaf_texts(tree: FunctionalLeaf, flip: bool):
+    """A leaf's text, with `flip` the pair (as it is, negated)."""
+    text = f"e{tree.index}" if tree.sign > 0 else f"-e{tree.index}"
+    if flip:
+        return text, text[1:] if tree.sign < 0 else "-" + text
+    return text
+
+
+def _node_texts(tree: FunctionalNode, depth: int, flip: bool, trees: dict, scalars: dict):
+    """(texts, height) of a node at `depth`, the writer's memos passed in
+    (_tree_writer)."""
+    got = trees.get(id(tree))
+    if got is None:
+        if depth > SEXPR_MAX_DEPTH:
+            raise _too_deep()
+        theta = scalars.get(id(tree.theta))
+        if theta is None:
+            theta = scalars[id(tree.theta)] = format_scalar(tree.theta)
+        kids, height = [], 0
+        for child in tree.children:
+            if isinstance(child, FunctionalLeaf):
+                kids.append(_leaf_texts(child, flip))
+            else:
+                variants, child_height = _node_texts(child, depth + 1, flip, trees, scalars)
+                kids.append(variants)
+                height = max(height, child_height)
+        if flip:
+            variants = tuple(f"({theta} {' '.join(combo)})"
+                             for combo in itertools.product(*kids))
+        else:
+            variants = f"({theta} {' '.join(kids)})"
+        got = trees[id(tree)] = variants, height + 1
+    return got
 
 
 def _class_lines(classes, unit: int, flip: bool) -> list:
@@ -759,10 +777,11 @@ def _parse_tree(node, spec: MixedSpaceSpec) -> tuple:
 def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
     """Parse an export and re-verify every functional against `spec`.
 
-    The header must name spec and give window=, generation= and
-    stabilized=.  Each line's tree must recompute its vector column
-    exactly, with admissible successive children at every node, supports
-    inside the window, and no duplicate coefficient vectors.  The window
+    The one header line must name spec and give window=, generation= and
+    stabilized=, and may give count=, each once and no other field.  Each
+    line's tree must recompute its vector column exactly, with admissible
+    successive children at every node, supports inside the window, and no
+    duplicate coefficient vectors.  The window
     must be the largest index in the lines and the generation the depth
     of the deepest tree, as in every set this module builds.  A stabilized
     set must list all 2^s sign variants of each functional of s entries,
@@ -770,8 +789,7 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
     on [1, window] (within the default budget), none missing and none
     extra.
     """
-    header = {}
-    stabilized = None
+    header = None  # field -> value, once the header line is read
     named = f"norming-set space={spec.name}"
     level_lines = []
     funcs = []
@@ -784,6 +802,9 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("norming-set"):
+                if header is not None:
+                    raise TsinormError("norming-set export has a second header line")
+                header = {}
                 # the exporter writes the space name first, verbatim
                 if body != named and not body.startswith(named + " "):
                     raise TsinormError(
@@ -793,12 +814,16 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
                     if not sep or key == "space":
                         raise TsinormError(
                             f"export header {body!r} does not match space {spec.name!r}")
+                    if key in header:
+                        raise TsinormError(f"export header {body!r} repeats field {key!r}")
                     if key in ("window", "generation", "count"):
                         header[key] = parse_number(int, value, f"header {key}")
                     elif key == "stabilized":
                         if value not in ("true", "false"):
                             raise TsinormError(f"bad header stabilized {value!r}")
-                        stabilized = value == "true"
+                        header[key] = value == "true"
+                    else:
+                        raise TsinormError(f"export header {body!r} has unknown field {key!r}")
             elif body.startswith("level"):
                 level_lines.append(body)
             continue
@@ -810,9 +835,10 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
         funcs.append(NormingFunctional(parse_vector(vec_text), tree))
         vectors.append(vec)
 
-    window, generation = header.get("window"), header.get("generation")
-    if window is None or generation is None:
+    if header is None or "window" not in header or "generation" not in header:
         raise TsinormError("missing norming-set metadata header")
+    window, generation = header["window"], header["generation"]
+    stabilized = header.get("stabilized")
     if stabilized is None:
         raise TsinormError("norming-set header has no stabilized= field")
     expected_levels = [f"level {i}: {lev.family} theta={format_theta(lev.theta)}"

@@ -531,6 +531,24 @@ class TestCertify:
         assert code == 1
         assert out.startswith("certificate rejected:")
 
+    @pytest.mark.parametrize("field, extra", [
+        ("space", "vector: 9:7"),
+        ("space", None), ("vector", None), ("value", None),
+        ("ball-vector", None), ("ball-witness", None),
+    ], ids=["other-vector", "space", "vector", "value", "ball-vector", "ball-witness"])
+    def test_repeated_line_rejected(self, capsys, tmp_path, field, extra):
+        # extra goes after the field's line, or a copy of that line; the
+        # importer must not let either copy win
+        path = tmp_path / "cert.txt"
+        run(capsys, ["certify", "3:1 4:1 5:1", "--out", str(path)])
+        lines = path.read_text().splitlines(True)
+        (at,) = [n for n, line in enumerate(lines) if line.startswith(field + ":")]
+        lines.insert(at + 1, lines[at] if extra is None else extra + "\n")
+        path.write_text("".join(lines))
+        code, out, _ = run(capsys, ["certify", "--check", str(path)])
+        assert code == 1
+        assert out.startswith("certificate rejected: repeated certificate line ")
+
     def test_explicit_certificate_stays_small(self, capsys, tmp_path):
         space = tmp_path / "wide.json"
         space.write_text(json.dumps(

@@ -424,6 +424,16 @@ class TestRhoIteration:
     def test_zero_vector(self):
         assert rho_partition_upper(TS, FinVec.zero(), 3) == 0
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda x: rho_partition_upper(SCH, x, 2), "rho_partition_upper"),
+        (lambda x: rho_chain(SCH, x, 2), "rho_chain"),
+    ], ids=["partition-upper", "chain"])
+    def test_symbolic_spec_names_the_call(self, call, name):
+        with pytest.raises(TsinormError, match=re.escape(
+                f"{name} needs rational weights at every level; space "
+                f"'schlumprecht' has a symbolic one")):
+            call(e(1))
+
 
 class TestRhoWithSplits:
     def test_empty_candidates_equal_partition_only(self):

@@ -4,18 +4,25 @@ Every imported name must be used, every module-level def or class
 must be referenced somewhere in the package, only `families` reads
 a family's fields or tests its class (and tests it only in `max_blocks`
 and the config functions), and `clear_caches` empties every cache a
-def of the package is decorated with.  One call of each norm leaves
-no reference cycle behind for the cyclic collector.
+def of the package is decorated with.  A nested function that calls
+itself is deleted when its caller ends, and the window pass is driven
+from one place.  One call of each norm, of the norming-set and
+certificate writers and readers, and of a precision retry leaves no
+reference cycle behind for the cyclic collector.
 """
 import ast
+import contextlib
 import gc
 import importlib
+import io
+import os
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tsinorm
+from tsinorm import cli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tsinorm"
 SOURCES = {path.name: path.read_text(encoding="utf-8")
@@ -142,12 +149,72 @@ def test_clear_caches_empties_every_cache():
     assert {name for name, f in caches.items() if f.cache_info().currsize} == set()
 
 
+def enclosing_functions(tree) -> dict:
+    """{node: the innermost def whose body holds it, or None} under a
+    module tree; a def maps to the def around it, and a class body is
+    looked through."""
+    out, todo = {}, [(tree, None)]
+    while todo:
+        node, owner = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            out[child] = owner
+            todo.append((child, child if isinstance(child, ast.FunctionDef) else owner))
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_a_self_calling_nested_function_is_deleted_in_a_finally(module):
+    # its closure cell refers to it, so it is a reference cycle until the
+    # def around it deletes its name on every way out
+    owners = enclosing_functions(TREES[module])
+    defs = [node for node, owner in owners.items()
+            if isinstance(node, ast.FunctionDef) and owner is not None]
+    missing = []
+    for inner in defs:
+        if not any(isinstance(sub, ast.Name) and sub.id == inner.name
+                   for stmt in inner.body for sub in ast.walk(stmt)):
+            continue
+        deleted = any(isinstance(node, ast.Try) and any(
+            isinstance(sub, ast.Delete) and any(
+                isinstance(t, ast.Name) and t.id == inner.name for t in sub.targets)
+            for stmt in node.finalbody for sub in ast.walk(stmt))
+            for node in ast.walk(owners[inner]))
+        if not deleted:
+            missing.append(f"{module}:{inner.lineno} {inner.name}")
+    assert missing == []
+
+
+def test_the_window_pass_has_one_driver():
+    # every column of a window pass is filled by _Pass.fill, which keeps
+    # the prefix a support shares with the one filled before it
+    callers = []
+    for module, tree in TREES.items():
+        owners = enclosing_functions(tree)
+        callers += [f"{module}:{getattr(owners[node], 'name', None)}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "column"]
+    assert callers and set(callers) == {"covers.py:fill"}
+
+
 CARD_DEMO = tsinorm.MixedSpaceSpec("card-demo", (
     tsinorm.Level(tsinorm.Schreier1(), Fraction(1, 2)),
     tsinorm.Level(tsinorm.CardinalityAtMost(2), Fraction(1, 3))))
 EXPLICIT = tsinorm.MixedSpaceSpec("explicit", (
     tsinorm.Level(tsinorm.ExplicitFinite(((2, 3), (3, 5, 6), (4, 6))), Fraction(2, 3)),
     tsinorm.Level(tsinorm.CardinalityAtMost(2), Fraction(1, 2))))
+TS = tsinorm.tsirelson_spec()
+# one level whose weight enclosure at 4 bits leaves a branch comparison
+# of this vector undecided, so the call retries at 8 bits
+COARSE = tsinorm.MixedSpaceSpec("coarse", (
+    tsinorm.Level(tsinorm.Schreier1(), tsinorm.SchlumprechtWeight(6)),))
+
+
+def norming_set_command(x):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["norming-set", "4", "--out", os.devnull]) == 0
+
+
 CYCLE_CALLS = {
     "fj_norm": tsinorm.fj_norm,
     "mixed_norm-tsirelson": lambda x: tsinorm.mixed_norm(tsinorm.tsirelson_spec(), x),
@@ -155,14 +222,34 @@ CYCLE_CALLS = {
     "mixed_norm-explicit": lambda x: tsinorm.mixed_norm(EXPLICIT, x),
     "mixed_norm-schlumprecht": lambda x: tsinorm.mixed_norm(tsinorm.schlumprecht_spec(), x),
     "dual_norm": lambda x: tsinorm.dual_norm(tsinorm.tsirelson_spec(), x),
+    "mixed_norm-precision-retry": lambda x: tsinorm.mixed_norm(
+        COARSE, tsinorm.parse_vector("3:9 4:8 5:8"), precision=4, precision_cap=8),
+    "export_norming_set": lambda x: tsinorm.export_norming_set(tsinorm.build_norming_set(TS, 5)),
+    "norming-set-command": norming_set_command,
+    "functionals": lambda x: tsinorm.build_norming_set(TS, 4).functionals,
+    "norming_generators": lambda x: tsinorm.norming_generators(TS, (1, 2, 3, 4)),
+    "export_dual_certificate": lambda x: tsinorm.export_dual_certificate(
+        TS, x, tsinorm.dual_norm(TS, x)[1]),
+    "verify_dual_certificate": lambda x: tsinorm.verify_dual_certificate(
+        TS, x, tsinorm.dual_norm(TS, x)[1]),
 }
+
+
+def test_the_retry_call_retries():
+    with pytest.raises(tsinorm.PrecisionExhaustedError, match="undecided at precision cap 4"):
+        tsinorm.mixed_norm(COARSE, tsinorm.parse_vector("3:9 4:8 5:8"),
+                           precision=4, precision_cap=4)
 
 
 @pytest.mark.parametrize("name", sorted(CYCLE_CALLS))
 def test_a_call_leaves_no_reference_cycle(name):
     # a nested helper that calls itself through its closure cell is a
-    # cycle, and it keeps everything the call built until a collection
+    # cycle, and it keeps everything the call built until a collection;
+    # so is an error kept in a table whose frames its traceback holds.
+    # The call runs once first, so that one-time set-up (the command
+    # line's argument parser) is not counted.
     x = tsinorm.parse_vector("2:1 3:1/2 4:2 5:3/4 6:1")
+    CYCLE_CALLS[name](x)
     tsinorm.clear_caches()  # so the dual norm runs its closure
     gc.collect()
     flags, before = gc.get_debug(), len(gc.garbage)

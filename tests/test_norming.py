@@ -509,6 +509,32 @@ class TestExportImport:
         with pytest.raises(TsinormError):
             import_norming_set(bad, TS)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("window=3", "window=9 window=3", "repeats field 'window'"),
+        ("generation=1", "generation=1 generation=1", "repeats field 'generation'"),
+        ("count=10", "count=10 count=10", "repeats field 'count'"),
+        ("stabilized=true", "stabilized=true stabilized=false", "repeats field 'stabilized'"),
+        ("count=10", "count=10 bogus=1", "has unknown field 'bogus'"),
+    ], ids=["window", "generation", "count", "stabilized", "unknown"])
+    def test_header_field_given_once(self, old, new, message):
+        text = export_norming_set(build_norming_set(TS, 3))
+        assert old in text
+        with pytest.raises(TsinormError, match=re.escape(message)):
+            import_norming_set(text.replace(old, new, 1), TS)
+
+    def test_second_header_line_rejected(self):
+        text = export_norming_set(build_norming_set(TS, 3))
+        header = text.splitlines(True)[0]
+        for bad in (header + text, text + header.replace("window=3", "window=9")):
+            with pytest.raises(TsinormError, match="second header line"):
+                import_norming_set(bad, TS)
+
+    def test_comments_and_no_count_accepted(self):
+        vs = build_norming_set(TS, 3)
+        text = export_norming_set(vs).replace(" count=10", "", 1)
+        back = import_norming_set("# written by hand\n" + text + "# end\n", TS)
+        assert coeff_vectors(back) == coeff_vectors(vs)
+
     def test_stabilized_set_missing_sign_variants_rejected(self):
         # the nonnegative lines alone would make tau(-x) negative
         lines = export_norming_set(build_norming_set(TS, 4)).splitlines(True)
@@ -827,18 +853,20 @@ class TestPrunedClosure:
     the previous round; the reference walks every tuple."""
 
     @pytest.mark.parametrize("name", CLOSURE_SPACES)
-    @pytest.mark.parametrize("indices, singletons, rounds", [
-        ((1, 2, 3, 4, 5, 6), False, None),
-        ((2, 3, 5, 7, 8), False, None),
-        ((2, 3, 4, 5, 6, 7), False, 2),
-        ((1, 2, 3), True, 4),
-        ((2, 3, 4, 5), True, 2),
+    # max_rounds None is the pruned run, an int the raw generation with
+    # one-part bundles; the ids keep the names the cases had when the
+    # run kind was a separate singletons argument
+    @pytest.mark.parametrize("indices, rounds", [
+        pytest.param((1, 2, 3, 4, 5, 6), None, id="indices0-False-None"),
+        pytest.param((2, 3, 5, 7, 8), None, id="indices1-False-None"),
+        pytest.param((1, 2, 3), 4, id="indices3-True-4"),
+        pytest.param((2, 3, 4, 5), 2, id="indices4-True-2"),
     ])
-    def test_matches_reference(self, name, indices, singletons, rounds):
+    def test_matches_reference(self, name, indices, rounds):
         spec, levels = CLOSURE_SPACES[name]
-        F, built, fixpoint, unit = _closure(spec, indices, 10 ** 6, singletons, rounds)
+        F, built, fixpoint, unit = _closure(spec, indices, 10 ** 6, rounds)
         ref, ref_built, ref_fixpoint, ref_unit = reference_closure(
-            levels, indices, singletons, rounds)
+            levels, indices, rounds is not None, rounds)
         got = [(tuple((i, Q(c, unit)) for i, c in key), tree_form(tree))
                for key, tree in F.items()]
         assert got == list(ref.items())
