@@ -95,7 +95,7 @@ from .lp import IntegerProgram, solve, solve_integer  # noqa: F401
 from .norming import (
     NormingFunctional,
     _flip_tree,
-    _maximal_patterns,
+    _generator_patterns,
     _parse_tree as _parse_functional_tree,
     _tree_writer,
     verify_norming_functional,
@@ -104,6 +104,7 @@ from .primal import (
     Leaf,
     PrimalCertificate,
     Split,
+    _abs_entries,
     mixed_norm,
     verify_primal_certificate,
 )
@@ -302,14 +303,14 @@ def dual_norm_value(spec: MixedSpaceSpec, x: FinVec,
     rational_levels(spec, "dual_norm needs", _BOUNDS_HINT)
     if x.is_zero:
         return Q(0)
-    return _ball_value(spec, x.abs().entries, budget)
+    return _ball_value(spec, _abs_entries(x), budget)
 
 
 @functools.lru_cache(maxsize=_VALUES_KEPT)
 def _ball_value(spec: MixedSpaceSpec, xa_entries: tuple, budget: int) -> Fraction:
     """The ball program's value at |x|, given as its entries."""
     support = tuple(i for i, _ in xa_entries)
-    return _solve_ball(*_maximal_patterns(spec, support, budget), xa_entries)[0]
+    return _solve_ball(*_generator_patterns(spec, support, budget), xa_entries)[0]
 
 
 def dual_norm(spec: MixedSpaceSpec, x: FinVec,
@@ -327,8 +328,8 @@ def dual_norm(spec: MixedSpaceSpec, x: FinVec,
     if x.is_zero:
         value, cert = mixed_norm(spec, FinVec.zero())
         return Q(0), DualCertificate(Q(0), (), FinVec.zero(), cert)
-    pairs, unit = _maximal_patterns(spec, x.support, budget)
-    value, z, weights, den = _solve_ball(pairs, unit, x.abs().entries)
+    pairs, unit = _generator_patterns(spec, x.support, budget)
+    value, z, weights, den = _solve_ball(pairs, unit, _abs_entries(x))
     terms = _hull_terms(pairs, unit, x, weights, den, value)
     signs = {i: (1 if c > 0 else -1) for i, c in x.entries}
     y = FinVec.from_items({i: signs[i] * v for i, v in z.items()})
@@ -431,7 +432,7 @@ def rho_partition_upper(spec: MixedSpaceSpec, x: FinVec, n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     levels = rational_levels(spec, "rho_partition_upper needs")
-    return next(itertools.islice(iterates(levels, x.abs().entries, False), n, None))
+    return next(itertools.islice(iterates(levels, _abs_entries(x), False), n, None))
 
 
 def rho_chain(spec: MixedSpaceSpec, x: FinVec, n_max: int) -> Tuple[RhoIterate, ...]:
@@ -440,7 +441,7 @@ def rho_chain(spec: MixedSpaceSpec, x: FinVec, n_max: int) -> Tuple[RhoIterate, 
         return ()
     levels = rational_levels(spec, "rho_chain needs")
     return tuple(RhoIterate(n, value) for n, value in
-                 zip(range(n_max + 1), iterates(levels, x.abs().entries, False)))
+                 zip(range(n_max + 1), iterates(levels, _abs_entries(x), False)))
 
 
 def support_bipartitions(x: FinVec) -> tuple:
@@ -480,10 +481,10 @@ def rho_with_splits_upper(spec: MixedSpaceSpec, x: FinVec, n: int,
         cands.append((w1, w2))
     if x.is_zero:
         return Q(0)
-    chain = iterates(levels, x.abs().entries, False)
+    chain = iterates(levels, _abs_entries(x), False)
     # None marks a part equal to x, whose level is x's own previous value,
     # the only one that sees the splits
-    parts = [[None if w.entries == x.entries else iterates(levels, w.abs().entries, False)
+    parts = [[None if w.entries == x.entries else iterates(levels, _abs_entries(w), False)
               for w in pair] for pair in cands]
     value = next(chain)
     for _ in range(n):
@@ -595,7 +596,7 @@ def sigma_ell1_variant(spec: MixedSpaceSpec, x: FinVec,
     levels = rational_levels(spec, "sigma_ell1_variant needs")
     if iteration_cap < 1:
         raise ValueError(f"iteration cap must be >= 1, got {iteration_cap}")
-    entries = x.abs().entries
+    entries = _abs_entries(x)
     if not entries:
         return Q(0), True
     if iteration_cap > len(entries):

@@ -49,6 +49,13 @@ tree) pair, a key of s entries standing for its 2^s sign variants
   and each distinct coefficient and its negation become a Fraction once.
 * The dual-norm programs read _maximal_patterns' int keys and trees;
   they make Fractions only for what a certificate prints.
+
+_maximal_patterns is the one way to the maximal patterns: the dual-norm
+programs, build_norming_set, norming_generators and the stabilized
+import all read its bounded cache, so a repeated window or support runs
+its closure once.  Each caller counts the sign variants against its own
+budget and message (_check_sign_budget).  Only raw_norming_generation,
+which keeps every key it builds, runs a closure of its own.
 """
 from __future__ import annotations
 
@@ -80,6 +87,7 @@ from .families import (
     MixedSpaceSpec,
     format_theta,
     is_admissible,
+    max_blocks,
     part_bound,
     rational_levels,
     theta_is_rational,
@@ -362,6 +370,12 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     starts after the last part's maximum); those would build nothing.
     A tuple stops growing at the most parts any level admits from its
     first part's minimum (families.part_bound): no longer one is admissible.
+
+    What depends on one key alone is worked out once per key: where the
+    keys that can follow it start in the sorted listing, and, per level,
+    its coefficients times theta (_Bundled).  A level with a block bound
+    admits a tuple by its part count (families.max_blocks); only an
+    ExplicitFinite level builds the BlockPartition and asks is_admissible.
     """
     levels = rational_levels(spec, "norming sets need")
     if not indices:
@@ -379,8 +393,12 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     frontier = frozenset(F)
     # caps[i]: the most parts a tuple whose first part starts at i may have
     caps = {i: max(part_bound(family, i) for _, family, _ in levels) for i in indices}
+    # per level, the parts it admits by first index, or None if its listed
+    # sets decide (ExplicitFinite)
+    bounds = [{i: max_blocks(family, i) for i in indices} for _, family, _ in levels]
     rounds = 0
     min_emit = 1 if singletons else 2
+    bundled = [_Bundled(i, theta, unit) for i, _, theta in levels]
 
     while frontier and (max_rounds is None or rounds < max_rounds):
         if singletons and rounds == depth:
@@ -394,25 +412,33 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
             frontier = frozenset(map(scaled, frontier))
             depth += step
             unit *= factor
+            bundled = [_Bundled(i, theta, unit) for i, _, theta in levels]
         listing = sorted(F)
+        size = len(listing)
         minima = [key[0][0] for key in listing]
+        # nexts[pos]: the first position whose key starts past listing[pos]
+        nexts = [bisect_right(minima, key[-1][0]) for key in listing]
+        fresh = [key in frontier for key in listing]
         # a frontier key sits at or after listing[pos] iff pos <= last
         last = bisect_left(listing, max(frontier))
         new: dict = {}
 
-        def emit(parts, has_frontier):
-            if not has_frontier:
-                return
-            supports = tuple(tuple(i for i, _ in key) for key in parts)
-            P = BlockPartition(supports)
-            for level_index, family, theta in levels:
-                if not is_admissible(family, P):
+        def emit(parts):
+            k = len(parts)
+            first = parts[0][0][0]
+            P = None
+            for (level_index, family, theta), bound, scale in zip(levels, bounds, bundled):
+                cap = bound[first]
+                if cap is None:
+                    if P is None:
+                        P = BlockPartition(tuple(tuple(i for i, _ in key) for key in parts))
+                    if not is_admissible(family, P):
+                        continue
+                elif k > cap:
                     continue
-                num, div = theta.numerator, theta.denominator
-                if any(c % div for key in parts for _, c in key):
-                    raise TsinormError(
-                        f"internal: a level-{level_index} bundle leaves the unit 1/{unit}")
-                ckey = tuple((i, c // div * num) for key in parts for i, c in key)
+                ckey = ()
+                for key in parts:
+                    ckey += scale[key]
                 if ckey in F or ckey in new:
                     continue
                 new[ckey] = FunctionalNode(
@@ -421,22 +447,26 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
                     raise BudgetExceededError(
                         f"norming closure exceeds the budget of {budget} functionals")
 
-        def extend(parts, last_max, has_frontier):
-            start = bisect_right(minima, last_max)
-            if not has_frontier and start > last:
-                return  # no tuple below here has a frontier part
-            k = len(parts)
-            if k >= min_emit:
-                emit(parts, has_frontier)
-            if parts and k >= caps[parts[0][0][0]]:
-                return
-            for pos in range(start, len(listing)):
-                key = listing[pos]
-                extend(parts + [key], key[-1][0],
-                       has_frontier or key in frontier)
+        def extend(parts, start, stop, has_frontier, cap):
+            # each tuple parts + [listing[pos]], start <= pos < stop, then
+            # its extensions; past `last` a tuple has no frontier part yet
+            # and can gain none.  With no parts yet, cap is None and each
+            # first part sets it.
+            k = len(parts) + 1
+            for pos in range(start, stop):
+                parts.append(listing[pos])
+                most = cap or caps[minima[pos]]
+                if has_frontier or fresh[pos]:
+                    if k >= min_emit:
+                        emit(parts)
+                    if k < most and nexts[pos] < size:
+                        extend(parts, nexts[pos], size, True, most)
+                elif k < most and nexts[pos] <= last:
+                    extend(parts, nexts[pos], last + 1, False, most)
+                parts.pop()
 
         try:
-            extend([], 0, False)
+            extend([], 0, last + 1, False, None)
         finally:
             del extend  # it calls itself through its closure: no cycle outlives the round
         if not new:
@@ -447,6 +477,25 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
         frontier = frozenset(new)
 
     return F, rounds, not frontier, unit
+
+
+class _Bundled(dict):
+    """key -> theta times the key, in the closure's int unit, worked out
+    on a key's first use as a part at this level.  A coefficient that
+    theta's denominator does not divide raises TsinormError (an internal
+    failure: the unit is too coarse)."""
+
+    def __init__(self, level_index: int, theta: Fraction, unit: int):
+        super().__init__()
+        self.level_index, self.theta, self.unit = level_index, theta, unit
+
+    def __missing__(self, key):
+        num, div = self.theta.numerator, self.theta.denominator
+        if any(c % div for _, c in key):
+            raise TsinormError(
+                f"internal: a level-{self.level_index} bundle leaves the unit 1/{self.unit}")
+        got = self[key] = tuple((i, c // div * num) for i, c in key)
+        return got
 
 
 def _maximal_keys(keys) -> frozenset:
@@ -491,8 +540,10 @@ def _sign_count(keys) -> int:
     return sum(2 ** len(key) for key in keys)
 
 
-def _check_sign_budget(keys, budget: int, context: str) -> None:
-    total = _sign_count(keys)
+def _check_sign_budget(pairs, budget: int, context: str) -> None:
+    """Raise BudgetExceededError, its message opened by `context`, if the
+    sign variants of the (key, tree) pairs number more than `budget`."""
+    total = _sign_count(key for key, _ in pairs)
     if total > budget:
         raise BudgetExceededError(
             f"{context}: sign expansion needs {total} functionals, budget {budget}")
@@ -556,48 +607,44 @@ def build_norming_set(spec: MixedSpaceSpec, N: int,
     """
     if N < 1:
         raise ValueError(f"window bound must be >= 1, got {N}")
-    pairs, unit = _maximal(spec, range(1, N + 1), budget,
-                           f"norming set on window [1, {N}]")
+    pairs, unit = _maximal_patterns(spec, tuple(range(1, N + 1)), budget)
+    _check_sign_budget(pairs, budget, f"norming set on window [1, {N}]")
     return NormingSet._of_classes(spec, N, pairs, unit,
                                   max(_depth(tree) for _, tree in pairs), stabilized=True)
 
 
-def _maximal(spec: MixedSpaceSpec, indices, budget: int,
-             context: Optional[str] = None) -> tuple:
-    """(pairs, unit): the maximal keys of the closure over `indices`, in
-    its integer units and sorted, each paired with its first-built tree.
-
-    Their sign variants are counted against `budget` as if expanded, so
-    a caller working on the patterns alone keeps norming_generators'
-    budget without building the variants; `context` opens the message of
-    a budget overrun.
-    """
-    indices = tuple(indices)
-    if any(indices[i] >= indices[i + 1] for i in range(len(indices) - 1)):
-        raise ValueError("indices must be strictly increasing")
-    F, _, _, unit = _closure(spec, indices, budget, max_rounds=None)
-    keys = sorted(_maximal_keys(F))
-    _check_sign_budget(keys, budget, context or f"norming generators on {list(indices)}")
-    return tuple((key, F[key]) for key in keys), unit
-
-
 # The dual-norm programs revisit the supports of a few dozen vectors and
 # their sub-vectors; about 60 supports make up their largest working set.
+# The norming-set builds and the stabilized import add the windows [1, N]
+# they read.
 _PATTERNS_KEPT = 128
 
 
 @functools.lru_cache(maxsize=_PATTERNS_KEPT)
 def _maximal_patterns(spec: MixedSpaceSpec, indices: tuple, budget: int) -> tuple:
-    """_maximal's (pairs, unit) for the maximal nonnegative patterns
-    supported inside `indices`: (int key, first-built tree) pairs sorted
-    by key, the pattern being key / unit.  No Fraction is made here; the
-    dual-norm programs run in this unit.
+    """(pairs, unit): the maximal nonnegative patterns supported inside
+    the strictly increasing `indices`, as (int key, first-built tree)
+    pairs sorted by key, the pattern being key / unit.  No Fraction is
+    made here; the dual-norm programs run in this unit.
 
-    Results are kept in a bounded LRU cache keyed by (spec, indices,
-    budget), so a repeated support returns the same tuple, and a budget
-    too small for the closure raises BudgetExceededError whatever was
-    computed before.  tsinorm.clear_caches() empties it."""
-    return _maximal(spec, indices, budget)
+    The one way to the maximal patterns: results are kept in a bounded
+    LRU cache keyed by (spec, indices, budget), so a repeated support or
+    window returns the same tuple.  A closure over `budget` raises
+    BudgetExceededError whatever was computed before; the sign variants
+    are counted against the budget by each caller (_check_sign_budget),
+    under its own message.  tsinorm.clear_caches() empties the cache."""
+    if any(indices[i] >= indices[i + 1] for i in range(len(indices) - 1)):
+        raise ValueError("indices must be strictly increasing")
+    F, _, _, unit = _closure(spec, indices, budget, max_rounds=None)
+    return tuple((key, F[key]) for key in sorted(_maximal_keys(F))), unit
+
+
+def _generator_patterns(spec: MixedSpaceSpec, indices: tuple, budget: int) -> tuple:
+    """_maximal_patterns, their sign variants counted against `budget`
+    as norming_generators would build them."""
+    patterns = _maximal_patterns(spec, indices, budget)
+    _check_sign_budget(patterns[0], budget, f"norming generators on {list(indices)}")
+    return patterns
 
 
 def norming_generators(spec: MixedSpaceSpec, indices,
@@ -610,7 +657,7 @@ def norming_generators(spec: MixedSpaceSpec, indices,
     it, and filtering them is the same as closing over the support
     directly.  The dual-norm programs use the nonnegative patterns alone.
     """
-    return _expand_signs(*_maximal(spec, indices, budget))
+    return _expand_signs(*_generator_patterns(spec, tuple(indices), budget))
 
 
 def raw_norming_generation(spec: MixedSpaceSpec, N: int, generations: int,
@@ -628,7 +675,7 @@ def raw_norming_generation(spec: MixedSpaceSpec, N: int, generations: int,
         raise ValueError(f"window bound must be >= 1, got {N}")
     F, rounds, fixpoint, unit = _closure(spec, tuple(range(1, N + 1)), budget,
                                          max_rounds=generations)
-    _check_sign_budget(F, budget, f"raw generation {generations} on window [1, {N}]")
+    _check_sign_budget(F.items(), budget, f"raw generation {generations} on window [1, {N}]")
     return NormingSet._of_classes(spec, N, tuple(F.items()), unit,
                                   generation=rounds, stabilized=fixpoint)
 
@@ -873,8 +920,9 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
         raise TsinormError("stabilized=true export lacks a sign variant of some functional")
     if stabilized:
         # a stabilized set holds exactly the maximal classes on its window
-        pairs, unit = _maximal(spec, range(1, window + 1), DEFAULT_NORMING_BUDGET,
-                               f"norming set on window [1, {window}]")
+        pairs, unit = _maximal_patterns(spec, tuple(range(1, window + 1)),
+                                        DEFAULT_NORMING_BUDGET)
+        _check_sign_budget(pairs, DEFAULT_NORMING_BUDGET, f"norming set on window [1, {window}]")
         built = {tuple((i, Q(c, unit)) for i, c in key) for key, _ in pairs}
         given = {rep.entries for rep in classes}
         if given != built:

@@ -5,8 +5,9 @@ must be referenced somewhere in the package, only `families` reads
 a family's fields or tests its class (and tests it only in `max_blocks`
 and the config functions), and `clear_caches` empties every cache a
 def of the package is decorated with.  A nested function that calls
-itself is deleted when its caller ends, and the window pass is driven
-from one place.  One call of each norm, of the norming-set and
+itself is deleted when its caller ends, the window pass is driven
+from one place, and the norming closure is run only by the patterns
+cache and the raw generation.  One call of each norm, of the norming-set and
 certificate writers and readers, and of a precision retry leaves no
 reference cycle behind for the cyclic collector.
 """
@@ -195,6 +196,21 @@ def test_the_window_pass_has_one_driver():
                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "column"]
     assert callers and set(callers) == {"covers.py:fill"}
+
+
+def test_the_norming_closure_has_one_cached_door():
+    # every reader of the maximal patterns goes through the bounded
+    # _maximal_patterns cache; only the raw generation, which keeps every
+    # key it builds, runs a closure of its own
+    callers = []
+    for module, tree in TREES.items():
+        owners = enclosing_functions(tree)
+        callers += [f"{module}:{getattr(owners[node], 'name', None)}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_closure"]
+    assert sorted(callers) == ["norming.py:_maximal_patterns",
+                               "norming.py:raw_norming_generation"]
 
 
 CARD_DEMO = tsinorm.MixedSpaceSpec("card-demo", (

@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tsinorm
 from tsinorm import cli
 from tsinorm.core import (
     BudgetExceededError,
@@ -31,6 +32,7 @@ from tsinorm.norming import (
     NormingSet,
     _closure,
     _maximal_keys,
+    _maximal_patterns,
     build_norming_set,
     export_norming_set,
     import_norming_set,
@@ -39,7 +41,12 @@ from tsinorm.norming import (
     tau,
     verify_norming_functional,
 )
-from tsinorm.dualnorm import dual_norm, export_dual_certificate, import_dual_certificate
+from tsinorm.dualnorm import (
+    dual_norm,
+    dual_norm_value,
+    export_dual_certificate,
+    import_dual_certificate,
+)
 from tsinorm.primal import fj_norm, fj_norm_level, mixed_norm
 
 from oracles import TSIRELSON_LEVELS, brute_raw_functionals, brute_tau, reference_closure
@@ -895,3 +902,56 @@ class TestPrunedClosure:
         (run,) = [entry.locals for entry in info.traceback if entry.name == "_closure"]
         assert 0 < run["rounds"] < 20
         assert run["unit"] <= run["den"] ** (2 * run["rounds"] + 1)
+
+
+class TestCachedPatterns:
+    """build_norming_set, norming_generators, the stabilized import and
+    the dual programs read the maximal patterns through the one bounded
+    cache, _maximal_patterns; each caller counts their sign variants
+    against its budget under its own message."""
+
+    def test_each_caller_keeps_its_sign_budget_text(self):
+        tail = "sign expansion needs 524 functionals, budget 100"
+        window = re.escape(f"norming set on window [1, 6]: {tail}")
+        support = re.escape(f"norming generators on [1, 2, 3, 4, 5, 6]: {tail}")
+        ones = vec({i: 1 for i in range(1, 7)})
+        tsinorm.clear_caches()
+        for _ in range(2):  # the second round finds the closure cached
+            with pytest.raises(BudgetExceededError, match=f"^{window}$"):
+                build_norming_set(TS, 6, budget=100)
+            with pytest.raises(BudgetExceededError, match=f"^{support}$"):
+                norming_generators(TS, range(1, 7), budget=100)
+            with pytest.raises(BudgetExceededError, match=f"^{support}$"):
+                dual_norm_value(TS, ones, 100)
+        info = _maximal_patterns.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
+        tsinorm.clear_caches()
+
+    def test_builds_generators_and_the_import_share_one_closure(self):
+        tsinorm.clear_caches()
+        text = export_norming_set(build_norming_set(TS, 6))
+        hits = _maximal_patterns.cache_info().hits
+        assert export_norming_set(build_norming_set(TS, 6)) == text
+        assert _maximal_patterns.cache_info().hits == hits + 1
+        norming_generators(TS, range(1, 7))
+        assert _maximal_patterns.cache_info().hits == hits + 2
+        assert export_norming_set(import_norming_set(text, TS)) == text
+        info = _maximal_patterns.cache_info()
+        assert (info.misses, info.hits) == (1, hits + 3)
+        tsinorm.clear_caches()
+
+    @pytest.mark.parametrize("spec, N", [
+        (TS, 7), (CARD_DEMO, 6), (ORACLE_SPACES["explicit"][0], 6)],
+        ids=["tsirelson", "card-demo", "explicit"])
+    def test_the_budget_raises_at_the_last_key(self, spec, N):
+        indices = tuple(range(1, N + 1))
+        F = _closure(spec, indices, 10 ** 6, None)[0]
+        assert list(_closure(spec, indices, len(F), None)[0].items()) == list(F.items())
+        budget = len(F) - 1
+        with pytest.raises(BudgetExceededError,
+                           match=f"^norming closure exceeds the budget of {budget} functionals$"
+                           ) as info:
+            _closure(spec, indices, budget, None)
+        # the closure stops as it builds the key it would have built last
+        (emit,) = [entry.locals for entry in info.traceback if entry.name == "emit"]
+        assert emit["ckey"] == list(F)[-1]
