@@ -270,15 +270,14 @@ def _suite_lemmas(spec, args, rng, budget):
 
     violations = []
     scalars = (Q(2), Q(-1), Q(1, 2), Q(-3, 2), Q(0))
-    for x in vectors[:max(len(vectors) // len(scalars), 1)]:
+    scaled = vectors[:max(len(vectors) // len(scalars), 1)]
+    for x in scaled:
         for lam in scalars:
             if dual_norm_value(spec, x.scale(lam), budget) != \
                     abs(lam) * dual_norm_value(spec, x, budget):
                 violations.append(
                     f"homogeneity broken at {format_vector(x)} scale {lam}")
-    results.append(("scale-homogeneity",
-                    len(vectors[:max(len(vectors) // len(scalars), 1)]) * len(scalars),
-                    violations))
+    results.append(("scale-homogeneity", len(scaled) * len(scalars), violations))
 
     violations = []
     for _ in range(args.pairs):

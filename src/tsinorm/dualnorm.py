@@ -36,9 +36,9 @@ read levels from covers.iterates, one bottom-up window pass per level,
 minimising from the l1 norm; sigma_ell1_variant, their limit, is one
 fixpoint pass (covers.best_windows with no previous table).
 falsify_ell1_variant values the limit at all its vectors in one shared
-pass (covers.fixpoints), runs its pair loop on integer codes, and
-settles a pair by the l1 norm, which bounds the limit, wherever it can;
-only the pair sums of a row that no such bound settles are valued, in
+pass (covers.fixpoints), keeps it per |x|, which is all it depends
+on, and settles a pair by the l1 norm, which bounds the limit,
+wherever it can; only the pair sums of a row that no such bound settles are valued, in
 one more shared pass.
 verify_implicit_equation walks every admissible cover one by one
 (covers.cover_branches), because it reports the partition count and
@@ -428,11 +428,15 @@ def dual_norm_bounds(spec: MixedSpaceSpec, x: FinVec,
 def rho_partition_upper(spec: MixedSpaceSpec, x: FinVec, n: int) -> Fraction:
     """Partition-only upper iterate: level 0 is the l1 norm, each next
     level takes the best admissible covering partition, never worse than
-    the previous level.  Always >= the dual norm."""
+    the previous level.  Always >= the dual norm.  Levels repeat from
+    the support size on (covers.iterates), so n is capped at
+    |supp x| + 1."""
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     levels = rational_levels(spec, "rho_partition_upper needs")
-    return next(itertools.islice(iterates(levels, _abs_entries(x), False), n, None))
+    entries = _abs_entries(x)
+    return next(itertools.islice(iterates(levels, entries, False),
+                                 min(n, len(entries) + 1), None))
 
 
 def rho_chain(spec: MixedSpaceSpec, x: FinVec, n_max: int) -> Tuple[RhoIterate, ...]:
@@ -469,7 +473,9 @@ def rho_with_splits_upper(spec: MixedSpaceSpec, x: FinVec, n: int,
     decompositions x = w1 + w2 (evaluated at x itself; deeper recursion
     levels see only the partition branch).  An upper bound that can only
     improve as candidates are added; empty candidates reduce it to
-    rho_partition_upper."""
+    rho_partition_upper.  Every chain read here repeats from the largest
+    support size among x and the parts on, and so does the value, so n
+    is capped at that size + 1."""
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     levels = rational_levels(spec, "rho_with_splits_upper needs")
@@ -487,7 +493,9 @@ def rho_with_splits_upper(spec: MixedSpaceSpec, x: FinVec, n: int,
     parts = [[None if w.entries == x.entries else iterates(levels, _abs_entries(w), False)
               for w in pair] for pair in cands]
     value = next(chain)
-    for _ in range(n):
+    # a part may reach outside supp(x) (w1 = x + e_j, w2 = -e_j)
+    size = max([len(x.support)] + [len(w.support) for pair in cands for w in pair])
+    for _ in range(min(n, size + 1)):
         # x's chain never exceeds rho, so this adds exactly x's cover branch
         below = [sum(value if g is None else next(g) for g in pair) for pair in parts]
         value = min(value, next(chain), *below)
@@ -622,10 +630,9 @@ def falsify_ell1_variant(spec: MixedSpaceSpec, N: int, G: Sequence,
     silently trusted; its capped level is never computed.
 
     Entries are scaled to integers c / D, D the grid's common denominator
-    (sigma is positively homogeneous), and a vector is coded as the
-    signed-digit integer sum c_i * B^(i - 1) with B > 4 max |c|, so the
-    code of x + y is code(x) + code(y).  Sigma depends on |x| only; the
-    sigmas of all vectors are valued in one covers.fixpoints pass.  The
+    (sigma is positively homogeneous).  Sigma depends on |x| only, so it
+    is kept per |x|, as the sorted (index, |c|) pairs covers.fixpoints
+    reads; the sigmas of all vectors are valued in one such pass.  The
     recursion minimises from the l1 norm, so sigma(x + y) <= ||x + y||_1
     <= ||x||_1 + ||y||_1, and a pair is settled by the first of these
     bounds that is at most sigma(x) + sigma(y): the first costs one
@@ -645,13 +652,9 @@ def falsify_ell1_variant(spec: MixedSpaceSpec, N: int, G: Sequence,
         raise ValueError(f"iteration cap must be >= 1, got {iteration_cap}")
     denom = math.lcm(*(v.denominator for v in values))
     scaled = tuple(sorted(int(v * denom) for v in values))
-    base = 4 * max(abs(c) for c in scaled) + 1
     vectors = sorted(
         combo for combo in itertools.product((0,) + scaled, repeat=N)
         if any(combo))
-
-    def code(dense) -> int:
-        return sum(c * base ** i for i, c in enumerate(dense))
 
     def to_vec(dense):
         return FinVec.from_items(
@@ -660,33 +663,30 @@ def falsify_ell1_variant(spec: MixedSpaceSpec, N: int, G: Sequence,
     def capped(dense) -> bool:
         return N - dense.count(0) >= iteration_cap
 
-    sigma: dict = {}  # code -> sigma in units of 1/unit
-    by_support: dict = {}  # |x| as sorted (index, |c|) pairs -> sigma
+    def key(dense) -> tuple:
+        return tuple((i + 1, abs(c)) for i, c in enumerate(dense) if c)
 
-    def value(fresh: dict) -> int:
-        """Fill sigma for every (code, dense vector) in fresh; the unit."""
-        supports = {n: tuple((i + 1, abs(c)) for i, c in enumerate(dense) if c)
-                    for n, dense in fresh.items()}
-        new = [s for s in dict.fromkeys(supports.values()) if s not in by_support]
+    sigma: dict = {}  # |x| as sorted (index, |c|) pairs -> sigma in units of 1/unit
+
+    def value(keys) -> int:
+        """Fill sigma for every key not valued yet; the unit."""
+        new = [k for k in dict.fromkeys(keys) if k not in sigma]
         got, unit = fixpoints(levels, new, denom, N)
-        by_support.update(zip(new, got))
-        for n, s in supports.items():
-            sigma[n] = by_support[s]
+        sigma.update(zip(new, got))
         return unit
 
-    codes = {code(combo): combo for combo in vectors if not capped(combo)}
-    cap_hits = len(vectors) - len(codes)
-    unit = value(codes)
+    kept = [(combo, key(combo)) for combo in vectors if not capped(combo)]
+    cap_hits = len(vectors) - len(kept)
+    unit = value(k for _, k in kept)
     scale = unit // denom
-    usable = [(combo, n, sigma[n], scale * sum(map(abs, combo)))
-              for n, combo in codes.items()]
+    usable = [(combo, sigma[k], scale * sum(map(abs, combo))) for combo, k in kept]
 
     pairs_checked = 0
-    for a, (xa, cx, sx, lx) in enumerate(usable):
-        # (pairs_checked, cap_hits, y, sigma y, code, x + y) at each pair
+    for a, (xa, sx, lx) in enumerate(usable):
+        # (pairs_checked, cap_hits, y, sigma y, |x + y|'s key) at each pair
         # that the l1 bounds leave open, in pair order
         open_pairs = []
-        for yb, cy, sy, ly in usable[a:]:
+        for yb, sy, ly in usable[a:]:
             if iteration_cap <= N and capped(tuple(map(operator.add, xa, yb))):
                 cap_hits += 1
                 continue
@@ -695,12 +695,12 @@ def falsify_ell1_variant(spec: MixedSpaceSpec, N: int, G: Sequence,
                 continue
             dense = tuple(map(operator.add, xa, yb))
             if scale * sum(map(abs, dense)) > sx + sy:
-                open_pairs.append((pairs_checked, cap_hits, yb, sy, cx + cy, dense))
-        fresh = {n: dense for *_, n, dense in open_pairs if n not in sigma}
+                open_pairs.append((pairs_checked, cap_hits, yb, sy, key(dense)))
+        fresh = [k for *_, k in open_pairs if k not in sigma]
         if fresh:
             value(fresh)
-        for checked, hits, yb, sy, n, _ in open_pairs:
-            ssum = sigma[n]
+        for checked, hits, yb, sy, k in open_pairs:
+            ssum = sigma[k]
             if ssum > sx + sy:
                 xv, yv = to_vec(xa), to_vec(yb)
                 sx, sy, ssum = (Q(v, unit) for v in (sx, sy, ssum))

@@ -205,10 +205,10 @@ def _log2_enclosure(m: int, precision: int) -> IntervalScalar:
     factor into primes, so every tie between them is.  A power of two is
     exact.
 
-    Results are kept in a bounded LRU cache keyed by (m, precision), and
-    the factors' enclosures in one keyed by (p_i, precision), so a factor
-    shared by many m is extracted once; tsinorm.clear_caches() empties
-    both.
+    Results are kept in a bounded LRU cache keyed by (m, precision);
+    tsinorm.clear_caches() empties it.  The factors are enclosed afresh
+    for each m not in it: an enclosure is a function of (p_i, precision)
+    alone, so a factor shared by two m gets the same one in both.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -217,7 +217,6 @@ def _log2_enclosure(m: int, precision: int) -> IntervalScalar:
                IntervalScalar.point(twos))
 
 
-@functools.lru_cache(maxsize=_ENCLOSURES_KEPT)
 def _log2_bits(p: int, precision: int) -> IntervalScalar:
     """Enclosure of log2(p) for odd p >= 3, extracted bit by bit in
     integer fixed point: square the mantissa interval, emit 1 and halve

@@ -226,7 +226,8 @@ class NormingSet:
     them through _expand_signs on first access; cardinality, tau and
     export_norming_set read the classes and never expand them.  A set
     constructed from its functionals (import, hand-built) holds them as
-    given.  Equality, hashing and repr go through `functionals`.
+    given, and tau scans them.  Equality, hashing and repr go through
+    `functionals`.
     """
 
     def __init__(self, spec: MixedSpaceSpec, window: int,
@@ -283,42 +284,23 @@ class NormingSet:
             return len(self.functionals)
         return _sign_count(key for key, _ in self._classes)
 
-    @functools.cached_property
-    def _abs_reps(self) -> Optional[tuple]:
-        """(keys, unit): the sign classes' nonnegative int keys over one
-        unit, if every class holds its 2^s distinct sign variants (tau
-        may then pair them with |x|), else None.  A built set's keys are
-        its classes; a set given its functionals is grouped by absolute
-        coefficients here, on tau's first call."""
-        if self._classes is not None:
-            return tuple(key for key, _ in self._classes), self._unit
-        classes: dict = {}
-        for f in self.functionals:
-            classes.setdefault(f.coeffs.abs(), set()).add(f.coeffs)
-        if any(len(signed) != 2 ** len(rep.entries) for rep, signed in classes.items()):
-            return None
-        unit = math.lcm(*(c.denominator for rep in classes for _, c in rep.entries))
-        return tuple(tuple((i, c.numerator * (unit // c.denominator)) for i, c in rep.entries)
-                     for rep in classes), unit
-
 
 def tau(vset: NormingSet, x: FinVec) -> Fraction:
     """max f(x) over the stored functionals; supp(x) must fit the window.
 
-    Over complete sign classes max f(x) is the max of key . |x|: |x| is
-    scaled to ints once and one Fraction is made for the result."""
+    A built set holds whole sign classes, over which max f(x) is the max
+    of key . |x|: |x| is scaled to ints once and one Fraction is made for
+    the result.  A set given its functionals is scanned."""
     support = x.support
     if support and support[-1] > vset.window:
         raise TsinormError(
             f"support {support} outside window [1, {vset.window}]")
-    reps = vset._abs_reps
-    if reps is None:
+    if vset._classes is None:
         return max(pairing(f.coeffs, x) for f in vset.functionals)
-    keys, unit = reps
     scale = math.lcm(*(c.denominator for _, c in x.entries))
     xs = {i: abs(c.numerator) * (scale // c.denominator) for i, c in x.entries}
-    best = max(sum(c * xs.get(i, 0) for i, c in key) for key in keys)
-    return Q(best, unit * scale)
+    best = max(sum(c * xs.get(i, 0) for i, c in key) for key, _ in vset._classes)
+    return Q(best, vset._unit * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +340,17 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     the keys, so the enumeration, the first-built trees and the pruning
     are those of the rational coefficients.
 
-    Returns (F, rounds, reached_fixpoint, unit): F maps keys to their
-    first-constructed tree, and rounds counts the rounds that built a
-    key.  Rounds are semi-naive: a tuple is only combined when at least
-    one part is new since the previous round, so a key built in round r
-    has a first-built tree of depth exactly r.  A kept set's generation
+    Returns (F, rounds, unit): F maps keys to their first-constructed
+    tree, and rounds counts the rounds that built a key.  A pruned run
+    ends at its fixpoint, the first round that builds nothing.  A raw run
+    never reaches one, so only max_rounds or the budget ends it: the key
+    m of least coefficient sum is always in the frontier (were it built
+    in an earlier round, its one-part bundle theta * m, of smaller sum,
+    would already be a key), and theta * m is new in every round.
+
+    Rounds are semi-naive: a tuple is only combined when at least one
+    part is new since the previous round, so a key built in round r has
+    a first-built tree of depth exactly r.  A kept set's generation
     is therefore the depth of its deepest tree; for the maximal keys that
     is the first round whose maximal set is final, as every other key is
     dominated by one.  The enumeration skips every branch whose tuples
@@ -377,19 +365,12 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     admits a tuple by its part count (families.max_blocks); only an
     ExplicitFinite level builds the BlockPartition and asks is_admissible.
     """
-    levels = rational_levels(spec, "norming sets need")
-    if not indices:
-        raise ValueError("need at least one index to seed from")
+    levels = _check_seeds(spec, len(indices), budget)
     den = math.lcm(*(theta.denominator for _, _, theta in levels))
     singletons = max_rounds is not None  # one-part bundles
     depth = 0 if singletons else len(indices) - 1
     unit = den ** depth
-    F: dict = {}
-    for i in indices:
-        F[((i, unit),)] = FunctionalLeaf(i, 1)
-    if len(F) > budget:
-        raise BudgetExceededError(
-            f"seeding {len(F)} unit functionals already exceeds budget {budget}")
+    F = {((i, unit),): FunctionalLeaf(i, 1) for i in indices}
     frontier = frozenset(F)
     # caps[i]: the most parts a tuple whose first part starts at i may have
     caps = {i: max(part_bound(family, i) for _, family, _ in levels) for i in indices}
@@ -400,7 +381,7 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
     min_emit = 1 if singletons else 2
     bundled = [_Bundled(i, theta, unit) for i, _, theta in levels]
 
-    while frontier and (max_rounds is None or rounds < max_rounds):
+    while max_rounds is None or rounds < max_rounds:
         if singletons and rounds == depth:
             step = max(depth, 1)
             factor = den ** step
@@ -470,13 +451,26 @@ def _closure(spec: MixedSpaceSpec, indices: tuple, budget: int,
         finally:
             del extend  # it calls itself through its closure: no cycle outlives the round
         if not new:
-            frontier = frozenset()
             break
         F.update(new)
         rounds += 1
         frontier = frozenset(new)
 
-    return F, rounds, not frontier, unit
+    return F, rounds, unit
+
+
+def _check_seeds(spec: MixedSpaceSpec, count: int, budget: int) -> tuple:
+    """Raise for a closure seeded from `count` indices that cannot run:
+    a symbolic weight, no index, or more seeds than `budget`.  Callers
+    ask before they build anything of that size; returns the (index,
+    family, theta) levels."""
+    levels = rational_levels(spec, "norming sets need")
+    if count < 1:
+        raise ValueError("need at least one index to seed from")
+    if count > budget:
+        raise BudgetExceededError(
+            f"seeding {count} unit functionals already exceeds budget {budget}")
+    return levels
 
 
 class _Bundled(dict):
@@ -607,6 +601,7 @@ def build_norming_set(spec: MixedSpaceSpec, N: int,
     """
     if N < 1:
         raise ValueError(f"window bound must be >= 1, got {N}")
+    _check_seeds(spec, N, budget)
     pairs, unit = _maximal_patterns(spec, tuple(range(1, N + 1)), budget)
     _check_sign_budget(pairs, budget, f"norming set on window [1, {N}]")
     return NormingSet._of_classes(spec, N, pairs, unit,
@@ -635,7 +630,7 @@ def _maximal_patterns(spec: MixedSpaceSpec, indices: tuple, budget: int) -> tupl
     under its own message.  tsinorm.clear_caches() empties the cache."""
     if any(indices[i] >= indices[i + 1] for i in range(len(indices) - 1)):
         raise ValueError("indices must be strictly increasing")
-    F, _, _, unit = _closure(spec, indices, budget, max_rounds=None)
+    F, _, unit = _closure(spec, indices, budget, max_rounds=None)
     return tuple((key, F[key]) for key in sorted(_maximal_keys(F))), unit
 
 
@@ -673,11 +668,11 @@ def raw_norming_generation(spec: MixedSpaceSpec, N: int, generations: int,
         raise ValueError(f"generation count must be >= 0, got {generations}")
     if N < 1:
         raise ValueError(f"window bound must be >= 1, got {N}")
-    F, rounds, fixpoint, unit = _closure(spec, tuple(range(1, N + 1)), budget,
-                                         max_rounds=generations)
+    _check_seeds(spec, N, budget)
+    F, rounds, unit = _closure(spec, tuple(range(1, N + 1)), budget, max_rounds=generations)
     _check_sign_budget(F.items(), budget, f"raw generation {generations} on window [1, {N}]")
     return NormingSet._of_classes(spec, N, tuple(F.items()), unit,
-                                  generation=rounds, stabilized=fixpoint)
+                                  generation=rounds, stabilized=False)
 
 
 # ---------------------------------------------------------------------------
@@ -920,6 +915,7 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
         raise TsinormError("stabilized=true export lacks a sign variant of some functional")
     if stabilized:
         # a stabilized set holds exactly the maximal classes on its window
+        _check_seeds(spec, window, DEFAULT_NORMING_BUDGET)
         pairs, unit = _maximal_patterns(spec, tuple(range(1, window + 1)),
                                         DEFAULT_NORMING_BUDGET)
         _check_sign_budget(pairs, DEFAULT_NORMING_BUDGET, f"norming set on window [1, {window}]")

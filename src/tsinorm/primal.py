@@ -114,10 +114,14 @@ def fj_norm(x: FinVec):
 
 
 def fj_norm_level(x: FinVec, n: int) -> Fraction:
-    """n-th approximant: level 0 is the sup norm, each level adds one split."""
+    """n-th approximant: level 0 is the sup norm, each level adds one split.
+    Levels repeat from the support size on (covers.iterates), so n is
+    capped at |supp x| + 1."""
     if n < 0:
         raise ValueError(f"level {n} < 0")
-    return next(itertools.islice(iterates(_FJ_LEVELS, _abs_entries(x), True), n, None))
+    entries = _abs_entries(x)
+    return next(itertools.islice(iterates(_FJ_LEVELS, entries, True),
+                                 min(n, len(entries) + 1), None))
 
 
 def _certificate(entries: tuple, kept: tuple) -> PrimalCertificate:

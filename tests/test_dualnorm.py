@@ -417,6 +417,35 @@ class TestRhoIteration:
                 assert a.value >= b.value
             assert all(it.value >= value for it in chain)
 
+    def test_levels_past_the_support_read_the_last_one(self, monkeypatch):
+        # a window of l points is stable from level l - 1, so a level
+        # count past the support size reads level |supp x| + 1 at once, or
+        # past the largest support of a split part, which may be larger
+        # (no support here exceeds 8 points)
+        real = dualnorm.iterates
+
+        def bounded(levels, entries, maximise):
+            for n, value in enumerate(real(levels, entries, maximise)):
+                assert n <= 9, "read a level past the largest support + 1"
+                yield value
+
+        rng = random.Random(96)
+        xs = [vec({1: 1, 2: 1, 3: 1}), e(3, 4, 5), FinVec.zero()]
+        xs += [random_vector(rng, range(1, 7)) for _ in range(6)]
+        for x in xs:
+            m = len(x.support)
+            bipartitions = support_bipartitions(x)
+            # a split whose parts reach outside supp(x)
+            reach = [(x + e(9, 10), -e(9, 10))]
+            want = [rho_partition_upper(TS, x, m + 1),
+                    rho_with_splits_upper(TS, x, m + 1, bipartitions),
+                    rho_with_splits_upper(TS, x, m + 4, reach)]
+            monkeypatch.setattr(dualnorm, "iterates", bounded)
+            assert [rho_partition_upper(TS, x, 10 ** 12),
+                    rho_with_splits_upper(TS, x, 10 ** 12, bipartitions),
+                    rho_with_splits_upper(TS, x, 10 ** 12, reach)] == want
+            monkeypatch.undo()
+
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
             rho_partition_upper(TS, e(1), -1)

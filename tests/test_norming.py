@@ -196,19 +196,6 @@ class TestSignClasses:
             assert tau(vset, x) == max(pairing(f.coeffs, x) for f in vset.functionals)
         assert tau(vset, vec({1: -1})) == 0
 
-    def test_class_table_waits_for_tau(self):
-        built = build_norming_set(TS, 4)
-        sets = [built, raw_norming_generation(TS, 4, 2),
-                import_norming_set(export_norming_set(built), TS)]
-        x = vec({1: -1, 3: 2})
-        for vset in sets:
-            assert "_abs_reps" not in vars(vset)
-            value = tau(vset, x)
-            table = vars(vset)["_abs_reps"]
-            assert table is not None
-            assert tau(vset, x) == value
-            assert vars(vset)["_abs_reps"] is table
-
 
 class TestDetermination:
     def test_exhaustive_window_four(self):
@@ -871,20 +858,23 @@ class TestPrunedClosure:
     ])
     def test_matches_reference(self, name, indices, rounds):
         spec, levels = CLOSURE_SPACES[name]
-        F, built, fixpoint, unit = _closure(spec, indices, 10 ** 6, rounds)
+        F, built, unit = _closure(spec, indices, 10 ** 6, rounds)
         ref, ref_built, ref_fixpoint, ref_unit = reference_closure(
             levels, indices, rounds is not None, rounds)
         got = [(tuple((i, Q(c, unit)) for i, c in key), tree_form(tree))
                for key, tree in F.items()]
         assert got == list(ref.items())
-        assert (built, fixpoint, unit) == (ref_built, ref_fixpoint, ref_unit)
+        assert (built, unit) == (ref_built, ref_unit)
+        # a pruned run ends at its fixpoint, a raw run never reaches one
+        assert ref_fixpoint == (rounds is None)
 
     @pytest.mark.parametrize("name, N", [
         ("tsirelson", 4), ("card-demo", 2), ("two-level", 2), ("explicit", 3)])
-    @pytest.mark.parametrize("rounds", [3, 5, 6])
+    @pytest.mark.parametrize("rounds", [0, 1, 3, 5, 6])
     def test_raw_generation_matches_reference(self, name, N, rounds):
         # rounds that are not powers of two end between two rescalings;
-        # values only, test_matches_reference pins the unit
+        # values only, test_matches_reference pins the unit.  Every round
+        # builds a key, so a raw generation never stabilizes
         spec, levels = CLOSURE_SPACES[name]
         vset = raw_norming_generation(spec, N, rounds)
         assert vset.generation == rounds and vset.stabilized is False
@@ -955,3 +945,53 @@ class TestCachedPatterns:
         # the closure stops as it builds the key it would have built last
         (emit,) = [entry.locals for entry in info.traceback if entry.name == "emit"]
         assert emit["ckey"] == list(F)[-1]
+
+
+class TestSeedBudget:
+    """More seeds than the budget raise before anything of that size is
+    built: the closure makes no seed, and a window's callers reach no
+    closure, so no range of the window is made either."""
+
+    @staticmethod
+    def seeding(count, budget):
+        return f"^seeding {count} unit functionals already exceeds budget {budget}$"
+
+    @pytest.fixture
+    def no_closure(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a closure was started")
+        monkeypatch.setattr("tsinorm.norming._maximal_patterns", fail)
+        monkeypatch.setattr("tsinorm.norming._closure", fail)
+
+    def test_closure_checks_before_seeding(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a seed was made")
+        monkeypatch.setattr("tsinorm.norming.FunctionalLeaf", fail)
+        with pytest.raises(BudgetExceededError, match=self.seeding(1001, 1000)):
+            _closure(TS, tuple(range(1, 1002)), 1000, None)
+        with pytest.raises(BudgetExceededError, match=self.seeding(3, 2)):
+            dual_norm_value(TS, vec({1: 1, 4: 2, 9: 1}), 2)
+
+    def test_window_callers_check_before_the_closure(self, no_closure):
+        with pytest.raises(BudgetExceededError, match=self.seeding(1000001, 10 ** 6)):
+            build_norming_set(TS, 1000001)
+        with pytest.raises(BudgetExceededError, match=self.seeding(101, 100)):
+            raw_norming_generation(TS, 101, 2, budget=100)
+        # the older checks still come first
+        with pytest.raises(ValueError, match="window bound must be >= 1"):
+            build_norming_set(TS, 0, budget=-1)
+        with pytest.raises(ValueError, match="generation count must be >= 0"):
+            raw_norming_generation(TS, 101, -1, budget=1)
+        with pytest.raises(TsinormError, match="^norming sets need rational weights"):
+            build_norming_set(schlumprecht_spec(), 101, budget=1)
+
+    def test_cli_window_over_budget(self, no_closure, capsys):
+        assert cli.main(["norming-set", "200000", "--budget", "100000"]) == 3
+        assert re.search(self.seeding(200000, 100000)[1:-1], capsys.readouterr().err)
+
+    def test_two_line_import_over_budget(self, no_closure):
+        text = ("# norming-set space=tsirelson window=1000001 generation=0 stabilized=true"
+                " count=2\n# level 0: schreier1 theta=1/2\n"
+                "-e1000001\t1000001:-1\ne1000001\t1000001:1\n")
+        with pytest.raises(BudgetExceededError, match=self.seeding(1000001, 10 ** 6)):
+            import_norming_set(text, TS)

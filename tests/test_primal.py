@@ -163,6 +163,23 @@ class TestFjLevels:
             for n in range(4):
                 assert fj_norm_level(x, n) == brute_block_norm_level(x.to_dict(), n)
 
+    def test_levels_past_the_support_read_the_last_one(self, monkeypatch):
+        # a window of l points is stable from level l - 1, so a level
+        # count past the support size reads level |supp x| + 1 at once
+        real = primal.iterates
+
+        def bounded(levels, entries, maximise):
+            for n, value in enumerate(real(levels, entries, maximise)):
+                assert n <= len(entries) + 1, "read a level past |supp| + 1"
+                yield value
+
+        rng = random.Random(13)
+        for x in [vec({1: 1, 2: 1, 3: 1}), FinVec.zero()] + [random_vec(rng) for _ in range(6)]:
+            want = fj_norm_level(x, len(x.support) + 1)
+            monkeypatch.setattr(primal, "iterates", bounded)
+            assert fj_norm_level(x, 10 ** 12) == want == fj_norm(x)[0]
+            monkeypatch.undo()
+
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError):
             fj_norm_level(FinVec.basis(1), -1)
@@ -634,7 +651,7 @@ def test_package_clear_caches_empties_every_memo():
             if hasattr(value, "cache_info") and value.__module__ == module.__name__:
                 caches[f"{info.name}.{name}"] = value
     assert set(caches) == {"norming._maximal_patterns", "dualnorm._ball_value",
-                           "families._log2_enclosure", "families._log2_bits"}
+                           "families._log2_enclosure"}
     assert all(f.cache_info().maxsize is not None for f in caches.values())
     assert all(f.cache_info().currsize for f in caches.values())
     tsinorm.clear_caches()
