@@ -91,8 +91,10 @@ from . import norming as _norming
 def clear_caches() -> None:
     """Empty the package's three bounded caches: the maximal patterns per
     (space, support, budget), the dual values per (space, |x|, budget)
-    and the weight enclosures per (m, precision).  No other state
-    outlives a call."""
+    and the weight enclosures per (m, precision).  A patterns entry is
+    one record, which keeps what it derives (sign count, generation,
+    ball rows, export lines); those go with it.  No other state outlives
+    a call."""
     _norming._maximal_patterns.cache_clear()
     _dualnorm._ball_value.cache_clear()
     _families._log2_enclosure.cache_clear()

@@ -315,7 +315,7 @@ def _suite_duality(spec, args, rng, budget):
             continue
         # one hull column and one ball row per maximal pattern
         max_patterns = max(max_patterns,
-                           len(_maximal_patterns(spec, x.support, budget)[0]))
+                           len(_maximal_patterns(spec, x.support, budget).pairs))
     extras = {"max_hull_columns": max_patterns, "max_ball_rows": max_patterns}
     return [("lp-duality-and-certificates", len(vectors), violations)], extras
 

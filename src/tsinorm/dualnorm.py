@@ -152,38 +152,28 @@ class RhoIterate:
 _BOUNDS_HINT = " (use dual_norm_bounds for enclosures)"
 
 
-def _ball_program(pairs: tuple, unit: int, xa_entries: tuple) -> IntegerProgram:
+def _ball_program(patterns, xa_entries: tuple) -> IntegerProgram:
     """max <|x|, z> over z >= 0 with a.z <= 1 for every nonnegative
-    maximal pattern a, given as (key, tree) `pairs` in the closure's
-    integer unit (a = key / unit), the _maximal_patterns of supp(x).  By
-    sign completeness this equals the maximum of <x, y> over the whole
+    maximal pattern a of `patterns`, the _maximal_patterns record of
+    supp(x), in the closure's integer unit (a = key / unit).  By sign
+    completeness this equals the maximum of <x, y> over the whole
     dual-ball polar, and |x|'s best y is sign(x)*z.
 
-    In integers: row a is key . z <= unit divided by the gcd g of unit and
-    the key's entries, so its scale is unit / g, and the cost is |x| times
-    the lcm of its denominators.  The gcd keeps the tableau's integers as
-    small as reduced fractions would.
+    In integers: the rows and their scales depend on the patterns alone,
+    so the record builds them once (its ball_rows), and only the cost row
+    is built here: |x| times the lcm of its denominators.
     """
-    position = {i: k for k, (i, _) in enumerate(xa_entries)}
-    blank = [0] * len(xa_entries)
-    rows, scales = [], []
-    for key, _ in pairs:
-        g = math.gcd(unit, *(c for _, c in key))
-        row = blank.copy()
-        for i, c in key:
-            row[position[i]] = c // g
-        rows.append((tuple(row), "<=", unit // g))
-        scales.append(unit // g)
+    rows, scales = patterns.ball_rows
     scale = math.lcm(*(c.denominator for _, c in xa_entries))
     cost = tuple(c.numerator * (scale // c.denominator) for _, c in xa_entries)
-    return IntegerProgram(cost, tuple(rows), tuple(scales), scale)
+    return IntegerProgram(cost, rows, scales, scale)
 
 
-def _solve_ball(pairs: tuple, unit: int, xa_entries: tuple):
+def _solve_ball(patterns, xa_entries: tuple):
     """Solve _ball_program.  Returns (value, z as dict, weights, den):
     weights[k] / den is the verified multiplier of pattern k's row
     a . z <= 1, and the weights are an optimum of the dominance program."""
-    prog = _ball_program(pairs, unit, xa_entries)
+    prog = _ball_program(patterns, xa_entries)
     sol = solve_integer(prog)
     if sol.status != "optimal":
         raise TsinormError(
@@ -310,7 +300,7 @@ def dual_norm_value(spec: MixedSpaceSpec, x: FinVec,
 def _ball_value(spec: MixedSpaceSpec, xa_entries: tuple, budget: int) -> Fraction:
     """The ball program's value at |x|, given as its entries."""
     support = tuple(i for i, _ in xa_entries)
-    return _solve_ball(*_generator_patterns(spec, support, budget), xa_entries)[0]
+    return _solve_ball(_generator_patterns(spec, support, budget), xa_entries)[0]
 
 
 def dual_norm(spec: MixedSpaceSpec, x: FinVec,
@@ -328,9 +318,9 @@ def dual_norm(spec: MixedSpaceSpec, x: FinVec,
     if x.is_zero:
         value, cert = mixed_norm(spec, FinVec.zero())
         return Q(0), DualCertificate(Q(0), (), FinVec.zero(), cert)
-    pairs, unit = _generator_patterns(spec, x.support, budget)
-    value, z, weights, den = _solve_ball(pairs, unit, _abs_entries(x))
-    terms = _hull_terms(pairs, unit, x, weights, den, value)
+    patterns = _generator_patterns(spec, x.support, budget)
+    value, z, weights, den = _solve_ball(patterns, _abs_entries(x))
+    terms = _hull_terms(*patterns, x, weights, den, value)
     signs = {i: (1 if c > 0 else -1) for i, c in x.entries}
     y = FinVec.from_items({i: signs[i] * v for i, v in z.items()})
     return value, DualCertificate(value, terms, y, _ball_certificate(spec, x, y, value))

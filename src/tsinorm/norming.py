@@ -33,16 +33,18 @@ Three structural facts shape the construction:
 Everything from the closure to the export runs in integers, and a built
 set is kept as its sign classes.  Closure keys hold int coefficients in
 one unit den**depth (_closure).  build_norming_set and
-raw_norming_generation keep each class as its (int key, first-built
-tree) pair, a key of s entries standing for its 2^s sign variants
-(NormingSet).  Other objects are made only when asked for:
+raw_norming_generation keep the classes as one _Patterns record: each
+class its (int key, first-built tree) pair, a key of s entries standing
+for its 2^s sign variants (NormingSet).  Other objects are made only
+when asked for:
 
 * export_norming_set writes every variant's line from the classes
   (_class_lines): a tree's variant texts are joined from its children's,
   so a shared subtree is written once, and vector texts are joined from
   one string per (index, coefficient).  cardinality counts 2^s per
   class, and tau pairs the int keys with |x| scaled to ints, making one
-  Fraction per value.
+  Fraction per value.  The record keeps the lines and the count once
+  worked out (_Patterns).
 * NormingSet.functionals is expanded on its first access, and
   norming_generators expands its patterns, by _expand_signs: a tree's
   variants are built from its children's, so they share every subtree,
@@ -53,9 +55,12 @@ tree) pair, a key of s entries standing for its 2^s sign variants
 _maximal_patterns is the one way to the maximal patterns: the dual-norm
 programs, build_norming_set, norming_generators and the stabilized
 import all read its bounded cache, so a repeated window or support runs
-its closure once.  Each caller counts the sign variants against its own
-budget and message (_check_sign_budget).  Only raw_norming_generation,
-which keeps every key it builds, runs a closure of its own.
+its closure once, and what its record derives (the sign count, the
+generation, the ball program's rows, the export lines) is worked out
+once too.  Each caller counts the sign variants against its own budget
+and message (_check_sign_budget).  Only raw_norming_generation, which
+keeps every key it builds, runs a closure of its own, into a record it
+does not cache.
 """
 from __future__ import annotations
 
@@ -220,37 +225,37 @@ class NormingSet:
     and its `stabilized` is always False: with one-part bundles the
     closure never reaches a fixpoint.
 
-    A set built here keeps the closure's sign classes: nonnegative int
-    keys over one unit, each with its first-built tree, a key of s
-    entries standing for its 2^s sign variants.  `functionals` expands
-    them through _expand_signs on first access; cardinality, tau and
-    export_norming_set read the classes and never expand them.  A set
-    constructed from its functionals (import, hand-built) holds them as
-    given, and tau scans them.  Equality, hashing and repr go through
-    `functionals`.
+    A set built here keeps the closure's sign classes as its _Patterns
+    record: nonnegative int keys over one unit, each with its first-built
+    tree, a key of s entries standing for its 2^s sign variants.
+    `functionals` expands them through _expand_signs on first access;
+    cardinality, tau and export_norming_set read the classes and never
+    expand them.  A set constructed from its functionals (import,
+    hand-built) holds them as given, and tau scans them.  Equality,
+    hashing and repr go through `functionals`.
     """
 
     def __init__(self, spec: MixedSpaceSpec, window: int,
                  functionals: Tuple[NormingFunctional, ...], generation: int,
                  stabilized: bool):
-        self._init(spec, window, generation, stabilized, None, None)
+        self._init(spec, window, generation, stabilized, None)
         if not functionals:
             raise ValueError("a norming set needs at least one functional")
         vars(self)["functionals"] = functionals
 
     @classmethod
-    def _of_classes(cls, spec: MixedSpaceSpec, window: int, classes: tuple,
-                    unit: int, generation: int, stabilized: bool) -> "NormingSet":
-        """A set of the (int key, tree) sign classes over `unit`."""
+    def _of_classes(cls, spec: MixedSpaceSpec, window: int, patterns: "_Patterns",
+                    generation: int, stabilized: bool) -> "NormingSet":
+        """A set of the sign classes in the record `patterns`."""
         vset = cls.__new__(cls)
-        vset._init(spec, window, generation, stabilized, classes, unit)
+        vset._init(spec, window, generation, stabilized, patterns)
         return vset
 
-    def _init(self, spec, window, generation, stabilized, classes, unit) -> None:
+    def _init(self, spec, window, generation, stabilized, patterns) -> None:
         if window < 1:
             raise ValueError(f"window bound must be >= 1, got {window}")
         vars(self).update(spec=spec, window=window, generation=generation,
-                          stabilized=stabilized, _classes=classes, _unit=unit)
+                          stabilized=stabilized, _patterns=patterns)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -260,7 +265,7 @@ class NormingSet:
 
     @functools.cached_property
     def functionals(self) -> Tuple[NormingFunctional, ...]:
-        return _expand_signs(self._classes, self._unit)
+        return _expand_signs(*self._patterns)
 
     def _fields(self) -> tuple:
         return (self.spec, self.window, self.functionals, self.generation, self.stabilized)
@@ -280,9 +285,9 @@ class NormingSet:
 
     @property
     def cardinality(self) -> int:
-        if self._classes is None:
+        if self._patterns is None:
             return len(self.functionals)
-        return _sign_count(key for key, _ in self._classes)
+        return self._patterns.sign_count
 
 
 def tau(vset: NormingSet, x: FinVec) -> Fraction:
@@ -295,12 +300,13 @@ def tau(vset: NormingSet, x: FinVec) -> Fraction:
     if support and support[-1] > vset.window:
         raise TsinormError(
             f"support {support} outside window [1, {vset.window}]")
-    if vset._classes is None:
+    if vset._patterns is None:
         return max(pairing(f.coeffs, x) for f in vset.functionals)
+    classes, unit = vset._patterns
     scale = math.lcm(*(c.denominator for _, c in x.entries))
     xs = {i: abs(c.numerator) * (scale // c.denominator) for i, c in x.entries}
-    best = max(sum(c * xs.get(i, 0) for i, c in key) for key, _ in vset._classes)
-    return Q(best, vset._unit * scale)
+    best = max(sum(c * xs.get(i, 0) for i, c in key) for key, _ in classes)
+    return Q(best, unit * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +540,10 @@ def _sign_count(keys) -> int:
     return sum(2 ** len(key) for key in keys)
 
 
-def _check_sign_budget(pairs, budget: int, context: str) -> None:
+def _check_sign_budget(patterns: "_Patterns", budget: int, context: str) -> None:
     """Raise BudgetExceededError, its message opened by `context`, if the
-    sign variants of the (key, tree) pairs number more than `budget`."""
-    total = _sign_count(key for key, _ in pairs)
+    sign variants of the record's classes number more than `budget`."""
+    total = patterns.sign_count
     if total > budget:
         raise BudgetExceededError(
             f"{context}: sign expansion needs {total} functionals, budget {budget}")
@@ -602,43 +608,109 @@ def build_norming_set(spec: MixedSpaceSpec, N: int,
     if N < 1:
         raise ValueError(f"window bound must be >= 1, got {N}")
     _check_seeds(spec, N, budget)
-    pairs, unit = _maximal_patterns(spec, tuple(range(1, N + 1)), budget)
-    _check_sign_budget(pairs, budget, f"norming set on window [1, {N}]")
-    return NormingSet._of_classes(spec, N, pairs, unit,
-                                  max(_depth(tree) for _, tree in pairs), stabilized=True)
+    patterns = _maximal_patterns(spec, tuple(range(1, N + 1)), budget)
+    _check_sign_budget(patterns, budget, f"norming set on window [1, {N}]")
+    return NormingSet._of_classes(spec, N, patterns, patterns.generation, stabilized=True)
+
+
+@dataclass(frozen=True, eq=False)
+class _Patterns:
+    """The (int key, first-built tree) pairs of one closure over the
+    strictly increasing `indices`, sorted by key, the pattern being
+    key / unit.  `pairs, unit = record` unpacks it.
+
+    What every reader of the same classes would otherwise work out again
+    is derived on first use and kept with the record, so it lives and is
+    freed with it: the sign-variant count, the generation (the depth of
+    the deepest first-built tree), the ball program's integer rows over
+    `indices`, and the export's sign-variant lines.  Each is derived at
+    most once per record."""
+    pairs: tuple
+    unit: int
+    indices: tuple
+
+    def __iter__(self):
+        return iter((self.pairs, self.unit))
+
+    @functools.cached_property
+    def sign_count(self) -> int:
+        return _sign_count(key for key, _ in self.pairs)
+
+    @functools.cached_property
+    def generation(self) -> int:
+        return max(_depth(tree) for _, tree in self.pairs)
+
+    @functools.cached_property
+    def ball_rows(self) -> tuple:
+        return _ball_rows(self.pairs, self.unit, self.indices)
+
+    @functools.cached_property
+    def export_lines(self) -> str:
+        """Every sign variant's export line, sorted on the int keys and
+        joined by newlines (_class_lines)."""
+        rows = _class_lines(self.pairs, self.unit, True)
+        rows.sort(key=itemgetter(0))
+        return "\n".join(line for _, line in rows)
+
+
+def _ball_rows(pairs: tuple, unit: int, indices: tuple) -> tuple:
+    """(rows, scales): per pattern a = key / unit the ball program's row
+    a . z <= 1 over z indexed by `indices`, in integers: key . z <= unit
+    divided by the gcd g of unit and the key's entries, of scale unit / g.
+    The gcd keeps the tableau's integers as small as reduced fractions
+    would."""
+    position = {i: k for k, i in enumerate(indices)}
+    blank = [0] * len(indices)
+    rows, scales = [], []
+    for key, _ in pairs:
+        g = math.gcd(unit, *(c for _, c in key))
+        row = blank.copy()
+        for i, c in key:
+            row[position[i]] = c // g
+        rows.append((tuple(row), "<=", unit // g))
+        scales.append(unit // g)
+    return tuple(rows), tuple(scales)
 
 
 # The dual-norm programs revisit the supports of a few dozen vectors and
 # their sub-vectors; about 60 supports make up their largest working set.
 # The norming-set builds and the stabilized import add the windows [1, N]
-# they read.
+# they read.  An entry is one _Patterns record.  Once a window is exported
+# its record keeps the export's lines, as much text as the export
+# (tsirelson: 4.5 KB, 30 KB, 137 KB, 723 KB and 3.7 MB for windows 5 to
+# 9, 19 MB and 92 MB for windows 10 and 11, the largest the default
+# budget allows); a support the dual programs read keeps its ball rows,
+# one int per pattern and index.
 _PATTERNS_KEPT = 128
 
 
 @functools.lru_cache(maxsize=_PATTERNS_KEPT)
-def _maximal_patterns(spec: MixedSpaceSpec, indices: tuple, budget: int) -> tuple:
-    """(pairs, unit): the maximal nonnegative patterns supported inside
-    the strictly increasing `indices`, as (int key, first-built tree)
-    pairs sorted by key, the pattern being key / unit.  No Fraction is
-    made here; the dual-norm programs run in this unit.
+def _maximal_patterns(spec: MixedSpaceSpec, indices: tuple, budget: int) -> _Patterns:
+    """The _Patterns record of the maximal nonnegative patterns supported
+    inside the strictly increasing `indices`; `pairs, unit = ...` reads
+    them as (int key, first-built tree) pairs sorted by key, the pattern
+    being key / unit.  No Fraction is made here; the dual-norm programs
+    run in this unit.
 
-    The one way to the maximal patterns: results are kept in a bounded
+    The one way to the maximal patterns: records are kept in a bounded
     LRU cache keyed by (spec, indices, budget), so a repeated support or
-    window returns the same tuple.  A closure over `budget` raises
-    BudgetExceededError whatever was computed before; the sign variants
-    are counted against the budget by each caller (_check_sign_budget),
-    under its own message.  tsinorm.clear_caches() empties the cache."""
+    window returns the same record, with whatever it has derived so far.
+    A closure over `budget` raises BudgetExceededError whatever was
+    computed before; the sign variants are counted against the budget by
+    each caller (_check_sign_budget), under its own message.
+    tsinorm.clear_caches() empties the cache, and each record's derived
+    items go with it."""
     if any(indices[i] >= indices[i + 1] for i in range(len(indices) - 1)):
         raise ValueError("indices must be strictly increasing")
     F, _, unit = _closure(spec, indices, budget, max_rounds=None)
-    return tuple((key, F[key]) for key in sorted(_maximal_keys(F))), unit
+    return _Patterns(tuple((key, F[key]) for key in sorted(_maximal_keys(F))), unit, indices)
 
 
-def _generator_patterns(spec: MixedSpaceSpec, indices: tuple, budget: int) -> tuple:
+def _generator_patterns(spec: MixedSpaceSpec, indices: tuple, budget: int) -> _Patterns:
     """_maximal_patterns, their sign variants counted against `budget`
     as norming_generators would build them."""
     patterns = _maximal_patterns(spec, indices, budget)
-    _check_sign_budget(patterns[0], budget, f"norming generators on {list(indices)}")
+    _check_sign_budget(patterns, budget, f"norming generators on {list(indices)}")
     return patterns
 
 
@@ -669,10 +741,11 @@ def raw_norming_generation(spec: MixedSpaceSpec, N: int, generations: int,
     if N < 1:
         raise ValueError(f"window bound must be >= 1, got {N}")
     _check_seeds(spec, N, budget)
-    F, rounds, unit = _closure(spec, tuple(range(1, N + 1)), budget, max_rounds=generations)
-    _check_sign_budget(F.items(), budget, f"raw generation {generations} on window [1, {N}]")
-    return NormingSet._of_classes(spec, N, tuple(F.items()), unit,
-                                  generation=rounds, stabilized=False)
+    indices = tuple(range(1, N + 1))
+    F, rounds, unit = _closure(spec, indices, budget, max_rounds=generations)
+    patterns = _Patterns(tuple(F.items()), unit, indices)
+    _check_sign_budget(patterns, budget, f"raw generation {generations} on window [1, {N}]")
+    return NormingSet._of_classes(spec, N, patterns, generation=rounds, stabilized=False)
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +848,11 @@ def export_norming_set(vset: NormingSet) -> str:
 
     A built set's lines are written from its sign classes and sorted on
     their int keys, the order of its functionals; a set given its
-    functionals writes them in their order, each as a class of one."""
+    functionals writes them in their order, each as a class of one.  A
+    built set's record keeps its lines, so exporting the same classes
+    again (the same set, or the same window rebuilt from the patterns
+    cache) writes only the header; the kept text is the size of the
+    export, 4.5 KB to 92 MB for tsirelson windows 5 to 11."""
     lines = [
         f"# norming-set space={vset.spec.name} window={vset.window} "
         f"generation={vset.generation} stabilized={str(vset.stabilized).lower()} "
@@ -783,12 +860,11 @@ def export_norming_set(vset: NormingSet) -> str:
     ]
     for i, lev in enumerate(vset.spec.levels):
         lines.append(f"# level {i}: {lev.family} theta={format_theta(lev.theta)}")
-    if vset._classes is None:
+    if vset._patterns is None:
         rows = _class_lines([(f.coeffs.entries, f.tree) for f in vset.functionals], 1, False)
+        lines.extend(line for _, line in rows)
     else:
-        rows = _class_lines(vset._classes, vset._unit, True)
-        rows.sort(key=itemgetter(0))
-    lines.extend(line for _, line in rows)
+        lines.append(vset._patterns.export_lines)
     return "\n".join(lines) + "\n"
 
 
@@ -916,9 +992,10 @@ def import_norming_set(text: str, spec: MixedSpaceSpec) -> NormingSet:
     if stabilized:
         # a stabilized set holds exactly the maximal classes on its window
         _check_seeds(spec, window, DEFAULT_NORMING_BUDGET)
-        pairs, unit = _maximal_patterns(spec, tuple(range(1, window + 1)),
-                                        DEFAULT_NORMING_BUDGET)
-        _check_sign_budget(pairs, DEFAULT_NORMING_BUDGET, f"norming set on window [1, {window}]")
+        patterns = _maximal_patterns(spec, tuple(range(1, window + 1)), DEFAULT_NORMING_BUDGET)
+        _check_sign_budget(patterns, DEFAULT_NORMING_BUDGET,
+                           f"norming set on window [1, {window}]")
+        pairs, unit = patterns
         built = {tuple((i, Q(c, unit)) for i, c in key) for key, _ in pairs}
         given = {rep.entries for rep in classes}
         if given != built:

@@ -2,7 +2,9 @@
 
 Everything here is written directly from the defining recursions, with no
 memoization, no pruning, and no shared code with the package under test.
-Deliberately slow and simple; only run on tiny inputs.
+Deliberately slow and simple; only run on tiny inputs.  The one exception
+is endpoint_pair, which checks the package's symbolic-weight route against
+its own rational route at the two ends of each weight enclosure.
 
 Conventions: vectors are plain dicts {index: Fraction} with no zero values,
 indices >= 1.  A "level" is a tuple (kind, param, theta) where kind is
@@ -857,3 +859,43 @@ def check_upper(x: Vec, table, levels) -> bool:
                 if r >= 2 and hi.numerator * upto[r - 2] > hi.denominator * V[a][b]:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# symbolic weights as two rational passes
+
+def endpoint_pair(spec, x, precision: int) -> tuple:
+    """(lo, hi): the package's rational window pass (primal._certificate)
+    over |x| with every weight the vector needs set to the lo end, then to
+    the hi end, of its enclosure at `precision`; each a PrimalCertificate.
+
+    The norm is nondecreasing in every weight, so lo.value <= ||x|| <=
+    hi.value.  Where the certified comparisons of mixed_norm decide at
+    that precision, its winner is the first optimum at both ends, so its
+    interval certificate is the two passes node by node.
+    """
+    from tsinorm.families import levels_needed, resolve_theta
+    from tsinorm.primal import _abs_entries, _certificate
+
+    enclosures = [(i, family, resolve_theta(theta, precision))
+                  for i, family, theta in levels_needed(spec, x.support)]
+    entries = _abs_entries(x)
+    return tuple(_certificate(entries, tuple((i, family, end(theta))
+                                             for i, family, theta in enclosures))
+                 for end in (lambda t: t.lo, lambda t: t.hi))
+
+
+def witness_form(cert, end: Optional[str] = None) -> tuple:
+    """A primal certificate as nested tuples: per node its value, then a
+    leaf's index or a split's level index, blocks and children.  With
+    `end` ("lo" or "hi") each interval value is read at that end."""
+    from tsinorm.primal import Leaf
+
+    value = cert.value
+    if end is not None and not isinstance(value, Q):
+        value = getattr(value, end)
+    w = cert.witness
+    if isinstance(w, Leaf):
+        return value, w.index
+    return (value, w.level_index, w.partition.blocks,
+            tuple(witness_form(child, end) for child in w.children))

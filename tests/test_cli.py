@@ -670,11 +670,15 @@ class TestCertify:
         assert _maximal_patterns(ts, support, DEFAULT_NORMING_BUDGET) is patterns
         pairs, unit = patterns
         assert len(pairs) == 202
-        # the cache holds patterns, as positive int keys in one unit, not
-        # the 8766 signed functionals they stand for
+        # the cache holds one record of the patterns, as positive int keys
+        # in one unit, with what it has derived from them (here the sign
+        # count and the ball rows, no export lines), not the 8766 signed
+        # functionals they stand for
+        assert {"sign_count", "ball_rows"} <= vars(patterns).keys()
+        assert "export_lines" not in vars(patterns)
         assert all(type(c) is int and c > 0 for key, _ in pairs for _, c in key)
         assert type(unit) is int and unit > 0
-        assert sum(2 ** len(key) for key, _ in pairs) == 8766
+        assert sum(2 ** len(key) for key, _ in pairs) == patterns.sign_count == 8766
 
     def test_check_json(self, capsys, tmp_path):
         path = tmp_path / "cert.txt"

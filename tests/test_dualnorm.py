@@ -879,8 +879,9 @@ class TestPatternHull:
     def test_agrees_with_signed_hull_and_oracle(self):
         oracle_checked = 0
         for spec, x in self.vectors():
-            pairs, unit = _maximal_patterns(spec, x.support, DEFAULT_NORMING_BUDGET)
-            value, _, weights, den = dualnorm._solve_ball(pairs, unit, x.abs().entries)
+            patterns = _maximal_patterns(spec, x.support, DEFAULT_NORMING_BUDGET)
+            pairs, unit = patterns
+            value, _, weights, den = dualnorm._solve_ball(patterns, x.abs().entries)
             terms = dualnorm._hull_terms(pairs, unit, x, weights, den, value)
             assert value == self.signed_hull_optimum(spec, x)
             assert value == dual_norm_value(spec, x)
@@ -934,8 +935,9 @@ class TestPatternHull:
     def test_bad_weights_are_internal_failures(self, monkeypatch):
         x = vec({3: Q(1), 4: Q(-1, 2), 5: Q(3, 4)})
         budget = DEFAULT_NORMING_BUDGET
-        pairs, unit = _maximal_patterns(TS, x.support, budget)
-        value, _, weights, den = dualnorm._solve_ball(pairs, unit, x.abs().entries)
+        patterns = _maximal_patterns(TS, x.support, budget)
+        pairs, unit = patterns
+        value, _, weights, den = dualnorm._solve_ball(patterns, x.abs().entries)
         with pytest.raises(TsinormError, match="uncovered"):
             dualnorm._hull_terms(pairs, unit, x, (0,) * len(weights), den, value)
         # still dominating |x|, but heavier than the optimum

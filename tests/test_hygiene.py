@@ -3,8 +3,9 @@
 Every imported name must be used, every module-level def or class
 must be referenced somewhere in the package, only `families` reads
 a family's fields or tests its class (and tests it only in `max_blocks`
-and the config functions), and `clear_caches` empties every cache a
-def of the package is decorated with.  A nested function that calls
+and the config functions), `clear_caches` empties every cache a
+def of the package is decorated with, and no function mutates a dict,
+list or set bound at module level.  A nested function that calls
 itself is deleted when its caller ends, the window pass is driven
 from one place, and the norming closure is run only by the patterns
 cache and the raw generation.  One call of each norm, of the norming-set and
@@ -132,6 +133,82 @@ def cached_definitions() -> list:
                 up = parents.get(up)
             out.append((module[:-3], ".".join(names)))
     return out
+
+
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "update", "setdefault",
+            "add", "discard", "popitem", "sort", "reverse", "difference_update",
+            "intersection_update", "symmetric_difference_update", "__setitem__",
+            "__delitem__"}
+
+
+def module_containers(tree) -> set:
+    """Names a module binds at top level to a dict, list or set."""
+    out = set()
+    for stmt in tree.body:
+        value = getattr(stmt, "value", None)
+        if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or not (
+                isinstance(value, CONTAINERS) or isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name) and value.func.id in ("dict", "list", "set")):
+            continue
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        out.update(t.id for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def state_mutations(module, tree, names) -> list:
+    """Each place inside a function of `tree` that changes one of the
+    module-level containers `names` in place: a mutating method call, a
+    store or del through a subscript, or an augmented assignment, on the
+    bare name or on a module attribute of that name."""
+    def named(node):
+        return (isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in names)
+
+    owners = enclosing_functions(tree)
+    out = []
+    for node, owner in owners.items():
+        if owner is None:
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in MUTATORS and named(node.func.value):
+            base = node.func.value
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)) \
+                and named(node.value):
+            base = node.value
+        elif isinstance(node, ast.AugAssign) and named(node.target):
+            base = node.target
+        else:
+            continue
+        out.append(f"{module}:{node.lineno} {getattr(base, 'id', None) or base.attr}")
+    return sorted(out)
+
+
+def test_no_function_mutates_module_state():
+    # kept state lives in the lru_caches that clear_caches() empties; a
+    # module-level table filled by a function (a hand-rolled memo) would
+    # outlive it.  PRESETS and _FLIPPED are only read
+    names = set().union(*map(module_containers, TREES.values()))
+    assert {"PRESETS", "_FLIPPED"} <= names
+    assert [hit for module, tree in TREES.items()
+            for hit in state_mutations(module, tree, names)] == []
+
+
+def test_the_state_rule_catches_a_memo():
+    tree = ast.parse(
+        "_ROWS = {}\n"
+        "def rows(patterns):\n"
+        "    got = _ROWS.get(id(patterns))\n"
+        "    if got is None:\n"
+        "        got = _ROWS[id(patterns)] = build(patterns)\n"
+        "    return got\n"
+        "def forget():\n"
+        "    _ROWS.clear()\n"
+        "    norming._ROWS.update({})\n")
+    names = module_containers(tree)
+    assert names == {"_ROWS"}
+    assert state_mutations("memo.py", tree, names) == [
+        "memo.py:5 _ROWS", "memo.py:8 _ROWS", "memo.py:9 _ROWS"]
 
 
 def test_clear_caches_empties_every_cache():

@@ -110,8 +110,8 @@ class TestIntegerKkt:
     @pytest.fixture(scope="class")
     def ball(self):
         x = FinVec.from_items({2: 1, 3: Q(-1, 2), 4: 2, 5: 1, 6: Q(1, 2)})
-        pairs, unit = _maximal_patterns(tsirelson_spec(), x.support, DEFAULT_NORMING_BUDGET)
-        prog = dualnorm._ball_program(pairs, unit, x.abs().entries)
+        patterns = _maximal_patterns(tsirelson_spec(), x.support, DEFAULT_NORMING_BUDGET)
+        prog = dualnorm._ball_program(patterns, x.abs().entries)
         sol = solve_integer(prog)
         assert sol.status == "optimal" and len(prog.rows) > 20
         activity = [sum(a * v for a, v in zip(coeffs, sol.x)) for coeffs, _, _ in prog.rows]

@@ -3,13 +3,14 @@ import hashlib
 import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tsinorm
-from tsinorm import cli
+from tsinorm import cli, norming
 from tsinorm.core import (
     BudgetExceededError,
     FinVec,
@@ -721,7 +722,9 @@ def set_digest(vset):
 class TestIdentityPins:
     """Digests recorded from the construction over Fraction keys; the
     integer-unit closure, the shared-subtree sign expansion and the
-    memoised export must reproduce every byte."""
+    memoised export must reproduce every byte, whether a set's record is
+    new, read back from the patterns cache with its kept export lines, or
+    new again after clear_caches()."""
 
     @pytest.mark.parametrize("spec, N, digest", [
         (TS, 1, "0a22eb4f3d081f77a1a4d16b224e562971fbf5ed"),
@@ -743,7 +746,11 @@ class TestIdentityPins:
         (TWO_LEVEL, 5, "0fb9c93d78006376df37f2f80c8d110d1b37c53b"),
     ], ids=lambda v: v.name if isinstance(v, MixedSpaceSpec) else None)
     def test_built_sets(self, spec, N, digest):
-        assert set_digest(build_norming_set(spec, N)) == digest
+        tsinorm.clear_caches()
+        assert set_digest(build_norming_set(spec, N)) == digest  # first call
+        assert set_digest(build_norming_set(spec, N)) == digest  # the record kept
+        tsinorm.clear_caches()
+        assert set_digest(build_norming_set(spec, N)) == digest  # a new record
 
     @pytest.mark.parametrize("spec, indices, digest", [
         (TS, (2, 3, 5, 7, 8), "161c2cb7b62a7f2b0b8eacff9f9460f9dc6a2202"),
@@ -764,6 +771,17 @@ class TestIdentityPins:
     def test_raw_generations(self, N, rounds, digest):
         # window 2 over 5 rounds nests one-part chains deeper than N - 1
         assert set_digest(raw_norming_generation(TS, N, rounds)) == digest
+
+    def test_raw_generation_export_across_reuse(self):
+        # a raw generation's record is not cached: each build writes its
+        # lines afresh, and a second export of one set reads them back
+        for _ in range(2):
+            vset = raw_norming_generation(TS, 4, 3)
+            for _ in range(2):
+                text = export_norming_set(vset)
+                assert hashlib.sha1(text.encode()).hexdigest() == \
+                    "909ff80166bdb602fb37fb56f7ab33fb9fd2eabe"
+            tsinorm.clear_caches()
 
     def test_raw_unit_follows_the_rounds_run(self):
         # one-part chains never reach a fixpoint, so only the budget ends
@@ -879,8 +897,9 @@ class TestPrunedClosure:
         vset = raw_norming_generation(spec, N, rounds)
         assert vset.generation == rounds and vset.stabilized is False
         ref, _, _, _ = reference_closure(levels, range(1, N + 1), True, rounds)
-        got = [(tuple((i, Q(c, vset._unit)) for i, c in key), tree_form(tree))
-               for key, tree in vset._classes]
+        classes, unit = vset._patterns
+        got = [(tuple((i, Q(c, unit)) for i, c in key), tree_form(tree))
+               for key, tree in classes]
         assert got == list(ref.items())
 
     def test_unit_follows_the_rounds_a_budget_allows(self):
@@ -945,6 +964,58 @@ class TestCachedPatterns:
         # the closure stops as it builds the key it would have built last
         (emit,) = [entry.locals for entry in info.traceback if entry.name == "emit"]
         assert emit["ckey"] == list(F)[-1]
+
+
+class TestDerivedOnce:
+    """A _maximal_patterns record derives its sign count, generation,
+    ball rows and export lines at most once: a repeated norming-set
+    command and a dual value at a new |x| on a support already closed
+    redo none of that work, and after clear_caches() it is done once
+    more.  Work is counted by call, not timed."""
+
+    WORK = ("_class_lines", "_depth", "_sign_count", "_ball_rows")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for name in self.WORK:
+            def counted(*args, _name=name, _f=getattr(norming, name)):
+                counts[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(norming, name, counted)
+        tsinorm.clear_caches()
+        yield counts
+        tsinorm.clear_caches()
+
+    def test_a_second_norming_set_command(self, calls, tmp_path, capsys):
+        out = tmp_path / "set.txt"
+
+        def command():
+            assert cli.main(["norming-set", "6", "--out", str(out)]) == 0
+            return out.read_text(), capsys.readouterr().out
+
+        first = command()
+        work = dict(calls)
+        assert work["_class_lines"] == work["_sign_count"] == 1 and work["_depth"] > 0
+        calls.clear()
+        assert command() == first
+        assert not calls
+        tsinorm.clear_caches()
+        assert command() == first
+        assert calls == work
+
+    def test_a_dual_value_at_a_new_abs_x(self, calls):
+        x = vec({2: 1, 3: 1, 4: 1, 5: 1, 6: 1})
+        y = vec({2: Q(1, 2), 3: -2, 4: 1, 5: Q(3, 4), 6: -1})
+        dual_norm_value(TS, x)
+        work = dict(calls)
+        assert work == {"_sign_count": 1, "_ball_rows": 1}
+        calls.clear()
+        value = dual_norm_value(TS, y)
+        assert not calls
+        tsinorm.clear_caches()
+        assert dual_norm_value(TS, y) == value
+        assert calls == work
 
 
 class TestSeedBudget:

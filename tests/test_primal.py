@@ -56,7 +56,9 @@ from oracles import (
     brute_block_norm_level,
     brute_mixed_norm,
     check_upper,
+    endpoint_pair,
     memo_mixed_norm,
+    witness_form,
 )
 
 
@@ -518,6 +520,32 @@ class TestUpperBound:
             assert check_upper(x.to_dict(), V, levels), str(x)
             V[0][m] *= Q(99, 100)
             assert not check_upper(x.to_dict(), V, levels), str(x)
+
+
+class TestEndpointPair:
+    """Symbolic weights against two rational passes (oracles.endpoint_pair):
+    wherever mixed_norm decides at a precision, its certificate is, node by
+    node, the rational certificates at the lo and the hi end of every
+    weight's enclosure, in value and in witness shape."""
+
+    def test_decided_norms_are_the_endpoint_passes(self):
+        spec = schlumprecht_spec(16)
+        rng = random.Random(1)
+        grid = [Q(1), Q(-1), Q(1, 2), Q(2), Q(3, 4), Q(-1, 3)]
+        decided = 0
+        for m in (12, 13, 14, 15, 16) * 2 + (12, 16):
+            x = vec({i: rng.choice(grid) for i in rng.sample(range(1, m + 6), m)})
+            for precision in (4, 8, 16):
+                lo, hi = endpoint_pair(spec, x, precision)
+                assert lo.value <= hi.value
+                try:
+                    _, cert = mixed_norm(spec, x, precision=precision, precision_cap=precision)
+                except PrecisionExhaustedError:
+                    continue
+                decided += 1
+                assert witness_form(cert, "lo") == witness_form(lo), (str(x), precision)
+                assert witness_form(cert, "hi") == witness_form(hi), (str(x), precision)
+        assert decided >= 10  # 10 of the 36 cases decide, so the check is not vacuous
 
 
 def test_norm_calls_leave_module_state_unchanged():
